@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
 import time
 from fractions import Fraction
@@ -217,6 +216,8 @@ def _cmd_walk(args) -> dict:
     spectrum = diagonalise.certify(g, h)
     if spectrum is None:
         raise ChdError("the supplied matrix does not diagonalise the graph")
+    if not 0 <= args.source < g.n:
+        raise ChdError(f"vertex {args.source} is out of range for n={g.n}")
     u = walks.evolve(g, h, spectrum, args.t)
     vec = u[:, args.source]
     return {
@@ -273,12 +274,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--format", choices=("json", "text"), default="json")
     parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument(
-        "--threads",
-        type=int,
-        default=int(os.environ.get("CHD_THREADS", "1")),
-        help="worker cap (results are deterministic regardless)",
-    )
     parser.add_argument("--report", action="store_true", help="wrap output in a run report")
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -17,7 +17,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .cyclotomic import CyclotomicInt, _reduce
+from .cyclotomic import CyclotomicInt, reduce
 from .errors import (
     ChdError,
     ExactnessError,
@@ -142,37 +142,20 @@ def certify(
     if not h.is_dephased():
         raise PreconditionError("certify requires a dephased matrix; dephase first")
     mat, scale = g.integer_matrix(target)
-    n, r = g.n, h.r
-    exps = h.exps
+    r = h.r
     entries = []
-    for j in range(n):
-        col = [int(exps[s, j]) for s in range(n)]
-        lam = [0] * r
-        for s in range(n):
-            c = mat[0][s]
-            if c:
-                lam[col[s]] += c
-        # residual (M h_j)_u - lam * h_j(u) must reduce to zero for every u
-        for u in range(n):
-            vec = [0] * r
-            for s in range(n):
-                c = mat[u][s]
-                if c:
-                    vec[col[s]] += c
-            shift = col[u]
-            for t in range(r):
-                if lam[t]:
-                    vec[(t + shift) % r] -= lam[t]
-            if any(_reduce(tuple(vec), r)):
-                return None
-        cyclo = CyclotomicInt(r, lam)
-        rat = cyclo.as_rational()
-        rational = None if rat is None else rat / scale
-        if rational is not None and scale == 1 and rational.denominator != 1:
-            raise InternalCheckError(
-                "rational eigenvalue of an integer matrix is not an integer"
-            )
-        entries.append(EigenvalueEntry(cyclo, scale, rational))
+    # M h_j against lambda_j h_j, one column at a time so that the working
+    # set stays n x r rather than n x n x phi(r)
+    for e in h.exps.T:
+        lam = np.zeros(r, dtype=mat.dtype)
+        np.add.at(lam, e, mat[0])
+        expected = reduce(lam[(np.arange(r) - e[:, None]) % r], r)
+        if not np.array_equal(reduce(mat, r, e), expected):
+            return None
+        # row 0 of H is all ones, so row 0 of `expected` is lambda_j reduced
+        rem = expected[0].tolist()
+        rational = None if any(rem[1:]) else Fraction(rem[0], scale)
+        entries.append(EigenvalueEntry(CyclotomicInt(r, lam), scale, rational))
     return SpectrumAssignment(tuple(entries), target)
 
 
@@ -194,31 +177,29 @@ class EquitablePartition:
 def _verified_quotient(g: WeightedGraph, cells) -> tuple[tuple[Fraction, ...], ...]:
     """Compute the adjacency-level quotient matrix, checking equitability
     exactly; raises if some vertex breaks the cell-wise constancy."""
-    cell_of = {}
-    for i, cell in enumerate(cells):
-        for u in cell:
-            cell_of[u] = i
     p = len(cells)
+    if any(not cell for cell in cells):
+        raise ChdError("equitable partition has an empty cell")
+    member = np.zeros((g.n, p), dtype=np.int64)
+    for i, cell in enumerate(cells):
+        member[list(cell), i] = 1
+    into = g.matrix @ member.astype(g.matrix.dtype)
     quotient = []
     for i, cell in enumerate(cells):
-        if not cell:
-            raise ChdError("equitable partition has an empty cell")
-        row = None
+        row = into[cell[0]]
         for u in cell:
-            into = [Fraction(0)] * p
-            for v in range(g.n):
-                w = g.rows[u][v]
-                if w:
-                    into[cell_of[v]] += w
-            if row is None:
-                row = into
-            elif row != into:
+            if not np.array_equal(into[u], row):
                 raise InternalCheckError(
                     f"partition is not equitable: vertex {u} of cell {i} "
-                    f"sees {into}, expected {row}"
+                    f"sees {_fractions(into[u], g.scale)}, "
+                    f"expected {_fractions(row, g.scale)}"
                 )
-        quotient.append(tuple(row))
+        quotient.append(_fractions(row, g.scale))
     return tuple(quotient)
+
+
+def _fractions(row, scale: int) -> tuple[Fraction, ...]:
+    return tuple(Fraction(int(x), scale) for x in row)
 
 
 def bipartition_from_column(
@@ -354,17 +335,20 @@ def theorem_checks(
 ) -> TheoremReport:
     """Spectral consequences of the matrix class, checked as falsifiable facts.
 
+    The theorems speak of the Laplacian of an integer-weighted graph; for
+    any other graph or target every check is marked not applicable.
+
     - real or turyn class: every eigenvalue is an even integer;
-    - root order a power of two (integer weights): every rational eigenvalue
-      is an even integer;
-    - root order an odd prime p (integer weights): every nonzero integer
-      eigenvalue is divisible by p and has multiplicity at least p - 1.
+    - root order a power of two: every rational eigenvalue is an even
+      integer;
+    - root order an odd prime p: every nonzero integer eigenvalue is
+      divisible by p and has multiplicity at least p - 1.
     """
     cls = classify(h)
-    integer_weighted = all(w.denominator == 1 for row in g.rows for w in row)
+    in_scope = g.scale == 1 and spectrum.target == "laplacian"
     checks = []
 
-    applicable = cls.kind in ("real", "turyn")
+    applicable = in_scope and cls.kind in ("real", "turyn")
     passed = None
     detail = f"matrix class is {cls}"
     if applicable:
@@ -380,7 +364,7 @@ def theorem_checks(
     checks.append(TheoremCheck("even-spectrum-real-turyn", applicable, passed, detail))
 
     r_min = cls.root_order
-    applicable = integer_weighted and r_min >= 1 and (r_min & (r_min - 1)) == 0
+    applicable = in_scope and r_min >= 1 and (r_min & (r_min - 1)) == 0
     passed = None
     detail = f"minimal root order is {r_min}"
     if applicable:
@@ -399,7 +383,7 @@ def theorem_checks(
         TheoremCheck("power-of-two-even-integers", applicable, passed, detail)
     )
 
-    applicable = integer_weighted and r_min > 2 and _is_prime(r_min)
+    applicable = in_scope and r_min > 2 and _is_prime(r_min)
     passed = None
     detail = f"minimal root order is {r_min}"
     if applicable:

@@ -1,10 +1,14 @@
 """Weighted simple graphs and the constructions used throughout the package.
 
-Weights are exact rationals (``fractions.Fraction``); adjacency and Laplacian
-matrices are materialised as tuples of Fractions for exact work and as numpy
-arrays for floating-point cross-checks.  Vertices of product-style
-constructions are always numbered in row-major mixed-radix order so that
-they line up with the rows of tensor-product Hadamard matrices.
+A graph is stored as one integer numpy matrix and one integer ``scale``:
+the weight of edge (u, v) is ``matrix[u, v] / scale``, where ``scale`` is
+the lcm of the weight denominators, so the stored form is canonical.  The
+matrix is int64 when n times its largest entry stays below 2**62, which
+keeps every row sum and Laplacian entry exact, and an array of Python
+integers otherwise.  Fractions appear only at the boundary: ``from_edges``,
+JSON, ``edges()``, ``weight()`` and ``degrees()``.  Vertices of
+product-style constructions are numbered in row-major mixed-radix order so
+that they line up with the rows of tensor-product Hadamard matrices.
 """
 
 from __future__ import annotations
@@ -15,6 +19,7 @@ from itertools import product as iter_product
 
 import numpy as np
 
+from .cyclotomic import exact_dtype
 from .errors import ChdError, SimplicityError
 
 __all__ = [
@@ -43,39 +48,65 @@ __all__ = [
 def _as_fraction(x) -> Fraction:
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
+    if isinstance(x, int) and not isinstance(x, bool):
         return Fraction(x)
     if isinstance(x, str):
         return Fraction(x)
     raise ChdError(f"cannot interpret {x!r} as an exact rational weight")
 
 
+def _maxabs(a: np.ndarray) -> int:
+    return int(np.abs(a).max(initial=0))
+
+
 class WeightedGraph:
     """Simple undirected graph with nonnegative rational edge weights."""
 
-    __slots__ = ("n", "rows")
+    __slots__ = ("n", "matrix", "scale")
 
     def __init__(self, rows) -> None:
-        rows = tuple(tuple(_as_fraction(w) for w in row) for row in rows)
+        rows = [[_as_fraction(w) for w in row] for row in rows]
         n = len(rows)
         if any(len(row) != n for row in rows):
             raise ChdError("weight matrix must be square")
-        for u in range(n):
-            if rows[u][u] != 0:
-                raise SimplicityError(f"vertex {u} carries a loop")
-            for v in range(u + 1, n):
-                if rows[u][v] != rows[v][u]:
-                    raise SimplicityError(
-                        f"weight matrix is not symmetric at ({u}, {v})"
-                    )
-                if rows[u][v] < 0:
-                    raise SimplicityError(f"negative weight on edge ({u}, {v})")
+        scale = math.lcm(1, *(w.denominator for row in rows for w in row))
+        ints = [[w.numerator * (scale // w.denominator) for w in row] for row in rows]
+        self._store(np.array(ints, dtype=object).reshape(n, n), scale)
+
+    @classmethod
+    def _from_matrix(cls, matrix: np.ndarray, scale: int = 1) -> "WeightedGraph":
+        """The graph with weights matrix / scale, from a square integer array."""
+        g = cls.__new__(cls)
+        g._store(matrix, scale)
+        return g
+
+    def _store(self, mat: np.ndarray, scale: int) -> None:
+        n = mat.shape[0]
+        if mat.ndim != 2 or mat.shape[1] != n:
+            raise ChdError("weight matrix must be square")
+        loops = np.flatnonzero(np.diagonal(mat))
+        if loops.size:
+            raise SimplicityError(f"vertex {loops[0]} carries a loop")
+        asym = np.argwhere(np.triu(mat != mat.T))
+        if asym.size:
+            u, v = asym[0].tolist()
+            raise SimplicityError(f"weight matrix is not symmetric at ({u}, {v})")
+        neg = np.argwhere(np.triu(mat < 0))
+        if neg.size:
+            u, v = neg[0].tolist()
+            raise SimplicityError(f"negative weight on edge ({u}, {v})")
+        if scale != 1:
+            common = math.gcd(scale, *np.unique(mat).tolist())
+            mat, scale = mat // common, scale // common
+        mat = mat.astype(exact_dtype(n * _maxabs(mat)))
+        mat.setflags(write=False)
         self.n = n
-        self.rows = rows
+        self.matrix = mat
+        self.scale = int(scale)
 
     @classmethod
     def from_edges(cls, n: int, edges) -> "WeightedGraph":
-        w = [[Fraction(0)] * n for _ in range(n)]
+        weights: dict[tuple[int, int], Fraction] = {}
         for item in edges:
             if len(item) == 2:
                 u, v = item
@@ -87,43 +118,38 @@ class WeightedGraph:
                 raise ChdError(f"edge ({u}, {v}) out of range for n={n}")
             if u == v:
                 raise SimplicityError(f"loop at vertex {u}")
-            if w[u][v] != 0:
+            if weights.get((u, v), 0) != 0:
                 raise SimplicityError(f"duplicate edge ({u}, {v})")
-            w[u][v] = w[v][u] = weight
-        return cls(w)
+            weights[u, v] = weights[v, u] = weight
+        scale = math.lcm(1, *(w.denominator for w in weights.values()))
+        ints = [w.numerator * (scale // w.denominator) for w in weights.values()]
+        mat = np.zeros((n, n), dtype=exact_dtype(n * max(map(abs, ints), default=0)))
+        if weights:
+            mat[tuple(np.array(list(weights)).T)] = ints
+        return cls._from_matrix(mat, scale)
 
     # -- matrices -------------------------------------------------------
 
+    def weight(self, u: int, v: int) -> Fraction:
+        return Fraction(int(self.matrix[u, v]), self.scale)
+
     def degree(self, u: int) -> Fraction:
-        return sum(self.rows[u], Fraction(0))
+        return Fraction(int(self.matrix[u].sum()), self.scale)
 
     def degrees(self) -> tuple[Fraction, ...]:
-        return tuple(self.degree(u) for u in range(self.n))
+        return tuple(Fraction(int(d), self.scale) for d in self.matrix.sum(axis=1))
 
-    def laplacian_rows(self) -> tuple[tuple[Fraction, ...], ...]:
-        out = []
-        for u in range(self.n):
-            d = self.degree(u)
-            out.append(
-                tuple(d - w if v == u else -w for v, w in enumerate(self.rows[u]))
-            )
-        return tuple(out)
-
-    def integer_matrix(self, target: str = "laplacian") -> tuple[list[list[int]], int]:
+    def integer_matrix(self, target: str = "laplacian") -> tuple[np.ndarray, int]:
         """Exact integer scaling of the Laplacian or adjacency matrix.
 
         Returns (matrix, scale) with matrix == scale * target entrywise.
         """
-        rows = self.laplacian_rows() if target == "laplacian" else self.rows
-        scale = 1
-        for row in rows:
-            for w in row:
-                scale = scale * w.denominator // math.gcd(scale, w.denominator)
-        mat = [[int(w * scale) for w in row] for row in rows]
-        return mat, scale
+        if target != "laplacian":
+            return self.matrix, self.scale
+        return np.diag(self.matrix.sum(axis=1)) - self.matrix, self.scale
 
     def adjacency_float(self) -> np.ndarray:
-        return np.array([[float(w) for w in row] for row in self.rows])
+        return (self.matrix.astype(object) / self.scale).astype(float)
 
     def laplacian_float(self) -> np.ndarray:
         a = self.adjacency_float()
@@ -132,16 +158,15 @@ class WeightedGraph:
     # -- structure ------------------------------------------------------
 
     def edges(self):
-        for u in range(self.n):
-            for v in range(u + 1, self.n):
-                if self.rows[u][v]:
-                    yield u, v, self.rows[u][v]
+        us, vs = np.nonzero(np.triu(self.matrix))
+        for u, v, w in zip(us.tolist(), vs.tolist(), self.matrix[us, vs].tolist()):
+            yield u, v, Fraction(w, self.scale)
 
     def is_unweighted(self) -> bool:
-        return all(w == 1 for _, _, w in self.edges())
+        return self.scale == 1 and _maxabs(self.matrix) <= 1
 
     def neighbors(self, u: int):
-        return [v for v in range(self.n) if self.rows[u][v]]
+        return np.flatnonzero(self.matrix[u]).tolist()
 
     def components(self) -> list[list[int]]:
         seen = [False] * self.n
@@ -180,10 +205,13 @@ class WeightedGraph:
     def __eq__(self, other) -> bool:
         if not isinstance(other, WeightedGraph):
             return NotImplemented
-        return self.rows == other.rows
+        return self.scale == other.scale and np.array_equal(self.matrix, other.matrix)
 
     def __hash__(self) -> int:
-        return hash(self.rows)
+        # the dtype is a function of the values, so equal graphs hash equally
+        m = self.matrix
+        key = tuple(m.flat) if m.dtype == object else m.tobytes()
+        return hash((self.n, self.scale, key))
 
     def __repr__(self) -> str:
         return f"WeightedGraph(n={self.n}, edges={sum(1 for _ in self.edges())})"
@@ -242,12 +270,9 @@ class AbelianGroup:
         return out
 
 
-def cayley(group: AbelianGroup, connection) -> WeightedGraph:
-    """Unit-weight Cayley graph: u ~ v iff u - v lies in the connection set.
-
-    The connection set must avoid the identity (no loops) and be closed
-    under negation (undirected edges).
-    """
+def connection_set(group: AbelianGroup, connection) -> set[tuple[int, ...]]:
+    """The normalised connection set, checked to avoid the identity (no
+    loops) and to be closed under negation (undirected edges)."""
     conn = {group.normalise(c) for c in connection}
     if group.identity in conn:
         raise SimplicityError("connection set contains the identity (loops)")
@@ -256,53 +281,47 @@ def cayley(group: AbelianGroup, connection) -> WeightedGraph:
             raise SimplicityError(
                 f"connection set is not closed under negation at {c}"
             )
+    return conn
+
+
+def cayley(group: AbelianGroup, connection) -> WeightedGraph:
+    """Unit-weight Cayley graph: u ~ v iff u - v lies in the connection set."""
+    conn = connection_set(group, connection)
     n = group.order
-    w = [[Fraction(0)] * n for _ in range(n)]
-    els = group.elements()
-    for i, a in enumerate(els):
-        for c in conn:
-            j = group.index(tuple((x + y) % m for x, y, m in zip(a, c, group.moduli)))
-            w[i][j] = Fraction(1)
-    return WeightedGraph(w)
+    els = np.array(group.elements(), dtype=np.int64).reshape(n, -1)
+    mat = np.zeros((n, n), dtype=np.int64)
+    for c in conn:
+        targets = np.ravel_multi_index(((els + c) % group.moduli).T, group.moduli)
+        mat[np.arange(n), targets] = 1
+    return WeightedGraph._from_matrix(mat)
 
 
 def complement(g: WeightedGraph) -> WeightedGraph:
     """Edge-set complement; defined for unweighted graphs only."""
-    for u in range(g.n):
-        for v in range(u + 1, g.n):
-            if g.rows[u][v] not in (0, 1):
-                raise ChdError("complement is only defined for unweighted graphs")
-    w = [
-        [
-            Fraction(0) if u == v else Fraction(1) - g.rows[u][v]
-            for v in range(g.n)
-        ]
-        for u in range(g.n)
-    ]
-    return WeightedGraph(w)
+    if not g.is_unweighted():
+        raise ChdError("complement is only defined for unweighted graphs")
+    return WeightedGraph._from_matrix(1 - np.eye(g.n, dtype=np.int64) - g.matrix)
 
 
 def graph_union(g1: WeightedGraph, g2: WeightedGraph) -> WeightedGraph:
     """Disjoint union; vertices of g1 come first."""
-    n = g1.n + g2.n
-    w = [[Fraction(0)] * n for _ in range(n)]
-    for u, v, weight in g1.edges():
-        w[u][v] = w[v][u] = weight
-    for u, v, weight in g2.edges():
-        w[g1.n + u][g1.n + v] = w[g1.n + v][g1.n + u] = weight
-    return WeightedGraph(w)
+    scale = math.lcm(g1.scale, g2.scale)
+    k1, k2 = scale // g1.scale, scale // g2.scale
+    largest = max(k1 * _maxabs(g1.matrix), k2 * _maxabs(g2.matrix))
+    dtype = exact_dtype((g1.n + g2.n) * largest)
+    mat = np.zeros((g1.n + g2.n,) * 2, dtype=dtype)
+    mat[: g1.n, : g1.n] = g1.matrix.astype(dtype) * k1
+    mat[g1.n :, g1.n :] = g2.matrix.astype(dtype) * k2
+    return WeightedGraph._from_matrix(mat, scale)
 
 
 def graph_join(g1: WeightedGraph, g2: WeightedGraph) -> WeightedGraph:
     """Union plus all unit-weight cross edges; both inputs must be unweighted."""
     if not (g1.is_unweighted() and g2.is_unweighted()):
         raise ChdError("join is only defined for unweighted graphs")
-    g = graph_union(g1, g2)
-    w = [list(row) for row in g.rows]
-    for u in range(g1.n):
-        for v in range(g1.n, g1.n + g2.n):
-            w[u][v] = w[v][u] = Fraction(1)
-    return WeightedGraph(w)
+    cross = np.ones((g1.n, g2.n), dtype=np.int64)
+    mat = np.block([[g1.matrix, cross], [cross.T, g2.matrix]])
+    return WeightedGraph._from_matrix(mat)
 
 
 def combine(g1: WeightedGraph, g2: WeightedGraph, kind: str) -> WeightedGraph:
@@ -326,16 +345,7 @@ def merge(g1: WeightedGraph, g2: WeightedGraph, w1, w2) -> WeightedGraph:
     w1, w2 = _as_fraction(w1), _as_fraction(w2)
     if w1 <= 0 or w2 <= 0:
         raise ChdError("merge weights must be positive")
-    n = g1.n
-    w = [[Fraction(0)] * (2 * n) for _ in range(2 * n)]
-    for u, v, weight in g1.edges():
-        w[u][v] = w[v][u] = w1 * weight
-        w[n + u][n + v] = w[n + v][n + u] = w1 * weight
-    for u in range(n):
-        for v in range(n):
-            if g2.rows[u][v]:
-                w[u][n + v] = w[n + v][u] = w2 * g2.rows[u][v]
-    return WeightedGraph(w)
+    return weighted_tensor_sum([(w1, [2, g1]), (w2, [complete(2), g2])])
 
 
 def product(g1: WeightedGraph, g2: WeightedGraph, kind: str) -> WeightedGraph:
@@ -343,30 +353,11 @@ def product(g1: WeightedGraph, g2: WeightedGraph, kind: str) -> WeightedGraph:
 
     Vertex (u1, u2) is numbered u1 * n2 + u2.
     """
-    n1, n2 = g1.n, g2.n
-    n = n1 * n2
-    w = [[Fraction(0)] * n for _ in range(n)]
     if kind == "direct":
-        for u1, v1, a in g1.edges():
-            for u2, v2, b in g2.edges():
-                pairs = (
-                    (u1 * n2 + u2, v1 * n2 + v2),
-                    (u1 * n2 + v2, v1 * n2 + u2),
-                )
-                for x, y in pairs:
-                    w[x][y] = w[y][x] = a * b
-    elif kind == "cartesian":
-        for u1, v1, a in g1.edges():
-            for u2 in range(n2):
-                x, y = u1 * n2 + u2, v1 * n2 + u2
-                w[x][y] = w[y][x] = a
-        for u2, v2, b in g2.edges():
-            for u1 in range(n1):
-                x, y = u1 * n2 + u2, u1 * n2 + v2
-                w[x][y] = w[y][x] = b
-    else:
-        raise ChdError(f"unknown product {kind!r}; expected 'direct' or 'cartesian'")
-    return WeightedGraph(w)
+        return weighted_tensor_sum([(1, [g1, g2])])
+    if kind == "cartesian":
+        return weighted_tensor_sum([(1, [g1, g2.n]), (1, [g1.n, g2])])
+    raise ChdError(f"unknown product {kind!r}; expected 'direct' or 'cartesian'")
 
 
 def neps(graphs, basis) -> WeightedGraph:
@@ -404,55 +395,40 @@ def weighted_tensor_sum(terms) -> WeightedGraph:
     if not terms:
         raise ChdError("need at least one term")
     sizes = None
-    total = None
+    parts = []
     for weight, factors in terms:
         weight = _as_fraction(weight)
         dims = tuple(f.n if isinstance(f, WeightedGraph) else int(f) for f in factors)
         if sizes is None:
             sizes = dims
-            n = math.prod(dims)
-            total = [[Fraction(0)] * n for _ in range(n)]
         elif dims != sizes:
             raise ChdError(f"inconsistent factor sizes {dims} vs {sizes}")
-        mats = []
-        for f in factors:
-            if isinstance(f, WeightedGraph):
-                mats.append(f.rows)
-            else:
-                m = int(f)
-                mats.append(
-                    tuple(
-                        tuple(Fraction(1 if i == j else 0) for j in range(m))
-                        for i in range(m)
-                    )
-                )
-        n = math.prod(sizes)
-        for u in range(n):
-            uu, rem = [], u
-            for s in reversed(sizes):
-                uu.append(rem % s)
-                rem //= s
-            uu.reverse()
-            for v in range(n):
-                vv, rem = [], v
-                for s in reversed(sizes):
-                    vv.append(rem % s)
-                    rem //= s
-                vv.reverse()
-                entry = weight
-                for mat, i, j in zip(mats, uu, vv):
-                    if entry == 0:
-                        break
-                    entry *= mat[i][j]
-                if entry:
-                    total[u][v] += entry
-    for u in range(len(total)):
-        if total[u][u] != 0:
-            raise SimplicityError("summed matrix has a nonzero diagonal entry")
-        for v in range(len(total)):
-            if total[u][v] < 0:
-                raise SimplicityError("summed matrix has a negative weight")
-    return WeightedGraph(total)
+        mats = [
+            f.matrix if isinstance(f, WeightedGraph) else np.eye(int(f), dtype=np.int64)
+            for f in factors
+        ]
+        den = weight.denominator * math.prod(
+            f.scale for f in factors if isinstance(f, WeightedGraph)
+        )
+        parts.append((weight.numerator, den, mats))
+    scale = math.lcm(*(den for _, den, _ in parts))
+    # every entry of the sum is bounded by the sum of the terms' bounds
+    bound = sum(
+        abs(num) * (scale // den) * math.prod(_maxabs(m) for m in mats)
+        for num, den, mats in parts
+    )
+    dtype = exact_dtype(bound)
+    total = np.zeros((1, 1), dtype=dtype)
+    for num, den, mats in parts:
+        term = np.full((1, 1), num * (scale // den), dtype=dtype)
+        for m in mats:
+            term = np.kron(term, m.astype(dtype))
+        total = total + term
+    if np.diagonal(total).any():
+        raise SimplicityError("summed matrix has a nonzero diagonal entry")
+    if (total < 0).any():
+        raise SimplicityError("summed matrix has a negative weight")
+    return WeightedGraph._from_matrix(total, scale)
 
 
 # -- named families -----------------------------------------------------
@@ -460,14 +436,12 @@ def weighted_tensor_sum(terms) -> WeightedGraph:
 
 def complete(n: int) -> WeightedGraph:
     _check_size(n)
-    return WeightedGraph(
-        [[Fraction(0 if u == v else 1) for v in range(n)] for u in range(n)]
-    )
+    return complete_multipartite((1,) * n)
 
 
 def empty_graph(n: int) -> WeightedGraph:
     _check_size(n)
-    return WeightedGraph([[Fraction(0)] * n for _ in range(n)])
+    return WeightedGraph._from_matrix(np.zeros((n, n), dtype=np.int64))
 
 
 def cycle(r: int) -> WeightedGraph:
@@ -501,15 +475,9 @@ def complete_multipartite(parts) -> WeightedGraph:
     parts = tuple(int(p) for p in parts)
     if not parts or any(p < 1 for p in parts):
         raise ChdError(f"part sizes must be positive, got {parts}")
-    n = sum(parts)
-    block = []
-    for i, p in enumerate(parts):
-        block.extend([i] * p)
-    w = [
-        [Fraction(0 if block[u] == block[v] else 1) for v in range(n)]
-        for u in range(n)
-    ]
-    return WeightedGraph(w)
+    block = np.repeat(np.arange(len(parts)), parts)
+    mat = (block[:, None] != block[None, :]).astype(np.int64)
+    return WeightedGraph._from_matrix(mat)
 
 
 def _check_size(n: int) -> None:

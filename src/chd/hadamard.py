@@ -15,7 +15,7 @@ from itertools import product as iter_product
 
 import numpy as np
 
-from .cyclotomic import _reduce
+from .cyclotomic import check_order, reduce
 from .errors import ChdError, PreconditionError
 
 __all__ = [
@@ -41,14 +41,21 @@ class ButsonMatrix:
     __slots__ = ("exps", "r", "_verified")
 
     def __init__(self, exps, r: int) -> None:
-        if r < 1:
-            raise ChdError(f"root order must be a positive integer, got {r}")
-        arr = np.array(exps, dtype=np.int64) % r
+        r = check_order(r)
+        integral = isinstance(exps, np.ndarray) and exps.dtype.kind in "iu"
+        arr = exps if integral else np.array(exps, dtype=object)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise ChdError(f"exponent table must be square, got shape {arr.shape}")
+        # a float or bool exponent is rejected, not truncated
+        if not integral and not all(
+            issubclass(t, (int, np.integer)) and t is not bool
+            for t in set(map(type, arr.flat))
+        ):
+            raise ChdError("exponents must be integers")
+        arr = (arr % r).astype(np.int64)
         arr.setflags(write=False)
         self.exps = arr
-        self.r = int(r)
+        self.r = r
         self._verified: bool | None = None
 
     @property
@@ -105,16 +112,15 @@ def verify(h: ButsonMatrix) -> bool:
     if h._verified is not None:
         return h._verified
     n, r = h.n, h.r
-    exps = h.exps
     ok = True
-    for i in range(n):
-        for j in range(i + 1, n):
-            diff = (exps[i] - exps[j]) % r
-            counts = np.bincount(diff, minlength=r)
-            if any(_reduce(tuple(int(c) for c in counts), r)):
-                ok = False
-                break
-        if not ok:
+    # row i against every later row k: the counts of exps[i] - exps[k] mod r
+    # are the coefficients of <h_i, h_k>, which must reduce to zero
+    for i in range(n - 1):
+        diff = (h.exps[i] - h.exps[i + 1 :]) % r
+        offsets = r * np.arange(n - 1 - i)[:, None]
+        counts = np.bincount((diff + offsets).ravel(), minlength=(n - 1 - i) * r)
+        if reduce(counts.reshape(n - 1 - i, r), r).any():
+            ok = False
             break
     h._verified = ok
     return ok

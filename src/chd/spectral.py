@@ -61,15 +61,12 @@ def _subset_tables(g: WeightedGraph):
     count = 1 << (n - 1)
     masks = np.arange(count, dtype=np.int64)
     cut = np.zeros(count, dtype=np.int64)
-    for u in range(n):
-        for v in range(u + 1, n):
-            w = mat[u][v]
-            if w:
-                side_u = (masks >> u) & 1
-                side_v = (masks >> v) & 1
-                cut += w * (side_u ^ side_v)
+    for u, v in zip(*np.nonzero(np.triu(mat))):
+        side_u = (masks >> u) & 1
+        side_v = (masks >> v) & 1
+        cut += int(mat[u, v]) * (side_u ^ side_v)
     vol = np.zeros(count, dtype=np.int64)
-    deg = [sum(row) for row in mat]
+    deg = mat.sum(axis=1).tolist()
     for u in range(n):
         vol += deg[u] * ((masks >> u) & 1)
     size = np.zeros(count, dtype=np.int64)
@@ -123,8 +120,7 @@ def cheeger(g: WeightedGraph) -> tuple[Fraction, CutReport]:
     comps = g.components()
     if len(comps) > 1:
         mask = sum(1 << u for u in comps[0])
-        _, scale = g.integer_matrix("adjacency")
-        return Fraction(0), _report(g, mask, 0, scale)
+        return Fraction(0), _report(g, mask, 0, g.scale)
     masks, cut, vol, size, deg, scale = _subset_tables(g)
     total = int(sum(deg))
     proper = (size > 0) & (size < g.n)
@@ -245,6 +241,7 @@ def exact_rational_spectrum(g: WeightedGraph) -> list[Fraction]:
     """All Laplacian eigenvalues as exact rationals, via the characteristic
     polynomial; raises when the spectrum is not fully rational."""
     mat, scale = g.integer_matrix("laplacian")
+    mat = mat.tolist()
     n = g.n
     poly = _char_poly(mat)  # monic, integer coefficients, constant first
     roots = []

@@ -16,10 +16,11 @@ from fractions import Fraction
 
 import numpy as np
 
-from .diagonalise import SpectrumAssignment, regularity_check
+from .cyclotomic import reduce
+from .diagonalise import SpectrumAssignment, certify, regularity_check
 from .errors import ChdError, ExactnessError, InternalCheckError, PreconditionError
-from .graphs import AbelianGroup, WeightedGraph, cayley
-from .hadamard import ButsonMatrix, verify
+from .graphs import AbelianGroup, WeightedGraph, connection_set, merge
+from .hadamard import ButsonMatrix, character_table, double, verify
 
 __all__ = [
     "RationalAngle",
@@ -162,6 +163,15 @@ class FRCertificate:
         }
 
 
+def _unitary(h: ButsonMatrix, lam: np.ndarray, t: float) -> np.ndarray:
+    """(1/n) H diag(exp(-i t lam)) H*, the walk unitary in floats."""
+    if not math.isfinite(t):
+        raise ChdError(f"walk time must be finite, got {t}")
+    hc = h.to_complex()
+    phases = np.exp(-1j * t * lam)
+    return (hc * phases[None, :]) @ hc.conj().T / h.n
+
+
 def evolve(
     g: WeightedGraph,
     h: ButsonMatrix,
@@ -172,10 +182,7 @@ def evolve(
     (1/n) H exp(-i t Lambda) H*."""
     if g.n != h.n or spectrum.n != g.n:
         raise ChdError("graph, matrix and spectrum orders must agree")
-    hc = h.to_complex()
-    lam = np.array([e.to_complex().real for e in spectrum.entries])
-    phases = np.exp(-1j * t * lam)
-    return (hc * phases[None, :]) @ hc.conj().T / g.n
+    return _unitary(h, np.array(spectrum.floats()), t)
 
 
 def strongly_cospectral(h: ButsonMatrix, a: int, b: int) -> tuple[int, ...] | None:
@@ -189,20 +196,13 @@ def strongly_cospectral(h: ButsonMatrix, a: int, b: int) -> tuple[int, ...] | No
     if not h.is_dephased():
         raise PreconditionError("strongly_cospectral needs a dephased matrix")
     n, r = h.n, h.r
-    sigma = []
-    for j in range(n):
-        diff = (int(h.exps[a, j]) - int(h.exps[b, j])) % r
-        if diff == 0:
-            sigma.append(1)
-        elif r % 2 == 0 and diff == r // 2:
-            sigma.append(-1)
-        else:
-            return None
-    return tuple(sigma)
-
-
-def _integer_spectrum(spectrum: SpectrumAssignment) -> list[int]:
-    return spectrum.integers()
+    for vertex in (a, b):
+        if not 0 <= vertex < n:
+            raise ChdError(f"vertex {vertex} is out of range for n={n}")
+    diff = (h.exps[a] - h.exps[b]) % r
+    if not np.all((diff == 0) | (2 * diff == r)):
+        return None
+    return tuple(np.where(diff == 0, 1, -1).tolist())
 
 
 def check_fr(
@@ -218,7 +218,7 @@ def check_fr(
     gamma: plus-columns need tau * lambda_j = 0 (mod 2pi), minus-columns
     need -tau * lambda_j = 2 gamma (mod 2pi), the minus set must be
     nonempty and gamma must not be a multiple of pi (beta != 0)."""
-    lam = _integer_spectrum(spectrum)
+    lam = spectrum.integers()
     sigma = strongly_cospectral(h, a, b)
     if sigma is None:
         return False
@@ -268,8 +268,9 @@ def find_fr(
     resulting phase is not a multiple of pi.  Each certificate is
     cross-validated against the floating-point walk to 1e-9.
     """
-    lam = _integer_spectrum(spectrum)
+    lam = spectrum.integers()
     n = g.n
+    hc, lam_float = h.to_complex(), np.array(spectrum.floats())
     out: list[FRCertificate] = []
     for a in range(n):
         for b in range(a + 1, n):
@@ -299,7 +300,7 @@ def find_fr(
                         continue  # beta would vanish
                     gamma = _half_of(gamma2)
                     cert = FRCertificate(a, b, tau, gamma, sigma)
-                    _cross_validate(g, h, spectrum, cert)
+                    _cross_validate(hc, lam_float, cert)
                     out.append(cert)
     return out
 
@@ -310,12 +311,15 @@ def _half_of(angle: RationalAngle) -> RationalAngle:
     return RationalAngle(angle.num, 2 * angle.den)
 
 
-def _cross_validate(g, h, spectrum, cert: FRCertificate) -> None:
-    u = evolve(g, h, spectrum, cert.tau.to_float())
-    target = np.zeros(g.n, dtype=complex)
+def _cross_validate(hc: np.ndarray, lam: np.ndarray, cert: FRCertificate) -> None:
+    # column a of the unitary alone: U e_a = (1/n) H (phases * conj(H[a]))
+    n = len(hc)
+    phases = np.exp(-1j * cert.tau.to_float() * lam)
+    column = hc @ (phases * hc[cert.a].conj()) / n
+    target = np.zeros(n, dtype=complex)
     target[cert.a] = cert.alpha
     target[cert.b] = cert.beta
-    err = np.max(np.abs(u[:, cert.a] - target))
+    err = np.max(np.abs(column - target))
     if err > 1e-9:
         raise InternalCheckError(
             f"certificate {cert} failed float validation (residual {err:.2e})"
@@ -328,23 +332,17 @@ def cayley_fr_conditions(
     """Fractional-revival test for a Cayley graph straight from the group
     data: integer spectrum, difference of order two, and the single-phase
     congruence on each character class."""
-    g = cayley(group, connection)
-    table_exps, r = _character_data(group)
-    lam: list[int] = []
-    els = group.elements()
-    conn_idx = [group.index(c) for c in {group.normalise(c) for c in connection}]
-    from .cyclotomic import CyclotomicInt
-
-    d = len(conn_idx)
-    for j in range(group.order):
-        coeffs = [0] * r
-        coeffs[0] += d
-        for ci in conn_idx:
-            coeffs[table_exps[ci][j] % r] -= 1
-        val = CyclotomicInt(r, coeffs).as_rational()
-        if val is None or val.denominator != 1:
-            return False  # irrational eigenvalue: no revival is possible
-        lam.append(int(val))
+    conn_idx = [group.index(c) for c in connection_set(group, connection)]
+    table = character_table(group.moduli)
+    table_exps, r = table.exps, table.r
+    # lambda_j = |C| - sum_{c in C} chi_j(c), one coefficient row per j
+    coeffs = np.zeros((group.order, r), dtype=np.int64)
+    coeffs[:, 0] = len(conn_idx)
+    np.add.at(coeffs, (np.arange(group.order)[:, None], table_exps[conn_idx].T), -1)
+    rem = reduce(coeffs, r)
+    if rem[:, 1:].any():
+        return False  # irrational eigenvalue: no revival is possible
+    lam = rem[:, 0].tolist()
     diff = group.sub(group.normalise(a), group.normalise(b))
     if group.element_order(diff) != 2:
         return False
@@ -369,13 +367,6 @@ def cayley_fr_conditions(
     if any(not tau.times(l - mu).is_zero() for l in minus):
         return False
     return not tau.times(mu).is_zero()
-
-
-def _character_data(group: AbelianGroup):
-    from .hadamard import character_table
-
-    table = character_table(group.moduli)
-    return table.exps, table.r
 
 
 def double_cover_fr(
@@ -408,10 +399,6 @@ def double_cover_fr(
     gamma = tau.times(-int(d2))
     if gamma.is_zero_mod_pi():
         return None
-    from .diagonalise import certify
-    from .graphs import merge
-    from .hadamard import double
-
     cover = merge(g1, g2, 1, 1)
     doubled = double(h)
     cover_spec = certify(cover, doubled)
@@ -437,10 +424,8 @@ def adjacency_walk_relation(
         raise PreconditionError("the relation needs a regular graph")
     if spectrum.target != "laplacian":
         raise ChdError("supply the laplacian spectrum")
-    hc = h.to_complex()
-    lam = np.array([e.to_complex().real for e in spectrum.entries])
-    mu = float(d) - lam
-    ua = (hc * np.exp(-1j * t * mu)[None, :]) @ hc.conj().T / g.n
-    ul = (hc * np.exp(-1j * t * lam)[None, :]) @ hc.conj().T / g.n
+    lam = np.array(spectrum.floats())
+    ua = _unitary(h, float(d) - lam, t)
+    ul = _unitary(h, lam, t)
     rhs = cmath.exp(-1j * float(d) * t) * np.conj(ul)
     return bool(np.max(np.abs(ua - rhs)) <= 1e-9)

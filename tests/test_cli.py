@@ -272,3 +272,64 @@ class TestCliContract:
             "--format", "text", "certify", "--graph", k4_file, "--hadamard", h4_file
         )
         assert "diagonalisable: True" in out
+
+
+class TestMalformedInput:
+    """Malformed input exits 1 with a JSON error, never a traceback, a
+    silent coercion or non-JSON output."""
+
+    @pytest.fixture
+    def files(self, tmp_path, run):
+        made = {}
+        for name, argv in (
+            ("k2", ("graph", "make", "complete", "2")),
+            ("f2", ("hadamard", "character-table", "--moduli", "2")),
+        ):
+            made[name] = tmp_path / f"{name}.json"
+            made[name].write_text(run(*argv))
+        for name, text in (
+            ("float_exponent", '{"n": 2, "r": 2, "exps": [[0, 0], [0, 1.6]]}'),
+            ("bool_exponent", '{"n": 2, "r": 2, "exps": [[0, 0], [0, true]]}'),
+            ("bool_weight", '{"n": 2, "edges": [[0, 1, true]]}'),
+            ("big_order", '{"n": 1, "r": 1025, "exps": [[0]]}'),
+        ):
+            made[name] = tmp_path / f"{name}.json"
+            made[name].write_text(text)
+        return {name: str(path) for name, path in made.items()}
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("hadamard", "verify", "--in", "{float_exponent}"),
+            ("hadamard", "verify", "--in", "{bool_exponent}"),
+            ("hadamard", "verify", "--in", "{big_order}"),
+            ("certify", "--graph", "{bool_weight}", "--hadamard", "{f2}"),
+            ("walk", "--graph", "{k2}", "--hadamard", "{f2}", "--t", "0.5",
+             "--from", "5"),
+            ("walk", "--graph", "{k2}", "--hadamard", "{f2}", "--t", "inf",
+             "--from", "0"),
+            ("walk", "--graph", "{k2}", "--hadamard", "{f2}", "--t", "nan",
+             "--from", "0"),
+            ("pst-check", "--graph", "{k2}", "--hadamard", "{f2}",
+             "--from", "0", "--to", "7", "--tau", "1/4"),
+            ("pst-check", "--graph", "{k2}", "--hadamard", "{f2}",
+             "--from", "-1", "--to", "0", "--tau", "1/4"),
+        ],
+        ids=[
+            "float-exponent",
+            "bool-exponent",
+            "root-order-cap",
+            "bool-weight",
+            "walk-from-out-of-range",
+            "walk-infinite-time",
+            "walk-nan-time",
+            "pst-to-out-of-range",
+            "pst-from-negative",
+        ],
+    )
+    def test_rejected_with_json_error(self, files, capsys, argv):
+        code = main([a.format(**files) for a in argv])
+        out = capsys.readouterr()
+        assert code == 1
+        assert out.out == ""
+        assert "error" in json.loads(out.err)

@@ -204,15 +204,3 @@ class TestRingLaws:
         x, y, _ = triple
         assert (x * y).conjugate() == x.conjugate() * y.conjugate()
         assert (x + y).conjugate() == x.conjugate() + y.conjugate()
-
-
-class TestArithDispatcher:
-    def test_dispatch(self):
-        from chd.cyclotomic import arith
-
-        x, y = zeta(6, 1), zeta(6, 2)
-        assert arith(x, y, "add") == x + y
-        assert arith(x, y, "sub") == x - y
-        assert arith(x, y, "mul") == zeta(6, 3)
-        with pytest.raises(ChdError):
-            arith(x, y, "div")

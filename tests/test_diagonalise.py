@@ -246,6 +246,36 @@ class TestTheoremChecks:
         report = theorem_checks(g, t4, spec)
         assert report.all_passed
 
+    def test_rational_weights_are_out_of_scope(self):
+        # weights 1/2 and 3/2 give odd integer eigenvalues under a Turyn
+        # matrix; the theorems speak only of integer weights
+        z44 = AbelianGroup((4, 4))
+        g = merge(
+            cayley(z44, [(1, 0), (3, 0), (0, 1), (0, 3)]),
+            cayley(z44, [(1, 1), (3, 3), (2, 0)]),
+            Fraction(1, 2),
+            Fraction(3, 2),
+        )
+        h = double(character_table((4, 4)))
+        spec = certify(g, h)
+        assert spec is not None
+        assert any(e.is_integer and int(e.rational) % 2 for e in spec.entries)
+        checks = theorem_checks(g, h, spec).checks
+        assert [c.applicable for c in checks] == [False] * 3
+        assert all(c.passed is None for c in checks)
+
+    def test_adjacency_spectrum_is_out_of_scope(self):
+        # odd degree: the adjacency spectrum has odd eigenvalues
+        z88 = AbelianGroup((8, 8))
+        g = cayley(z88, [(1, 0), (7, 0), (0, 1), (0, 7), (4, 4)])
+        h = character_table((8, 8))
+        spec = certify(g, h, "adjacency")
+        assert spec is not None and spec.target == "adjacency"
+        assert any(e.is_integer and int(e.rational) % 2 for e in spec.entries)
+        checks = theorem_checks(g, h, spec).checks
+        assert [c.applicable for c in checks] == [False] * 3
+        assert theorem_checks(g, h, certify(g, h)).all_passed
+
     def test_complement_certifies_with_shifted_spectrum(self, q3, f8, q3_spectrum):
         comp = complement(q3)
         spec = certify(comp, f8)
@@ -304,7 +334,7 @@ class TestConstructionClosure:
         # are each zero or exact eigenvectors
         g = complete(6)
         spec = certify(g, h6)
-        lap = g.laplacian_rows()
+        lap, _ = g.integer_matrix("laplacian")  # complete(6) has scale 1
         r = h6.r
         for k in range(1, 6):
             lam = spec.entries[k].rational
