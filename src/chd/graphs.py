@@ -20,7 +20,7 @@ from itertools import product as iter_product
 import numpy as np
 
 from .cyclotomic import exact_dtype
-from .errors import ChdError, SimplicityError
+from .errors import ChdError, ScaleError, SimplicityError
 
 __all__ = [
     "WeightedGraph",
@@ -44,19 +44,37 @@ __all__ = [
     "named",
 ]
 
+# a dense int64 matrix at the cap takes 128 MiB; the largest graph in use
+# is the hypercube Q9 with 512 vertices
+MAX_VERTICES = 4096
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
 
 def _as_fraction(x) -> Fraction:
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int) and not isinstance(x, bool):
-        return Fraction(x)
+    if _is_int(x):
+        return Fraction(int(x))
     if isinstance(x, str):
-        return Fraction(x)
+        try:
+            return Fraction(x)
+        except (ValueError, ZeroDivisionError):
+            pass
     raise ChdError(f"cannot interpret {x!r} as an exact rational weight")
 
 
 def _maxabs(a: np.ndarray) -> int:
     return int(np.abs(a).max(initial=0))
+
+
+def _check_order(n) -> None:
+    if not _is_int(n) or n < 0:
+        raise ChdError(f"the vertex count must be a nonnegative integer, got {n!r}")
+    if n > MAX_VERTICES:
+        raise ScaleError(f"graphs are capped at {MAX_VERTICES} vertices, got {n}")
 
 
 class WeightedGraph:
@@ -84,6 +102,7 @@ class WeightedGraph:
         n = mat.shape[0]
         if mat.ndim != 2 or mat.shape[1] != n:
             raise ChdError("weight matrix must be square")
+        _check_order(n)
         loops = np.flatnonzero(np.diagonal(mat))
         if loops.size:
             raise SimplicityError(f"vertex {loops[0]} carries a loop")
@@ -106,14 +125,15 @@ class WeightedGraph:
 
     @classmethod
     def from_edges(cls, n: int, edges) -> "WeightedGraph":
+        _check_order(n)
         weights: dict[tuple[int, int], Fraction] = {}
         for item in edges:
-            if len(item) == 2:
-                u, v = item
-                weight = Fraction(1)
-            else:
-                u, v, weight = item
-                weight = _as_fraction(weight)
+            if not isinstance(item, (list, tuple)) or len(item) not in (2, 3):
+                raise ChdError(f"edge {item!r} is not [u, v] or [u, v, weight]")
+            u, v = item[:2]
+            weight = _as_fraction(item[2]) if len(item) == 3 else Fraction(1)
+            if not (_is_int(u) and _is_int(v)):
+                raise ChdError(f"edge ({u!r}, {v!r}) has a vertex that is not an integer")
             if not (0 <= u < n and 0 <= v < n):
                 raise ChdError(f"edge ({u}, {v}) out of range for n={n}")
             if u == v:
@@ -197,9 +217,13 @@ class WeightedGraph:
 
     @classmethod
     def from_json(cls, data: dict) -> "WeightedGraph":
+        if not isinstance(data, dict):
+            raise ChdError("graph JSON must be an object with fields 'n' and 'edges'")
         for field in ("n", "edges"):
             if field not in data:
                 raise ChdError(f"graph JSON is missing the field {field!r}")
+        if not isinstance(data["edges"], list):
+            raise ChdError("the graph JSON field 'edges' must be a list")
         return cls.from_edges(data["n"], data["edges"])
 
     def __eq__(self, other) -> bool:

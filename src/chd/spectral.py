@@ -1,20 +1,25 @@
 """Brute-force cut searches: Cheeger constant, edge density, tightness.
 
-Everything is exact: weights are scaled to integers, every subset of a
-desk-scale vertex set is enumerated with vectorised bit arithmetic, and the
-minimising subset is selected by exact rational comparison (floats are used
-only to shortlist candidates, with an exact pass over the shortlist).
+Everything is exact: weights are scaled to integers, and the cut weight,
+volume and size of every subset of up to 24 vertices come from one split
+product: the vertices form a low and a high block of bits, and each table
+is an outer sum over the two blocks plus one int64 matrix product (see
+``_subset_tables``).  int64 is used only while n * sum(deg) and
+n**2 * scale stay below 2**62, which bounds every entry, numerator and
+denominator; beyond that a ScaleError is raised.  The minimising subset is
+selected by exact rational comparison (floats are used only to shortlist
+candidates, with an exact pass over the shortlist).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .diagonalise import SpectrumAssignment, certify, regularity_check
+from .cyclotomic import INT64_BOUND
+from .diagonalise import SpectrumAssignment, regularity_check
 from .errors import ChdError, ExactnessError, PreconditionError, ScaleError
 from .graphs import WeightedGraph
 from .hadamard import ButsonMatrix, classify
@@ -49,30 +54,48 @@ class CutReport:
         }
 
 
+def _bits(k: int) -> np.ndarray:
+    """The 2**k x k table whose row x holds the bits of x, low bit first."""
+    return (np.arange(1 << k)[:, None] >> np.arange(k)) & 1
+
+
 def _subset_tables(g: WeightedGraph):
-    """Integer cut weights and volumes for every subset not containing the
-    last vertex (each {S, V-S} pair is visited once)."""
+    """Cut weight, volume and size of every subset S of the first n - 1
+    vertices (so each {S, V - S} pair appears once), indexed by the bit mask
+    of S, with the total degree and the scale.
+
+    The n - 1 vertices split into a low block of k bits and a high block.
+    With x the indicator of S, cut(S) = vol(S) - x^T A x, and x^T A x is a
+    term of each block plus 2 x_hi^T A_hl x_lo, so each table is an outer
+    sum over (high, low) plus one integer product; flattened row-major, its
+    index is the mask.  No entry, nor any numerator or denominator the
+    callers form, exceeds n * sum(deg) or n**2 * scale, so int64 is exact
+    below 2**62 for both; larger weights raise ScaleError.
+    """
     n = g.n
     if n > _MAX_VERTICES:
         raise ScaleError(f"subset enumeration is capped at {_MAX_VERTICES} vertices")
     if n < 2:
         raise ChdError("need at least two vertices")
     mat, scale = g.integer_matrix("adjacency")
-    count = 1 << (n - 1)
-    masks = np.arange(count, dtype=np.int64)
-    cut = np.zeros(count, dtype=np.int64)
-    for u, v in zip(*np.nonzero(np.triu(mat))):
-        side_u = (masks >> u) & 1
-        side_v = (masks >> v) & 1
-        cut += int(mat[u, v]) * (side_u ^ side_v)
-    vol = np.zeros(count, dtype=np.int64)
-    deg = mat.sum(axis=1).tolist()
-    for u in range(n):
-        vol += deg[u] * ((masks >> u) & 1)
-    size = np.zeros(count, dtype=np.int64)
-    for u in range(n):
-        size += (masks >> u) & 1
-    return masks, cut, vol, size, deg, scale
+    deg = mat.sum(axis=1)  # exact: the graph keeps n * max weight < 2**62
+    total = sum(deg.tolist())
+    if n * total >= INT64_BOUND or n * n * scale >= INT64_BOUND:
+        raise ScaleError("weights this large overflow the int64 cut tables")
+    k = (n - 1) // 2
+    hi, lo = slice(k, n - 1), slice(0, k)
+    x_hi, x_lo = _bits(n - 1 - k), _bits(k)
+    vol_hi, vol_lo = x_hi @ deg[hi], x_lo @ deg[lo]
+    # cut within each block: vol - x^T A x
+    q_hi = vol_hi - ((x_hi @ mat[hi, hi]) * x_hi).sum(axis=1)
+    q_lo = vol_lo - ((x_lo @ mat[lo, lo]) * x_lo).sum(axis=1)
+    cut = x_hi @ (mat[hi, lo] @ x_lo.T)
+    cut *= -2
+    cut += q_hi[:, None]
+    cut += q_lo[None, :]
+    vol = vol_hi[:, None] + vol_lo[None, :]
+    size = x_hi.sum(axis=1)[:, None] + x_lo.sum(axis=1)[None, :]
+    return cut.ravel(), vol.ravel(), size.ravel(), total, scale
 
 
 def _mask_vertices(mask: int, n: int) -> tuple[int, ...]:
@@ -121,31 +144,24 @@ def cheeger(g: WeightedGraph) -> tuple[Fraction, CutReport]:
     if len(comps) > 1:
         mask = sum(1 << u for u in comps[0])
         return Fraction(0), _report(g, mask, 0, g.scale)
-    masks, cut, vol, size, deg, scale = _subset_tables(g)
-    total = int(sum(deg))
-    proper = (size > 0) & (size < g.n)
-    idx = np.nonzero(proper)[0]
-    vols = vol[idx]
-    denom = np.minimum(vols, total - vols)
-    ratios = cut[idx].astype(float) / denom.astype(float)
-    best_i, best = _exact_argmin(cut[idx], denom, ratios)
-    mask = int(masks[idx[best_i]])
-    return best, _report(g, mask, int(cut[idx[best_i]]), scale)
+    # index 0 is the empty set and the last vertex is never in S, so every
+    # other index is a proper subset; entry i of the slices is mask i + 1
+    cut, vol, _, total, scale = _subset_tables(g)
+    cut, vol = cut[1:], vol[1:]
+    denom = np.minimum(vol, total - vol)
+    best_i, best = _exact_argmin(cut, denom, cut / denom)
+    return best, _report(g, best_i + 1, int(cut[best_i]), scale)
 
 
 def min_edge_density(g: WeightedGraph) -> tuple[Fraction, CutReport]:
     """Exact minimum over proper subsets of n * cut(S) / (|S| * |V-S|)."""
-    masks, cut, vol, size, deg, scale = _subset_tables(g)
+    cut, _, size, _, scale = _subset_tables(g)
     n = g.n
-    proper = (size > 0) & (size < n)
-    idx = np.nonzero(proper)[0]
-    sizes = size[idx]
-    denom = sizes * (n - sizes) * scale
-    numer = cut[idx] * n
-    ratios = numer.astype(float) / denom.astype(float)
-    best_i, best = _exact_argmin(numer, denom, ratios)
-    mask = int(masks[idx[best_i]])
-    return best, _report(g, mask, int(cut[idx[best_i]]), scale)
+    cut, size = cut[1:], size[1:]
+    numer = cut * n
+    denom = size * (n - size) * scale
+    best_i, best = _exact_argmin(numer, denom, numer / denom)
+    return best, _report(g, best_i + 1, int(cut[best_i]), scale)
 
 
 def cheeger_value_of(g: WeightedGraph, subset) -> Fraction:
@@ -264,40 +280,21 @@ def exact_rational_spectrum(g: WeightedGraph) -> list[Fraction]:
 
 
 def _char_poly(mat) -> list[int]:
-    """Characteristic polynomial det(xI - M) of an integer matrix via the
-    Faddeev-LeVerrier recurrence (exact integer arithmetic)."""
-    n = len(mat)
-    m = [[Fraction(x) for x in row] for row in mat]
-    coeffs = [Fraction(1)] * (n + 1)
-    a = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        a[i][i] = Fraction(1)
-    mk = None
-    cs = [Fraction(1)]
-    for k in range(1, n + 1):
-        if mk is None:
-            mk = [row[:] for row in m]
-        else:
-            mk = _matmul(m, mk)
-        ck = -sum(mk[i][i] for i in range(n)) / k
-        cs.append(ck)
-        for i in range(n):
-            mk[i][i] += ck
-    out = list(reversed(cs))  # constant term first
-    res = []
-    for c in out:
-        if c.denominator != 1:
+    """Characteristic polynomial det(xI - M) of an integer matrix, constant
+    term first, by the Faddeev-LeVerrier recurrence on Python integers:
+    M_1 = M, c_k = -tr(M_k) / k, M_(k+1) = M (M_k + c_k I).  For an integer
+    matrix every c_k is an integer."""
+    m = np.array(mat, dtype=object)
+    eye = np.identity(len(m), dtype=object)
+    coeffs, acc = [1], eye
+    for k in range(1, len(m) + 1):
+        mk = m @ acc
+        tr = int(mk.trace())
+        if tr % k:
             raise ExactnessError("characteristic polynomial is not integral")
-        res.append(int(c))
-    return res
-
-
-def _matmul(a, b):
-    n = len(a)
-    return [
-        [sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)]
-        for i in range(n)
-    ]
+        coeffs.append(-tr // k)
+        acc = mk + coeffs[-1] * eye
+    return coeffs[::-1]
 
 
 def _poly_eval(poly, x: int) -> int:

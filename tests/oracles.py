@@ -1,8 +1,11 @@
 """Reference kernels kept as test oracles: the loop forms of cyclotomic
-reduction, Hadamard verification and certification that the table-driven
-kernels in ``chd`` replaced.  They share no code with those kernels: Phi_r
-comes from recursive long division, reduction is long division by Phi_r,
-and the integer matrix is rebuilt from the graph's Fraction edges.
+reduction, Hadamard verification, certification, cut enumeration and the
+characteristic polynomial that the table-driven kernels in ``chd``
+replaced.  They share no code with those kernels: Phi_r comes from
+recursive long division, reduction is long division by Phi_r, the integer
+matrix is rebuilt from the graph's Fraction edges, the cut tables are one
+pass per edge on Python integers, and the characteristic polynomial is
+computed in Fractions.
 """
 
 from __future__ import annotations
@@ -10,6 +13,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
+
+import numpy as np
 
 
 def _exact_polydiv(num: list[int], den: list[int]) -> list[int]:
@@ -104,3 +109,61 @@ def certify(g, h, target: str = "laplacian"):
         rational = None if any(rem[1:]) else Fraction(rem[0], scale)
         entries.append((tuple(lam), scale, rational))
     return entries
+
+
+def subset_tables(g):
+    """(cut, vol, size, total degree, scale) of every subset of the first
+    n - 1 vertices, indexed by bit mask: one pass per edge and per vertex
+    over all masks, in Python integers."""
+    mat, scale = integer_matrix(g, "adjacency")
+    n = g.n
+    masks = np.arange(1 << (n - 1)).astype(object)
+    cut = np.zeros(len(masks), dtype=object)
+    for u in range(n):
+        for v in range(u + 1, n):
+            if mat[u][v]:
+                cut += mat[u][v] * (((masks >> u) & 1) ^ ((masks >> v) & 1))
+    deg = [sum(row) for row in mat]
+    vol = np.zeros(len(masks), dtype=object)
+    size = np.zeros(len(masks), dtype=object)
+    for u in range(n):
+        vol += deg[u] * ((masks >> u) & 1)
+        size += (masks >> u) & 1
+    return cut.tolist(), vol.tolist(), size.tolist(), sum(deg), scale
+
+
+def cut_minimum(g, kind: str):
+    """(value, mask) of the exact minimum of the Cheeger ratio (kind
+    "cheeger") or the edge density over nonempty masks, smallest mask first
+    among ties; Cheeger needs every vertex to have an edge."""
+    cut, vol, size, total, scale = subset_tables(g)
+    n = g.n
+    best = None
+    for mask in range(1, len(cut)):
+        if kind == "cheeger":
+            val = Fraction(cut[mask], min(vol[mask], total - vol[mask]))
+        else:
+            val = Fraction(n * cut[mask], size[mask] * (n - size[mask]) * scale)
+        if best is None or val < best[0]:
+            best = (val, mask)
+    return best
+
+
+def char_poly(mat) -> list[int]:
+    """det(xI - M), constant term first, by Faddeev-LeVerrier in Fractions."""
+    n = len(mat)
+    m = [[Fraction(x) for x in row] for row in mat]
+    mk = [row[:] for row in m]
+    cs = [Fraction(1)]
+    for k in range(1, n + 1):
+        if k > 1:
+            mk = [
+                [sum(m[i][t] * mk[t][j] for t in range(n)) for j in range(n)]
+                for i in range(n)
+            ]
+        ck = -sum(mk[i][i] for i in range(n)) / k
+        cs.append(ck)
+        for i in range(n):
+            mk[i][i] += ck
+    assert all(c.denominator == 1 for c in cs)
+    return [int(c) for c in reversed(cs)]

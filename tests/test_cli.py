@@ -292,6 +292,18 @@ class TestMalformedInput:
             ("bool_exponent", '{"n": 2, "r": 2, "exps": [[0, 0], [0, true]]}'),
             ("bool_weight", '{"n": 2, "edges": [[0, 1, true]]}'),
             ("big_order", '{"n": 1, "r": 1025, "exps": [[0]]}'),
+            ("float_vertex", '{"n": 2, "edges": [[0.5, 1, "1"]]}'),
+            ("four_item_edge", '{"n": 3, "edges": [[0, 1, "1", 2]]}'),
+            ("bare_edge", '{"n": 2, "edges": [5]}'),
+            ("zero_denominator", '{"n": 2, "edges": [[0, 1, "1/0"]]}'),
+            ("word_weight", '{"n": 2, "edges": [[0, 1, "abc"]]}'),
+            ("string_n", '{"n": "2", "edges": [[0, 1]]}'),
+            ("huge_n", '{"n": 100000, "edges": []}'),
+            # K_20 with weight 2**57: int64 storage, but the cut tables overflow
+            ("heavy_k20", json.dumps({
+                "n": 20,
+                "edges": [[u, v, str(2**57)] for u in range(20) for v in range(u + 1, 20)],
+            })),
         ):
             made[name] = tmp_path / f"{name}.json"
             made[name].write_text(text)
@@ -314,6 +326,14 @@ class TestMalformedInput:
              "--from", "0", "--to", "7", "--tau", "1/4"),
             ("pst-check", "--graph", "{k2}", "--hadamard", "{f2}",
              "--from", "-1", "--to", "0", "--tau", "1/4"),
+            ("density", "--graph", "{float_vertex}"),
+            ("density", "--graph", "{four_item_edge}"),
+            ("density", "--graph", "{bare_edge}"),
+            ("density", "--graph", "{zero_denominator}"),
+            ("density", "--graph", "{word_weight}"),
+            ("density", "--graph", "{string_n}"),
+            ("density", "--graph", "{huge_n}"),
+            ("cheeger", "--graph", "{heavy_k20}"),
         ],
         ids=[
             "float-exponent",
@@ -325,6 +345,14 @@ class TestMalformedInput:
             "walk-nan-time",
             "pst-to-out-of-range",
             "pst-from-negative",
+            "float-vertex",
+            "four-item-edge",
+            "bare-edge",
+            "zero-denominator-weight",
+            "word-weight",
+            "string-vertex-count",
+            "vertex-count-cap",
+            "cheeger-cut-overflow",
         ],
     )
     def test_rejected_with_json_error(self, files, capsys, argv):

@@ -1,5 +1,6 @@
-"""Differential tests: the table-driven reduction, verify and certify
-against the loop kernels kept in ``oracles``."""
+"""Differential tests: the table-driven reduction, verify and certify, the
+split cut tables and the integer characteristic polynomial against the loop
+kernels kept in ``oracles``."""
 
 import random
 from fractions import Fraction
@@ -20,12 +21,22 @@ from chd import (
     cayley,
     certify,
     character_table,
+    cheeger,
+    complete_multipartite,
     double,
     merge,
+    min_edge_density,
     root_of_unity,
     verify,
 )
-from chd.cyclotomic import MAX_ORDER, cyclotomic_polynomial, reduce, reduction_table
+from chd.cyclotomic import (
+    INT64_BOUND,
+    MAX_ORDER,
+    cyclotomic_polynomial,
+    reduce,
+    reduction_table,
+)
+from chd.spectral import _char_poly, _subset_tables
 
 ORDERS = range(1, 211)
 
@@ -225,3 +236,102 @@ class TestWeightValidation:
         assert a == b and hash(a) == hash(b)
         assert a.scale == 2 and a.matrix.tolist() == [[0, 1, 0], [1, 0, 2], [0, 2, 0]]
         assert [w for _, _, w in a.edges()] == [Fraction(1, 2), Fraction(1)]
+
+
+@st.composite
+def cut_graphs(draw):
+    """Graphs on 2-12 vertices with integer or rational weights; when
+    ``split`` falls inside, no edge crosses it and the graph is disconnected."""
+    n = draw(st.integers(2, 12))
+    split = draw(st.integers(1, 2 * n))
+    den = st.integers(1, 4) if draw(st.booleans()) else st.just(1)
+    edges = []
+    for u in range(n):
+        for v in range(u + 1, n):
+            if (u < split) == (v < split) and draw(st.booleans()):
+                edges.append((u, v, Fraction(draw(st.integers(1, 9)), draw(den))))
+    return WeightedGraph.from_edges(n, edges)
+
+
+def _mask(subset) -> int:
+    return sum(1 << u for u in subset)
+
+
+def _same_minimum(g, kind):
+    value, report = (cheeger if kind == "cheeger" else min_edge_density)(g)
+    assert (value, _mask(report.subset)) == oracles.cut_minimum(g, kind)
+
+
+class TestCutTablesAgainstLoop:
+    @settings(max_examples=40, deadline=None)
+    @given(cut_graphs())
+    def test_tables(self, g):
+        cut, vol, size, total, scale = _subset_tables(g)
+        want = oracles.subset_tables(g)
+        assert (cut.tolist(), vol.tolist(), size.tolist(), total, scale) == want
+
+    @settings(max_examples=40, deadline=None)
+    @given(cut_graphs())
+    def test_min_edge_density(self, g):
+        _same_minimum(g, "density")
+
+    @settings(max_examples=40, deadline=None)
+    @given(cut_graphs())
+    def test_cheeger(self, g):
+        if g.is_connected():
+            _same_minimum(g, "cheeger")
+        else:
+            value, report = cheeger(g)
+            assert value == 0 and report.cut_weight == 0
+            assert list(report.subset) == g.components()[0]
+
+    def test_largest_accepted_weights(self):
+        # n * sum(deg) and n**2 * scale each one step below 2**62
+        rng = random.Random(3)
+        n = 12
+        edges = [(u, v, rng.randint(1, 1000)) for u in range(n) for v in range(u + 1, n)]
+        unit = (INT64_BOUND - 1) // (2 * n * sum(w for _, _, w in edges))
+        den = (INT64_BOUND - 1) // (n * n)
+        for g in (
+            WeightedGraph.from_edges(n, [(u, v, w * unit) for u, v, w in edges]),
+            WeightedGraph.from_edges(n, [(u, v, Fraction(w, den)) for u, v, w in edges]),
+        ):
+            mat, scale = g.integer_matrix("adjacency")
+            total = int(mat.sum())
+            assert n * total < INT64_BOUND and n * n * scale < INT64_BOUND
+            assert max(n * total, n * n * scale) > INT64_BOUND // 2
+            _same_minimum(g, "cheeger")
+            _same_minimum(g, "density")
+
+    @pytest.mark.parametrize(
+        "g",
+        [
+            # n * sum(deg) = 4 * 2 * 2**59 = 2**62, while storage stays int64
+            WeightedGraph.from_edges(4, [(0, 1, 2**59 - 2), (1, 2, 1), (2, 3, 1)]),
+            # n**2 * scale = 16 * 2**58 = 2**62
+            WeightedGraph.from_edges(4, [(0, 1, Fraction(1, 2**58)), (1, 2, 1)]),
+        ],
+        ids=["degree-sum", "scale"],
+    )
+    def test_past_the_bound_is_rejected(self, g):
+        with pytest.raises(ScaleError):
+            min_edge_density(g)
+
+
+class TestCharPolyAgainstFractions:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(1, 8).flatmap(
+            lambda n: st.lists(
+                st.lists(st.integers(-50, 50), min_size=n, max_size=n),
+                min_size=n,
+                max_size=n,
+            )
+        )
+    )
+    def test_integer_matrices(self, mat):
+        assert _char_poly(mat) == oracles.char_poly(mat)
+
+    def test_k444_laplacian(self):
+        mat = complete_multipartite((4, 4, 4)).integer_matrix("laplacian")[0].tolist()
+        assert _char_poly(mat) == oracles.char_poly(mat)

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 from itertools import combinations
 
+import numpy as np
 import pytest
 
 from chd import (
@@ -105,6 +106,17 @@ class TestCheeger:
         g = WeightedGraph([[Fraction(0)] * 25 for _ in range(25)])
         with pytest.raises(ScaleError):
             cheeger(g)
+
+    @pytest.mark.parametrize("bits", [54, 57])
+    def test_cut_overflow_raises(self, bits):
+        # K_20 stores these weights in int64, but n * sum(deg) passes 2**62
+        g = WeightedGraph.from_edges(
+            20, [(u, v, 2**bits) for u in range(20) for v in range(u + 1, 20)]
+        )
+        assert g.matrix.dtype == np.int64
+        for fn in (cheeger, min_edge_density):
+            with pytest.raises(ScaleError):
+                fn(g)
 
 
 class TestMinEdgeDensity:
@@ -216,8 +228,6 @@ class TestExactSpectrum:
 class TestDensityBoundsConnectivity:
     def test_lambda2_below_min_density_on_random_graphs(self):
         # the minimum edge density upper-bounds the algebraic connectivity
-        import numpy as np
-
         rng = random.Random(17)
         for _ in range(10):
             n = rng.randint(3, 7)
