@@ -82,14 +82,17 @@ class ButsonMatrix:
 
     @classmethod
     def from_json(cls, data: dict) -> "ButsonMatrix":
+        if not isinstance(data, dict):
+            raise ChdError("hadamard JSON must be an object with fields 'n', 'r' and 'exps'")
         for field in ("n", "r", "exps"):
             if field not in data:
                 raise ChdError(f"hadamard JSON is missing the field {field!r}")
+        n = data["n"]
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+            raise ChdError(f"the hadamard field 'n' must be an integer, got {n!r}")
         h = cls(data["exps"], data["r"])
-        if h.n != data["n"]:
-            raise ChdError(
-                f"field 'n' is {data['n']} but the exponent table has order {h.n}"
-            )
+        if h.n != n:
+            raise ChdError(f"field 'n' is {n} but the exponent table has order {h.n}")
         return h
 
     def __eq__(self, other) -> bool:

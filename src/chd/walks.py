@@ -35,6 +35,8 @@ __all__ = [
     "adjacency_walk_relation",
 ]
 
+_BLOCK = 256  # certificates per cross-validation product (n x 256 complex values)
+
 
 class RationalAngle:
     """An angle that is an exact rational multiple of 2*pi.
@@ -71,13 +73,6 @@ class RationalAngle:
 
     def times(self, k: int) -> "RationalAngle":
         return RationalAngle(self.num * k, self.den)
-
-    def plus(self, other: "RationalAngle") -> "RationalAngle":
-        f = self.turns() + other.turns()
-        return RationalAngle(f.numerator, f.denominator)
-
-    def neg(self) -> "RationalAngle":
-        return RationalAngle(-self.num, self.den)
 
     def is_zero(self) -> bool:
         return self.num == 0
@@ -185,24 +180,33 @@ def evolve(
     return _unitary(h, np.array(spectrum.floats()), t)
 
 
+def _half_turn_residues(exps: np.ndarray, r: int) -> np.ndarray:
+    """Exponent rows mod a half turn (r/2; r if r is odd): rows a and b are
+    strongly cospectral, each difference 0 or r/2 mod r, iff these agree."""
+    return exps % (r // 2 if r % 2 == 0 else r)
+
+
+def _require_dephased(h: ButsonMatrix, caller: str) -> None:
+    if not verify(h):
+        raise PreconditionError(f"{caller} needs a verified matrix")
+    if not h.is_dephased():
+        raise PreconditionError(f"{caller} needs a dephased matrix")
+
+
 def strongly_cospectral(h: ButsonMatrix, a: int, b: int) -> tuple[int, ...] | None:
     """Sign pattern sigma with H[a, j] = sigma_j H[b, j] if one exists.
 
     Decided exactly on the exponents: +1 where they agree, -1 where they
     differ by a half turn (possible only for even root order), else None.
     """
-    if not verify(h):
-        raise PreconditionError("strongly_cospectral needs a verified matrix")
-    if not h.is_dephased():
-        raise PreconditionError("strongly_cospectral needs a dephased matrix")
-    n, r = h.n, h.r
+    _require_dephased(h, "strongly_cospectral")
     for vertex in (a, b):
-        if not 0 <= vertex < n:
-            raise ChdError(f"vertex {vertex} is out of range for n={n}")
-    diff = (h.exps[a] - h.exps[b]) % r
-    if not np.all((diff == 0) | (2 * diff == r)):
+        if not 0 <= vertex < h.n:
+            raise ChdError(f"vertex {vertex} is out of range for n={h.n}")
+    rows = h.exps[[a, b]]
+    if not np.array_equal(*_half_turn_residues(rows, h.r)):
         return None
-    return tuple(np.where(diff == 0, 1, -1).tolist())
+    return tuple(np.where(rows[0] == rows[1], 1, -1).tolist())
 
 
 def check_fr(
@@ -220,21 +224,13 @@ def check_fr(
     nonempty and gamma must not be a multiple of pi (beta != 0)."""
     lam = spectrum.integers()
     sigma = strongly_cospectral(h, a, b)
-    if sigma is None:
-        return False
-    if all(s == 1 for s in sigma):
-        return False
-    if gamma.is_zero_mod_pi():
+    if sigma is None or all(s == 1 for s in sigma) or gamma.is_zero_mod_pi():
         return False
     two_gamma = gamma.times(2)
-    for s, l in zip(sigma, lam):
-        if s == 1:
-            if not tau.times(l).is_zero():
-                return False
-        else:
-            if tau.times(-l) != two_gamma:
-                return False
-    return True
+    return all(
+        tau.times(l).is_zero() if s == 1 else tau.times(-l) == two_gamma
+        for s, l in zip(sigma, lam)
+    )
 
 
 def check_pst(
@@ -250,79 +246,96 @@ def check_pst(
 
 
 def _divisors(n: int) -> list[int]:
-    n = abs(n)
-    out = [d for d in range(1, n + 1) if n % d == 0]
-    return out
+    return [d for d in range(1, abs(n) + 1) if n % d == 0]
 
 
 def find_fr(
     g: WeightedGraph, h: ButsonMatrix, spectrum: SpectrumAssignment
 ) -> list[FRCertificate]:
-    """All fractional-revival certificates over strongly cospectral pairs.
+    """All fractional-revival certificates over strongly cospectral pairs,
+    in (a, b, q, s) order.
 
     For a pair with plus-eigenvalues P and minus-eigenvalues M, every valid
     time is tau = 2*pi*s/q with q dividing gcd(P \\ {0}); when P = {0} the
     denominators are capped at the divisors of 2*lcm(M), which still captures
     every perfect-state-transfer time (a documented completeness boundary).
     A candidate is kept when all of M is one residue class mod q and the
-    resulting phase is not a multiple of pi.  Each certificate is
-    cross-validated against the floating-point walk to 1e-9.
+    resulting phase is not a multiple of pi.
+
+    Pairs are rows equal modulo a half turn.  The (tau, gamma) list depends
+    on the sign pattern alone and is computed once per pattern (Q7: 127 for
+    8128 pairs).  Each certificate is checked against the float walk to 1e-9
+    in blocks of 256 sharing tau (n x 256 complex arrays, 16 MiB at n = 4096).
     """
     lam = spectrum.integers()
-    n = g.n
-    hc, lam_float = h.to_complex(), np.array(spectrum.floats())
+    _require_dephased(h, "find_fr")
+    residues = _half_turn_residues(h.exps, h.r).astype(np.uint16)  # r <= 1024
+    classes: dict[bytes, list[int]] = {}
+    for v, row in enumerate(residues):
+        classes.setdefault(row.tobytes(), []).append(v)
+    times: dict[bytes, tuple] = {}  # minus-column mask -> (sigma, [(tau, gamma)])
     out: list[FRCertificate] = []
-    for a in range(n):
-        for b in range(a + 1, n):
-            sigma = strongly_cospectral(h, a, b)
-            if sigma is None:
-                continue
-            minus = sorted({l for s, l in zip(sigma, lam) if s == -1})
-            if not minus or 0 in minus:
-                continue
-            plus_nonzero = sorted(
-                {l for s, l in zip(sigma, lam) if s == 1 and l != 0}
-            )
-            if plus_nonzero:
-                qs = _divisors(math.gcd(*plus_nonzero))
-            else:
-                qs = _divisors(2 * math.lcm(*minus))
-            for q in qs:
-                for s in range(1, q):
-                    if math.gcd(s, q) != 1:
-                        continue
-                    tau = RationalAngle.of_turn(s, q)
-                    mu = minus[0]
-                    if any((l - mu) * s % q for l in minus):
-                        continue
-                    gamma2 = tau.times(-mu)  # = 2*gamma mod 2pi
-                    if gamma2.is_zero():
-                        continue  # beta would vanish
-                    gamma = _half_of(gamma2)
-                    cert = FRCertificate(a, b, tau, gamma, sigma)
-                    _cross_validate(hc, lam_float, cert)
-                    out.append(cert)
+    for a, row in enumerate(residues):
+        peers = classes[row.tobytes()]
+        later = peers[peers.index(a) + 1 :]
+        for b, minus in zip(later, h.exps[later] != h.exps[a]):
+            if (key := minus.tobytes()) not in times:
+                times[key] = _revival_times(minus, lam)
+            sigma, found = times[key]
+            if found:
+                out.extend(FRCertificate(a, b, tau, gamma, sigma) for tau, gamma in found)
+    _cross_validate(h.to_complex(), np.array(spectrum.floats()), out)
     return out
 
 
+def _revival_times(minus_cols: np.ndarray, lam: list[int]) -> tuple:
+    """A mask's sign pattern (None if it never revives) and (tau, gamma) list."""
+    signs = np.where(minus_cols, -1, 1).tolist()
+    minus = sorted({l for s, l in zip(signs, lam) if s == -1})
+    if not minus or 0 in minus:
+        return None, []
+    plus_nonzero = sorted({l for s, l in zip(signs, lam) if s == 1 and l != 0})
+    qs = _divisors(math.gcd(*plus_nonzero) if plus_nonzero else 2 * math.lcm(*minus))
+    found, mu = [], minus[0]
+    for q in qs:
+        for s in range(1, q):
+            if math.gcd(s, q) != 1:
+                continue
+            tau = RationalAngle.of_turn(s, q)
+            if any((l - mu) * s % q for l in minus):
+                continue
+            gamma2 = tau.times(-mu)  # = 2*gamma mod 2pi
+            if gamma2.is_zero():
+                continue  # beta would vanish
+            found.append((tau, _half_of(gamma2)))
+    return (tuple(signs) if found else None), found
+
+
 def _half_of(angle: RationalAngle) -> RationalAngle:
-    """A gamma with 2*gamma equal to the given angle mod 2pi, reported as its
-    canonical representative (the choice mod pi is immaterial)."""
+    """A gamma with 2*gamma equal to the angle mod 2pi (any choice mod pi)."""
     return RationalAngle(angle.num, 2 * angle.den)
 
 
-def _cross_validate(hc: np.ndarray, lam: np.ndarray, cert: FRCertificate) -> None:
-    # column a of the unitary alone: U e_a = (1/n) H (phases * conj(H[a]))
-    n = len(hc)
-    phases = np.exp(-1j * cert.tau.to_float() * lam)
-    column = hc @ (phases * hc[cert.a].conj()) / n
-    target = np.zeros(n, dtype=complex)
-    target[cert.a] = cert.alpha
-    target[cert.b] = cert.beta
-    err = np.max(np.abs(column - target))
-    if err > 1e-9:
+def _cross_validate(hc: np.ndarray, lam: np.ndarray, certs: list[FRCertificate]) -> None:
+    # column a of U(tau) = (1/n) H diag(phases) H* for each certificate
+    n, residual = len(hc), np.zeros(len(certs))
+    by_tau, weights = {}, {}  # tau -> certificate indices, gamma -> (alpha, beta)
+    for i, cert in enumerate(certs):
+        by_tau.setdefault(cert.tau, []).append(i)
+        if cert.gamma not in weights:
+            weights[cert.gamma] = cert.alpha, cert.beta
+    for tau, idx in by_tau.items():
+        phases = np.exp(-1j * tau.to_float() * lam)[:, None] / n
+        for block in (idx[k : k + _BLOCK] for k in range(0, len(idx), _BLOCK)):
+            a, cols = [certs[i].a for i in block], np.arange(len(block))
+            alpha, beta = np.array([weights[certs[i].gamma] for i in block]).T
+            err = hc @ (phases * hc[a].conj().T)
+            err[a, cols] -= alpha
+            err[[certs[i].b for i in block], cols] -= beta
+            residual[block] = np.abs(err).max(axis=0)
+    for i in np.flatnonzero(~(residual <= 1e-9))[:1]:  # the first failure; NaN fails
         raise InternalCheckError(
-            f"certificate {cert} failed float validation (residual {err:.2e})"
+            f"certificate {certs[i]} failed float validation (residual {residual[i]:.2e})"
         )
 
 
@@ -347,26 +360,17 @@ def cayley_fr_conditions(
     if group.element_order(diff) != 2:
         return False
     # chi_j(a-b) = +-1 is forced by the order-two difference
-    di = group.index(diff)
-    sigma = []
-    for j in range(group.order):
-        e = table_exps[di][j] % r
-        if e == 0:
-            sigma.append(1)
-        elif r % 2 == 0 and e == r // 2:
-            sigma.append(-1)
-        else:
-            return False
+    row = table_exps[group.index(diff)]
+    if _half_turn_residues(row, r).any():
+        return False
+    sigma = np.where(row == 0, 1, -1).tolist()
     minus = sorted({l for s, l in zip(sigma, lam) if s == -1})
     if not minus or 0 in minus:
         return False
-    for s_, l in zip(sigma, lam):
-        if s_ == 1 and not tau.times(l).is_zero():
-            return False
-    mu = minus[0]
-    if any(not tau.times(l - mu).is_zero() for l in minus):
+    if any(s_ == 1 and not tau.times(l).is_zero() for s_, l in zip(sigma, lam)):
         return False
-    return not tau.times(mu).is_zero()
+    mu = minus[0]
+    return all(tau.times(l - mu).is_zero() for l in minus) and not tau.times(mu).is_zero()
 
 
 def double_cover_fr(
@@ -386,16 +390,13 @@ def double_cover_fr(
     spec1, spec2 = spectra
     if g1.n != g2.n or spec1.n != g1.n or spec2.n != g2.n:
         raise ChdError("double cover needs equal orders and matching spectra")
-    lam = spec1.integers()
-    mu = spec2.integers()
+    lam, mu = spec1.integers(), spec2.integers()
     d2 = regularity_check(g2)
     if d2 is None or d2.denominator != 1:
         raise ExactnessError("second layer must be regular with integer degree")
-    for l, m in zip(lam, mu):
-        if not tau.times(l + m).is_zero():
-            return None
-        if not tau.times(l - m).is_zero():
-            return None
+    if not all(tau.times(l + m).is_zero() and tau.times(l - m).is_zero()
+               for l, m in zip(lam, mu)):
+        return None
     gamma = tau.times(-int(d2))
     if gamma.is_zero_mod_pi():
         return None
@@ -426,6 +427,5 @@ def adjacency_walk_relation(
         raise ChdError("supply the laplacian spectrum")
     lam = np.array(spectrum.floats())
     ua = _unitary(h, float(d) - lam, t)
-    ul = _unitary(h, lam, t)
-    rhs = cmath.exp(-1j * float(d) * t) * np.conj(ul)
+    rhs = cmath.exp(-1j * float(d) * t) * np.conj(_unitary(h, lam, t))
     return bool(np.max(np.abs(ua - rhs)) <= 1e-9)

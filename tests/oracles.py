@@ -1,11 +1,14 @@
 """Reference kernels kept as test oracles: the loop forms of cyclotomic
-reduction, Hadamard verification, certification, cut enumeration and the
-characteristic polynomial that the table-driven kernels in ``chd``
-replaced.  They share no code with those kernels: Phi_r comes from
-recursive long division, reduction is long division by Phi_r, the integer
-matrix is rebuilt from the graph's Fraction edges, the cut tables are one
-pass per edge on Python integers, and the characteristic polynomial is
-computed in Fractions.
+reduction, Hadamard verification, certification, cut enumeration, the
+characteristic polynomial, rational root extraction and revival search
+that the table-driven kernels in ``chd`` replaced.  They share no code with
+those kernels: Phi_r comes from recursive long division, reduction is long
+division by Phi_r, the integer matrix is rebuilt from the graph's Fraction
+edges, the cut tables are one pass per edge on Python integers, the
+characteristic polynomial is computed in Fractions, rational roots are
+found by trying every integer in range, and revival search decides every
+vertex pair on its own and validates every certificate with its own walk
+column.
 """
 
 from __future__ import annotations
@@ -15,6 +18,8 @@ from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
+
+from chd.walks import FRCertificate, RationalAngle
 
 
 def _exact_polydiv(num: list[int], den: list[int]) -> list[int]:
@@ -167,3 +172,67 @@ def char_poly(mat) -> list[int]:
             mk[i][i] += ck
     assert all(c.denominator == 1 for c in cs)
     return [int(c) for c in reversed(cs)]
+
+
+def rational_spectrum(mat) -> list[int] | None:
+    """The eigenvalues of an integer Laplacian matrix if all are integers,
+    else None: every integer from 0 to twice the largest absolute row sum
+    is tried as a root of the characteristic polynomial, with deflation."""
+    poly = char_poly(mat)  # constant first
+    bound = 2 * max((sum(abs(x) for x in row) for row in mat), default=0)
+    roots = []
+    for _ in range(len(mat)):
+        for cand in range(bound + 1):
+            if sum(c * cand**k for k, c in enumerate(poly)) == 0:
+                break
+        else:
+            return None
+        roots.append(cand)
+        # synthetic division by (x - cand), highest coefficient first
+        rev, out = poly[::-1], [poly[-1]]
+        for c in rev[1:-1]:
+            out.append(c + out[-1] * cand)
+        poly = out[::-1]
+    return sorted(roots)
+
+
+def find_fr(g, h, spectrum) -> list:
+    """Revival certificates pair by pair, in (a, b, q, s) order: the sign
+    pattern from the exponents of the two rows, the times from the
+    congruences on the pair's own eigenvalue sets, and one float walk
+    column per certificate, asserted to 1e-9."""
+    lam = spectrum.integers()
+    exps, r, n = h.exps.tolist(), h.r, h.n
+    hc, lam_float = h.to_complex(), np.array(spectrum.floats())
+    out = []
+    for a in range(n):
+        for b in range(a + 1, n):
+            diff = [(x - y) % r for x, y in zip(exps[a], exps[b])]
+            if any(d not in (0, Fraction(r, 2)) for d in diff):
+                continue
+            sigma = tuple(1 if d == 0 else -1 for d in diff)
+            minus = sorted({l for s, l in zip(sigma, lam) if s == -1})
+            if not minus or 0 in minus:
+                continue
+            plus = [l for s, l in zip(sigma, lam) if s == 1 and l != 0]
+            top = math.gcd(*plus) if plus else 2 * math.lcm(*minus)
+            for q in range(1, top + 1):
+                if top % q:
+                    continue
+                for s in range(1, q):
+                    if math.gcd(s, q) != 1:
+                        continue
+                    if any((l - minus[0]) * s % q for l in minus):
+                        continue
+                    two_gamma = Fraction(-minus[0] * s, q) % 1
+                    if two_gamma == 0:
+                        continue
+                    gamma = RationalAngle(two_gamma.numerator, 2 * two_gamma.denominator)
+                    cert = FRCertificate(a, b, RationalAngle(s, q), gamma, sigma)
+                    phases = np.exp(-1j * 2 * math.pi * s / q * lam_float)
+                    column = hc @ (phases * hc[a].conj()) / n
+                    column[a] -= cert.alpha
+                    column[b] -= cert.beta
+                    assert np.max(np.abs(column)) <= 1e-9, cert
+                    out.append(cert)
+    return out

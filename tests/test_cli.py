@@ -299,6 +299,9 @@ class TestMalformedInput:
             ("word_weight", '{"n": 2, "edges": [[0, 1, "abc"]]}'),
             ("string_n", '{"n": "2", "edges": [[0, 1]]}'),
             ("huge_n", '{"n": 100000, "edges": []}'),
+            ("hadamard_scalar", "5"),
+            ("float_order", '{"n": 2.0, "r": 2, "exps": [[0, 0], [0, 1]]}'),
+            ("string_order", '{"n": "2", "r": 2, "exps": [[0, 0], [0, 1]]}'),
             # K_20 with weight 2**57: int64 storage, but the cut tables overflow
             ("heavy_k20", json.dumps({
                 "n": 20,
@@ -334,6 +337,9 @@ class TestMalformedInput:
             ("density", "--graph", "{string_n}"),
             ("density", "--graph", "{huge_n}"),
             ("cheeger", "--graph", "{heavy_k20}"),
+            ("hadamard", "verify", "--in", "{hadamard_scalar}"),
+            ("hadamard", "verify", "--in", "{float_order}"),
+            ("hadamard", "verify", "--in", "{string_order}"),
         ],
         ids=[
             "float-exponent",
@@ -353,6 +359,9 @@ class TestMalformedInput:
             "string-vertex-count",
             "vertex-count-cap",
             "cheeger-cut-overflow",
+            "hadamard-not-an-object",
+            "hadamard-float-order",
+            "hadamard-string-order",
         ],
     )
     def test_rejected_with_json_error(self, files, capsys, argv):
@@ -361,3 +370,15 @@ class TestMalformedInput:
         assert code == 1
         assert out.out == ""
         assert "error" in json.loads(out.err)
+
+    @pytest.mark.parametrize(
+        "name, message",
+        [
+            ("hadamard_scalar", "must be an object"),
+            ("float_order", "'n' must be an integer"),
+            ("string_order", "'n' must be an integer"),
+        ],
+    )
+    def test_hadamard_json_error_names_the_fault(self, files, capsys, name, message):
+        assert main(["hadamard", "verify", "--in", files[name]]) == 1
+        assert message in json.loads(capsys.readouterr().err)["error"]

@@ -1,7 +1,9 @@
 """Differential tests: the table-driven reduction, verify and certify, the
-split cut tables and the integer characteristic polynomial against the loop
-kernels kept in ``oracles``."""
+split cut tables, the integer characteristic polynomial, rational spectrum
+extraction and revival search against the loop kernels kept in
+``oracles``."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -16,18 +18,28 @@ from chd import (
     ButsonMatrix,
     ChdError,
     CyclotomicInt,
+    ExactnessError,
+    InternalCheckError,
+    RationalAngle,
     ScaleError,
     WeightedGraph,
     cayley,
     certify,
     character_table,
     cheeger,
+    cocktail_party,
+    complete,
     complete_multipartite,
+    cycle,
     double,
+    exact_rational_spectrum,
+    find_fr,
+    hypercube,
     merge,
     min_edge_density,
     root_of_unity,
     verify,
+    walks,
 )
 from chd.cyclotomic import (
     INT64_BOUND,
@@ -335,3 +347,162 @@ class TestCharPolyAgainstFractions:
     def test_k444_laplacian(self):
         mat = complete_multipartite((4, 4, 4)).integer_matrix("laplacian")[0].tolist()
         assert _char_poly(mat) == oracles.char_poly(mat)
+
+
+@st.composite
+def integral_cayley(draw):
+    """A Cayley graph over Z_r^d (r in {2, 3, 4, 6, 8}, at most 64 vertices)
+    whose connection set is closed under multiplication by the units mod r,
+    so that its spectrum is integral, with its character table."""
+    r = draw(st.sampled_from([2, 3, 4, 6, 8]))
+    d = draw(st.integers(1, {2: 6, 3: 3, 4: 3, 6: 2, 8: 2}[r]))
+    group = AbelianGroup((r,) * d)
+    units = [k for k in range(1, r) if math.gcd(k, r) == 1]
+    picks = draw(st.lists(st.sampled_from(group.elements()[1:]), max_size=4))
+    conn = {tuple(k * x % r for x in el) for el in picks for k in units}
+    return cayley(group, conn), character_table(group.moduli)
+
+
+def _same_revivals(g, h):
+    spec = certify(g, h)
+    got = [c.to_json() for c in find_fr(g, h, spec)]
+    assert got == [c.to_json() for c in oracles.find_fr(g, h, spec)]
+    return got
+
+
+class TestFindFrAgainstLoop:
+    @pytest.mark.parametrize("d", [3, 4, 5, 6])
+    def test_hypercubes(self, d):
+        assert len(_same_revivals(hypercube(d), character_table((2,) * d))) == 2**d
+
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_cocktail_parties(self, n):
+        assert _same_revivals(cocktail_party(n), character_table((2, n)))
+        assert _same_revivals(cocktail_party(n), character_table((2 * n,)))
+
+    def test_odd_root_order_gives_nothing(self):
+        group = AbelianGroup((3, 3))
+        g = cayley(group, [(1, 0), (2, 0), (0, 1), (0, 2)])
+        assert _same_revivals(g, character_table((3, 3))) == []
+
+    @settings(max_examples=40, deadline=None)
+    @given(integral_cayley())
+    def test_cayley_graphs(self, pair):
+        g, h = pair
+        got = _same_revivals(g, h)
+        if h.r % 2:
+            assert got == []
+
+
+def _shifted(gamma):
+    """gamma plus an eighth of a turn: a phase the walk does not have."""
+    return RationalAngle(8 * gamma.num + gamma.den, 8 * gamma.den)
+
+
+class TestRevivalCrossValidation:
+    """The float check covers every certificate, not only the first of each
+    tau block."""
+
+    @pytest.fixture
+    def q5(self):
+        g, h = hypercube(5), character_table((2,) * 5)
+        return g, h, certify(g, h)
+
+    def test_wrong_phase_from_half_of_is_caught(self, q5, monkeypatch):
+        # all certificates that share tau share their sign pattern and phase
+        # (sigma_j = +1 exactly where tau * lambda_j = 0), so the one call per
+        # (pattern, tau) corrupts a whole tau block; here the second, at 3/4
+        certs = find_fr(*q5)
+        half_of, calls = walks._half_of, []
+
+        def corrupt_second(angle):
+            calls.append(angle)
+            gamma = half_of(angle)
+            return _shifted(gamma) if len(calls) == 2 else gamma
+
+        monkeypatch.setattr(walks, "_half_of", corrupt_second)
+        with pytest.raises(InternalCheckError) as err:
+            find_fr(*q5)
+        first = next(c for c in certs if c.tau == RationalAngle(3, 4))
+        assert f"a={first.a}, b={first.b}, tau={first.tau!r}" in str(err.value)
+
+    def test_wrong_phase_in_the_middle_of_a_block_is_caught(self, q5, monkeypatch):
+        certs = find_fr(*q5)
+        batch = [i for i, c in enumerate(certs) if c.tau == certs[0].tau]
+        assert len(batch) == 16
+        target = batch[5]  # blocks of 4: the second place of the second block
+        made, certificate = [], walks.FRCertificate
+
+        def make(a, b, tau, gamma, sigma):
+            made.append(a)
+            if len(made) == target + 1:
+                gamma = _shifted(gamma)
+            return certificate(a, b, tau, gamma, sigma)
+
+        monkeypatch.setattr(walks, "_BLOCK", 4)
+        monkeypatch.setattr(walks, "FRCertificate", make)
+        with pytest.raises(InternalCheckError) as err:
+            find_fr(*q5)
+        bad = certs[target]
+        assert f"a={bad.a}, b={bad.b}, tau={bad.tau!r}" in str(err.value)
+        assert repr(_shifted(bad.gamma)) in str(err.value)
+
+    def test_blocks_of_four_give_the_same_list(self, q5, monkeypatch):
+        certs = find_fr(*q5)
+        monkeypatch.setattr(walks, "_BLOCK", 4)
+        assert find_fr(*q5) == certs
+
+
+def _laplacian(g):
+    return g.integer_matrix("laplacian")[0].tolist()
+
+
+@st.composite
+def small_weighted_graphs(draw):
+    n = draw(st.integers(1, 7))
+    edges = [
+        (u, v, draw(st.integers(1, 5)))
+        for u in range(n)
+        for v in range(u + 1, n)
+        if draw(st.booleans())
+    ]
+    return WeightedGraph.from_edges(n, edges)
+
+
+class TestRationalSpectrumAgainstScan:
+    @pytest.mark.parametrize(
+        "g",
+        [
+            complete(2),
+            complete(6),
+            hypercube(2),
+            hypercube(4),
+            cocktail_party(4),
+            complete_multipartite((2, 3, 4)),
+            complete_multipartite((4, 4, 4)),
+            cycle(4),
+            cycle(6),
+            WeightedGraph.from_edges(3, [(0, 1, 7), (1, 2, 7), (0, 2, 7)]),
+        ],
+        ids=["K2", "K6", "Q2", "Q4", "CP4", "K234", "K444", "C4", "C6", "7K3"],
+    )
+    def test_integral_spectra(self, g):
+        want = oracles.rational_spectrum(_laplacian(g))
+        assert want is not None
+        assert exact_rational_spectrum(g) == want
+
+    @settings(max_examples=60, deadline=None)
+    @given(small_weighted_graphs())
+    def test_random_weighted_graphs(self, g):
+        want = oracles.rational_spectrum(_laplacian(g))
+        if want is None:
+            with pytest.raises(ExactnessError):
+                exact_rational_spectrum(g)
+        else:
+            assert exact_rational_spectrum(g) == want
+
+    def test_partly_rational_spectrum_is_rejected(self):
+        # C_8 has the rational eigenvalues 0, 2, 4 beside 2 -+ sqrt(2)
+        assert oracles.rational_spectrum(_laplacian(cycle(8))) is None
+        with pytest.raises(ExactnessError):
+            exact_rational_spectrum(cycle(8))

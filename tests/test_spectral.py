@@ -7,6 +7,7 @@ import pytest
 
 from chd import (
     ChdError,
+    ExactnessError,
     PreconditionError,
     ScaleError,
     WeightedGraph,
@@ -223,6 +224,22 @@ class TestExactSpectrum:
     def test_rational_weights(self):
         g = WeightedGraph.from_edges(2, [(0, 1, "1/3")])
         assert exact_rational_spectrum(g) == [0, Fraction(2, 3)]
+
+    def test_cycle_5_is_not_rational(self):
+        with pytest.raises(ExactnessError):
+            exact_rational_spectrum(cycle(5))
+
+    def test_heavy_edge(self):
+        # the spectrum no longer costs one trial root per integer below it
+        g = WeightedGraph.from_edges(2, [(0, 1, 10**6)])
+        assert exact_rational_spectrum(g) == [0, 2 * 10**6]
+
+    def test_rounding_bound(self):
+        # n times the largest absolute row sum must stay below 2**40
+        g = WeightedGraph.from_edges(2, [(0, 1, 2**37)])
+        assert exact_rational_spectrum(g) == [0, 2**38]
+        with pytest.raises(ScaleError):
+            exact_rational_spectrum(WeightedGraph.from_edges(2, [(0, 1, 2**38)]))
 
 
 class TestDensityBoundsConnectivity:
