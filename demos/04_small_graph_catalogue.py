@@ -1,9 +1,11 @@
 """The complete catalogue of small graphs with real or Turyn diagonalisers.
 
-The catalogue enumerates every labeled regular graph on up to 8 vertices,
-filters by an all-even-integer Laplacian spectrum and the odd-union
-obstruction, deduplicates up to isomorphism, and confirms each class with
-an explicit certificate from the built-in matrix library.
+The catalogue reads each graph off the built-in real and Turyn matrices:
+each matrix is dephased at each column, and every neighbour set of vertex
+0 gives exact eigenvalues and then a candidate Laplacian, kept when it is
+the Laplacian of a simple graph.  Candidates are deduplicated by their
+exact spectrum and then up to isomorphism, and each class is certified
+against its witness.  No graph is enumerated and no float is used.
 
 Note the order-8 result: the well-known nine entries plus 4K_2, which
 passes every filter (1-regular, spectrum {0,0,0,0,2,2,2,2}, certified by

@@ -65,7 +65,6 @@ from .diagonalise import (
     bipartition_from_column,
     catalogue,
     certify,
-    enumerate_regular_graphs,
     odd_union_obstruction,
     p_partition_from_column,
     regularity_check,

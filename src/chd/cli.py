@@ -23,10 +23,14 @@ from .walks import RationalAngle
 
 def _load_json(path: str) -> dict:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return json.load(fh)
     except FileNotFoundError:
         raise ChdError(f"no such file: {path}") from None
+    except OSError as exc:
+        raise ChdError(f"cannot read {path}: {exc.strerror}") from None
+    except UnicodeDecodeError:
+        raise ChdError(f"{path} is not UTF-8 text") from None
     except json.JSONDecodeError as exc:
         raise ChdError(
             f"malformed JSON in {path} at line {exc.lineno}, column {exc.colno}: "

@@ -10,14 +10,12 @@ small-graph catalogue) consumes those exact certificates.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 
 import numpy as np
 
-from .cyclotomic import CyclotomicInt, reduce
+from .cyclotomic import CyclotomicInt, reduce, reduction_table
 from .errors import (
     ChdError,
     ExactnessError,
@@ -26,8 +24,15 @@ from .errors import (
     ScaleError,
 )
 from . import graphs as graphmod
-from .graphs import AbelianGroup, WeightedGraph, cayley, complement
-from .hadamard import ButsonMatrix, character_table, classify, instance_library, verify
+from .graphs import WeightedGraph, complement
+from .hadamard import (
+    ButsonMatrix,
+    classify,
+    dephase,
+    instance_library,
+    monomial_transform,
+    verify,
+)
 
 __all__ = [
     "EigenvalueEntry",
@@ -42,7 +47,6 @@ __all__ = [
     "odd_union_obstruction",
     "catalogue",
     "CatalogueEntry",
-    "enumerate_regular_graphs",
 ]
 
 
@@ -421,130 +425,31 @@ def odd_union_obstruction(g: WeightedGraph) -> bool:
     return len({len(c) for c in comps}) == 1
 
 
-# -- enumeration of regular graphs at desk scale --------------------------
-
-
-def _regular_masks(n: int, d: int):
-    """All labeled d-regular graphs on n vertices, as tuples of neighbor
-    bitmasks, by row-by-row backtracking with degree feasibility pruning."""
-    if d < 0 or d >= n:
-        return
-    if (n * d) % 2:
-        return
-    masks = [0] * n
-    deg = [0] * n
-
-    def rec(u: int):
-        if u == n:
-            yield tuple(masks)
-            return
-        need = d - deg[u]
-        if need < 0:
-            return
-        avail = [v for v in range(u + 1, n) if deg[v] < d]
-        if need > len(avail):
-            return
-        for chosen in combinations(avail, need):
-            # capacity pruning: remaining vertices must still be fillable
-            for v in chosen:
-                masks[u] |= 1 << v
-                masks[v] |= 1 << u
-                deg[u] += 1
-                deg[v] += 1
-            remaining = sum(d - deg[v] for v in range(u + 1, n))
-            if remaining % 2 == 0:
-                yield from rec(u + 1)
-            for v in chosen:
-                masks[u] &= ~(1 << v)
-                masks[v] &= ~(1 << u)
-                deg[u] -= 1
-                deg[v] -= 1
-
-    yield from rec(0)
-
-
-def _masks_to_graph(masks) -> WeightedGraph:
-    n = len(masks)
-    return WeightedGraph.from_edges(
-        n,
-        [
-            (u, v)
-            for u in range(n)
-            for v in range(u + 1, n)
-            if masks[u] >> v & 1
-        ],
-    )
-
-
-def enumerate_regular_graphs(n: int, degree: int | None = None):
-    """Yield every labeled regular graph on n vertices (optionally of one
-    degree).  Desk-scale guard at n <= 10."""
-    if n > 10:
-        raise ScaleError(f"labeled enumeration is capped at 10 vertices, got {n}")
-    degrees = range(n) if degree is None else [degree]
-    for d in degrees:
-        for masks in _regular_masks(n, d):
-            yield _masks_to_graph(masks)
-
-
-def _complement_masks(masks) -> tuple[int, ...]:
-    n = len(masks)
-    full = (1 << n) - 1
-    return tuple((full ^ m ^ (1 << u)) & full for u, m in enumerate(masks))
-
-
-def _invariant_key(masks):
-    n = len(masks)
-    a = np.zeros((n, n))
-    for u, m in enumerate(masks):
-        for v in range(n):
-            if m >> v & 1:
-                a[u, v] = 1.0
-    lap = np.diag(a.sum(axis=1)) - a
-    spec = tuple(round(float(x), 6) for x in np.linalg.eigvalsh(lap))
-    tri = sorted(
-        sum(
-            1
-            for v in range(n)
-            for w in range(v + 1, n)
-            if masks[u] >> v & 1 and masks[u] >> w & 1 and masks[v] >> w & 1
-        )
-        for u in range(n)
-    )
-    return (n, bin(masks[0]).count("1") if n else 0, spec, tuple(tri))
+# -- the small-graph catalogue --------------------------------------------
 
 
 def _isomorphic_masks(a, b) -> bool:
+    """Backtracking search for a degree-preserving bijection u -> perm[u]
+    with a[u] ~ b[perm[u]], on tuples of neighbour bit masks."""
     n = len(a)
-    if n != len(b):
-        return False
-    if sorted(bin(m).count("1") for m in a) != sorted(bin(m).count("1") for m in b):
-        return False
-    perm = [-1] * n
-    used = [False] * n
+    deg_a = [bin(m).count("1") for m in a]
+    deg_b = [bin(m).count("1") for m in b]
+    perm: list[int] = []
 
     def rec(u: int) -> bool:
         if u == n:
             return True
-        deg_u = bin(a[u]).count("1")
         for v in range(n):
-            if used[v] or bin(b[v]).count("1") != deg_u:
+            if v in perm or deg_b[v] != deg_a[u]:
                 continue
-            ok = True
-            for w in range(u):
-                if (a[u] >> w & 1) != (b[v] >> perm[w] & 1):
-                    ok = False
-                    break
-            if ok:
-                perm[u] = v
-                used[v] = True
+            if all((a[u] >> w & 1) == (b[v] >> perm[w] & 1) for w in range(u)):
+                perm.append(v)
                 if rec(u + 1):
                     return True
-                used[v] = False
-                perm[u] = -1
+                perm.pop()
         return False
 
-    return rec(0)
+    return n == len(b) and sorted(deg_a) == sorted(deg_b) and rec(0)
 
 
 def _graph_masks(g: WeightedGraph) -> tuple[int, ...]:
@@ -553,9 +458,6 @@ def _graph_masks(g: WeightedGraph) -> tuple[int, ...]:
         masks[u] |= 1 << v
         masks[v] |= 1 << u
     return tuple(masks)
-
-
-# -- the small-graph catalogue --------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -577,44 +479,6 @@ class CatalogueEntry:
             "hadamard": dict(self.hadamard.to_json(), name=self.hadamard_name),
             "eigenvalues": sorted(str(e) for e in self.spectrum.entries),
         }
-
-
-def _exponent4_groups(n: int) -> list[tuple[int, ...]]:
-    """Abelian groups of order n whose exponent divides 4 (their character
-    tables are real or turyn)."""
-    out = []
-    if n == 1:
-        return [(1,)]
-
-    def build(remaining, factors):
-        if remaining == 1:
-            out.append(tuple(sorted(factors, reverse=True)))
-            return
-        for m in (4, 2):
-            if remaining % m == 0 and (not factors or m <= factors[-1]):
-                build(remaining // m, factors + [m])
-
-    build(n, [])
-    return sorted(set(out), reverse=True)
-
-
-def _symmetric_connection_sets(group: AbelianGroup):
-    """All connection sets closed under negation, grouped as {c, -c} orbits."""
-    seen = set()
-    orbits = []
-    for el in group.elements():
-        if el == group.identity or el in seen:
-            continue
-        neg = group.neg(el)
-        orbit = frozenset({el, neg})
-        seen.update(orbit)
-        orbits.append(orbit)
-    for bits in range(1 << len(orbits)):
-        conn = set()
-        for i, orbit in enumerate(orbits):
-            if bits >> i & 1:
-                conn.update(orbit)
-        yield conn
 
 
 def _named_targets(n: int) -> list[tuple[str, WeightedGraph]]:
@@ -654,50 +518,67 @@ def _named_targets(n: int) -> list[tuple[str, WeightedGraph]]:
     return []
 
 
-def _even_integer_spectrum(masks) -> bool:
-    n = len(masks)
-    a = np.zeros((n, n))
-    for u, m in enumerate(masks):
-        for v in range(n):
-            if m >> v & 1:
-                a[u, v] = 1.0
-    lap = np.diag(a.sum(axis=1)) - a
-    vals = np.linalg.eigvalsh(lap)
-    rounded = np.rint(vals / 2.0) * 2.0
-    return bool(np.all(np.abs(vals - rounded) < 1e-6))
+def _dephased_at(h: ButsonMatrix, j: int) -> ButsonMatrix:
+    """h dephased at column j: column j moved first, then rows and columns
+    rescaled so that the first row and the first column are all ones."""
+    n = h.n
+    cols = [j] + [k for k in range(n) if k != j]
+    return dephase(monomial_transform(h, range(n), cols, [0] * n, [0] * n))
 
 
-def _catalogue_pool(n: int) -> list[tuple[str, WeightedGraph, ButsonMatrix]]:
-    """Labeled graphs with known real/turyn diagonalisers at order n:
-    Cayley graphs over groups of exponent dividing 4 under their character
-    tables, plus anything the order-6 conference matrix certifies."""
-    pool = []
-    for moduli in _exponent4_groups(n):
-        group = AbelianGroup(moduli)
-        table = character_table(moduli)
-        name = "z" + "xz".join(str(m) for m in moduli) + "-characters"
-        for conn in _symmetric_connection_sets(group):
-            pool.append((name, cayley(group, conn), table))
-    if n == 6:
-        lib = {name: h for name, h in instance_library()[6]}
-        conf = lib["conference-6"]
-        for g in enumerate_regular_graphs(6):
-            if certify(g, conf) is not None:
-                pool.append(("conference-6-scan", g, conf))
-    return pool
+def _laplacians_of(h: ButsonMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """Every simple graph whose Laplacian the dephased h diagonalises with
+    integer eigenvalues, as (eigenvalues, adjacency matrices).
+
+    Row 0 of L H = H diag(lambda) reads lambda_k = deg(0) - y . H[1:, k],
+    y the neighbour indicator of vertex 0, because row 0 of H is all ones.
+    So y fixes lambda, and lambda fixes L = H diag(lambda) H* / n.  All
+    2**(n-1) choices of y run as one batch in reduced cyclotomic
+    coordinates; lambda is kept when every entry is an integer, and L when
+    it is an integer matrix whose off-diagonal entries are 0 or -1.
+    """
+    n, r = h.n, h.r
+    table = reduction_table(r)
+    ys = (np.arange(1 << (n - 1))[:, None] >> np.arange(n - 1)) & 1
+    lam = np.tensordot(-ys, table[h.exps[1:]], 1)  # (y, column, coordinate)
+    lam[:, :, 0] += ys.sum(axis=1)[:, None]
+    lam = lam[~lam[:, :, 1:].any(axis=(1, 2)), :, 0]
+    # n L[u, v] = sum_k lambda_k z**(e_uk - e_vk), one product over k
+    diff = (h.exps[:, None, :] - h.exps[None, :, :]) % r
+    basis = table[diff].transpose(2, 0, 1, 3).reshape(n, -1)
+    scaled = (lam @ basis).reshape(len(lam), n, n, -1)
+    integral = ~scaled[..., 1:].any(axis=(1, 2, 3))
+    integral &= ~(scaled[..., 0] % n).any(axis=(1, 2))
+    adj = -scaled[integral, :, :, 0] // n
+    adj[:, np.arange(n), np.arange(n)] = 0
+    simple = ((adj == 0) | (adj == 1)).all(axis=(1, 2))
+    return lam[integral][simple], adj[simple]
 
 
-def catalogue(max_n: int):
-    """Every unweighted regular graph on an even number <= max_n of vertices
-    whose Laplacian is diagonalised by a real or Turyn Hadamard matrix, each
-    with an explicit certified diagonaliser.
+def catalogue(max_n: int) -> list[CatalogueEntry]:
+    """Every unweighted graph on an even number <= max_n of vertices whose
+    Laplacian is diagonalised by a real or Turyn Hadamard matrix, one per
+    isomorphism class, each with a certified witness.
 
-    Enumerates labeled regular graphs of degree <= (n-1)/2, filters by an
-    all-even-integer Laplacian spectrum and the odd-union obstruction,
-    deduplicates up to isomorphism, confirms each class with a certificate
-    from the built-in matrix library, and mirrors every class to its
-    complement (which the same matrix certifies).  Raises if a surviving
-    class cannot be confirmed.
+    The graphs are read off the real and Turyn matrices of
+    ``instance_library``.  A row permutation of H only relabels vertices,
+    and a column permutation or column phase changes nothing.  A row phase
+    D is forced for a connected graph: the column j of D H that carries the
+    all-ones kernel vector makes D a multiple of conj(H[:, j]), which may
+    be +-i for a Turyn matrix.  So every connected graph diagonalised by a
+    matrix equivalent to H is, up to labelling, diagonalised by H dephased
+    at some column j, and ``_laplacians_of`` lists all of those.  The list
+    is closed under complement, as L(G^c) = nI - J - L(G) is diagonalised
+    by the same dephased matrix.  A disconnected graph all of whose
+    diagonalisers need different row phases on different components is
+    not reached this way.  Completeness over every real or Turyn matrix at n <= 8 is
+    pinned by the tests: every class here is certified, and the classes
+    equal those of an oracle that enumerates every labelled regular graph
+    and keeps the ones passing the exact even-spectrum and odd-union
+    necessary conditions.
+
+    Candidates are keyed by their exact spectrum before the isomorphism
+    test, and each kept representative is certified against its witness.
     """
     if max_n not in (2, 4, 6, 8):
         raise ScaleError(
@@ -706,72 +587,28 @@ def catalogue(max_n: int):
     lib = instance_library()
     entries: list[CatalogueEntry] = []
     for n in range(2, max_n + 1, 2):
-        reps: list[tuple[tuple[int, ...], object]] = []
-        for d in range((n - 1) // 2 + 1):
-            for masks in _regular_masks(n, d):
-                if not _even_integer_spectrum(masks):
-                    continue
-                key = _invariant_key(masks)
-                if any(
-                    key == k and _isomorphic_masks(masks, m) for m, k in reps
-                ):
-                    continue
-                reps.append((masks, key))
-        # odd-union filtering: obstructed classes (and, implicitly, their
-        # complements, which are never reps at these degrees) drop out
-        survivors = [
-            masks
-            for masks, _ in reps
-            if not odd_union_obstruction(_masks_to_graph(masks))
-        ]
-        turyn_lib = [
-            (name, h) for name, h in lib[n] if classify(h).kind in ("real", "turyn")
-        ]
-        pool = None
-        for masks in survivors:
-            found = _confirm_class(masks, turyn_lib)
-            if found is None:
-                if pool is None:
-                    pool = _catalogue_pool(n)
-                found = _confirm_via_pool(masks, pool)
-            if found is None:
-                raise InternalCheckError(
-                    f"an order-{n} class passed every filter but no library "
-                    "diagonaliser certifies it"
-                )
-            hname, graph, h, spectrum = found
-            entries.append(_make_entry(n, graph, hname, h, spectrum))
-            comp = complement(graph)
-            comp_spec = certify(comp, h)
-            if comp_spec is None:
-                raise InternalCheckError("complement failed to certify")
-            if not _isomorphic_masks(_graph_masks(graph), _graph_masks(comp)):
-                entries.append(_make_entry(n, comp, hname, h, comp_spec))
+        classes: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+        for name, h in lib[n]:
+            if classify(h).kind not in ("real", "turyn"):
+                continue
+            for j in range(n):
+                hj = _dephased_at(h, j)
+                for lam, adj in zip(*_laplacians_of(hj)):
+                    graph = WeightedGraph._from_matrix(adj)
+                    masks = _graph_masks(graph)
+                    reps = classes.setdefault(tuple(sorted(lam.tolist())), [])
+                    if any(_isomorphic_masks(masks, m) for m in reps):
+                        continue
+                    reps.append(masks)
+                    spectrum = certify(graph, hj)
+                    if spectrum is None:
+                        raise InternalCheckError(
+                            f"a graph read off {name} fails its certificate"
+                        )
+                    hname = name if j == 0 else f"{name}-dephased-at-{j}"
+                    entries.append(_make_entry(n, graph, hname, hj, spectrum))
     entries.sort(key=lambda e: (e.order, e.degree, e.name))
     return entries
-
-
-def _confirm_class(masks, turyn_lib):
-    g = _masks_to_graph(masks)
-    for name, h in turyn_lib:
-        spectrum = certify(g, h)
-        if spectrum is not None:
-            return name, g, h, spectrum
-    return None
-
-
-def _confirm_via_pool(masks, pool):
-    key = _invariant_key(masks)
-    for name, g, h in pool:
-        gm = _graph_masks(g)
-        if _invariant_key(gm) != key:
-            continue
-        if _isomorphic_masks(masks, gm):
-            spectrum = certify(g, h)
-            if spectrum is None:
-                raise InternalCheckError("pool graph failed its own certificate")
-            return name, g, h, spectrum
-    return None
 
 
 def _make_entry(n, graph, hname, h, spectrum) -> CatalogueEntry:

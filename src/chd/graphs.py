@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import product as iter_product
+from itertools import product as iter_product, repeat
 
 import numpy as np
 
@@ -75,6 +75,20 @@ def _check_order(n) -> None:
         raise ChdError(f"the vertex count must be a nonnegative integer, got {n!r}")
     if n > MAX_VERTICES:
         raise ScaleError(f"graphs are capped at {MAX_VERTICES} vertices, got {n}")
+
+
+def check_group_order(moduli) -> None:
+    """Refuse a product of cyclic groups with more than MAX_VERTICES
+    elements before anything is built, multiplying the moduli one at a time
+    so that a long iterable of factors is never read to its end."""
+    order = 1
+    for m in moduli:
+        order *= m
+        if order > MAX_VERTICES:
+            raise ScaleError(
+                f"groups are capped at {MAX_VERTICES} elements, as graphs are at "
+                f"{MAX_VERTICES} vertices"
+            )
 
 
 class WeightedGraph:
@@ -254,6 +268,7 @@ class AbelianGroup:
         moduli = tuple(int(m) for m in moduli)
         if not moduli or any(m < 1 for m in moduli):
             raise ChdError(f"moduli must be positive integers, got {moduli}")
+        check_group_order(moduli)
         self.moduli = moduli
         self._elements = tuple(iter_product(*(range(m) for m in moduli)))
         self._index = {el: i for i, el in enumerate(self._elements)}
@@ -460,11 +475,13 @@ def weighted_tensor_sum(terms) -> WeightedGraph:
 
 def complete(n: int) -> WeightedGraph:
     _check_size(n)
+    _check_order(n)
     return complete_multipartite((1,) * n)
 
 
 def empty_graph(n: int) -> WeightedGraph:
     _check_size(n)
+    _check_order(n)
     return WeightedGraph._from_matrix(np.zeros((n, n), dtype=np.int64))
 
 
@@ -478,6 +495,7 @@ def cycle(r: int) -> WeightedGraph:
 
 def hypercube(d: int) -> WeightedGraph:
     _check_size(d)
+    check_group_order(repeat(2, d))
     group = AbelianGroup((2,) * d)
     units = [tuple(1 if i == j else 0 for j in range(d)) for i in range(d)]
     return cayley(group, units)
@@ -499,6 +517,7 @@ def complete_multipartite(parts) -> WeightedGraph:
     parts = tuple(int(p) for p in parts)
     if not parts or any(p < 1 for p in parts):
         raise ChdError(f"part sizes must be positive, got {parts}")
+    _check_order(sum(parts))
     block = np.repeat(np.arange(len(parts)), parts)
     mat = (block[:, None] != block[None, :]).astype(np.int64)
     return WeightedGraph._from_matrix(mat)

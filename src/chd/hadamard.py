@@ -17,6 +17,7 @@ import numpy as np
 
 from .cyclotomic import check_order, reduce
 from .errors import ChdError, PreconditionError
+from .graphs import check_group_order
 
 __all__ = [
     "ButsonMatrix",
@@ -159,6 +160,7 @@ def character_table(moduli) -> ButsonMatrix:
     moduli = tuple(int(m) for m in moduli)
     if not moduli or any(m < 1 for m in moduli):
         raise ChdError(f"moduli must be positive integers, got {moduli}")
+    check_group_order(moduli)
     r = math.lcm(*moduli)
     elements = np.array(list(iter_product(*(range(m) for m in moduli))), dtype=np.int64)
     weights = np.array([r // m for m in moduli], dtype=np.int64)
@@ -316,9 +318,10 @@ def sylvester_hadamard(order: int) -> ButsonMatrix:
 def instance_library() -> dict[int, list[tuple[str, ButsonMatrix]]]:
     """Built-in verified matrices at orders 2, 4, 6 and 8.
 
-    These are the explicit diagonalisers used by the small-graph catalogue
-    (real and Turyn entries) plus the character tables of the cyclic groups
-    at the same orders.
+    The real and Turyn entries (Sylvester matrices, the character tables of
+    Z_4 and Z_4 x Z_2, and the lift of the Paley conference matrix of order
+    6) are the matrices the small-graph catalogue reads its graphs off; the
+    character tables of Z_6 and Z_8 are Butson examples, which it skips.
     """
     f2 = sylvester_hadamard(2)
     t4 = character_table((4,))

@@ -56,6 +56,11 @@ class CutReport:
         }
 
 
+def _require_cap(g: WeightedGraph) -> None:
+    if g.n > _MAX_VERTICES:
+        raise ScaleError(f"subset enumeration is capped at {_MAX_VERTICES} vertices")
+
+
 def _bits(k: int) -> np.ndarray:
     """The 2**k x k table whose row x holds the bits of x, low bit first."""
     return (np.arange(1 << k)[:, None] >> np.arange(k)) & 1
@@ -75,8 +80,7 @@ def _subset_tables(g: WeightedGraph):
     below 2**62 for both; larger weights raise ScaleError.
     """
     n = g.n
-    if n > _MAX_VERTICES:
-        raise ScaleError(f"subset enumeration is capped at {_MAX_VERTICES} vertices")
+    _require_cap(g)
     if n < 2:
         raise ChdError("need at least two vertices")
     mat, scale = g.integer_matrix("adjacency")
@@ -140,8 +144,7 @@ def cheeger(g: WeightedGraph) -> tuple[Fraction, CutReport]:
 
     A disconnected graph has constant 0, witnessed by one component.
     """
-    if g.n > _MAX_VERTICES:
-        raise ScaleError(f"subset enumeration is capped at {_MAX_VERTICES} vertices")
+    _require_cap(g)
     comps = g.components()
     if len(comps) > 1:
         mask = sum(1 << u for u in comps[0])
@@ -231,8 +234,10 @@ def cheeger_inequality_audit(
     The lower bound is compared in rationals; the upper bound is checked as
     h * h <= 2 * gamma_2 to avoid floating square roots.  gamma_2 comes from
     a certified spectrum when one is supplied, otherwise from exact rational
-    root extraction of the characteristic polynomial.
+    root extraction of the characteristic polynomial.  The vertex cap of the
+    cut search is checked before anything else.
     """
+    _require_cap(g)
     if not g.is_connected():
         raise PreconditionError("the audit needs a connected graph")
     d = regularity_check(g)

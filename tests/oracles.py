@@ -1,14 +1,17 @@
 """Reference kernels kept as test oracles: the loop forms of cyclotomic
 reduction, Hadamard verification, certification, cut enumeration, the
 characteristic polynomial, rational root extraction and revival search
-that the table-driven kernels in ``chd`` replaced.  They share no code with
-those kernels: Phi_r comes from recursive long division, reduction is long
-division by Phi_r, the integer matrix is rebuilt from the graph's Fraction
-edges, the cut tables are one pass per edge on Python integers, the
-characteristic polynomial is computed in Fractions, rational roots are
-found by trying every integer in range, and revival search decides every
-vertex pair on its own and validates every certificate with its own walk
-column.
+that the table-driven kernels in ``chd`` replaced, and the labelled
+regular-graph enumeration that the small-graph catalogue replaced.  They
+share no code with those kernels: Phi_r comes from recursive long
+division, reduction is long division by Phi_r, the integer matrix is
+rebuilt from the graph's Fraction edges, the cut tables are one pass per
+edge on Python integers, the characteristic polynomial is computed in
+Fractions, rational roots are found by trying every integer in range,
+revival search decides every vertex pair on its own and validates every
+certificate with its own walk column, and the catalogue oracle keeps, up
+to isomorphism, every labelled regular graph that passes the necessary
+conditions for a real or Turyn diagonaliser.
 """
 
 from __future__ import annotations
@@ -16,9 +19,11 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations
 
 import numpy as np
 
+from chd import ScaleError, WeightedGraph
 from chd.walks import FRCertificate, RationalAngle
 
 
@@ -235,4 +240,146 @@ def find_fr(g, h, spectrum) -> list:
                     column[b] -= cert.beta
                     assert np.max(np.abs(column)) <= 1e-9, cert
                     out.append(cert)
+    return out
+
+
+def _regular_masks(n: int, d: int):
+    """All labelled d-regular graphs on n vertices, as tuples of neighbour
+    bit masks, by row-by-row backtracking with degree feasibility pruning."""
+    if d < 0 or d >= n or (n * d) % 2:
+        return
+    masks = [0] * n
+    deg = [0] * n
+
+    def rec(u: int):
+        if u == n:
+            yield tuple(masks)
+            return
+        need = d - deg[u]
+        avail = [v for v in range(u + 1, n) if deg[v] < d]
+        if need < 0 or need > len(avail):
+            return
+        for chosen in combinations(avail, need):
+            for v in chosen:
+                masks[u] |= 1 << v
+                masks[v] |= 1 << u
+                deg[v] += 1
+            deg[u] += need
+            if sum(d - deg[v] for v in range(u + 1, n)) % 2 == 0:
+                yield from rec(u + 1)
+            for v in chosen:
+                masks[u] &= ~(1 << v)
+                masks[v] &= ~(1 << u)
+                deg[v] -= 1
+            deg[u] -= need
+
+    yield from rec(0)
+
+
+def _masks_to_graph(masks) -> WeightedGraph:
+    n = len(masks)
+    edges = [(u, v) for u in range(n) for v in range(u + 1, n) if masks[u] >> v & 1]
+    return WeightedGraph.from_edges(n, edges)
+
+
+def enumerate_regular_graphs(n: int, degree: int | None = None):
+    """Every labelled regular graph on n vertices (optionally of one
+    degree); capped at n <= 10."""
+    if n > 10:
+        raise ScaleError(f"labelled enumeration is capped at 10 vertices, got {n}")
+    for d in range(n) if degree is None else [degree]:
+        for masks in _regular_masks(n, d):
+            yield _masks_to_graph(masks)
+
+
+def _odd_union(masks) -> bool:
+    """An odd number (>= 3) of components, all of one order."""
+    n = len(masks)
+    sizes, seen = [], 0
+    for s in range(n):
+        if seen >> s & 1:
+            continue
+        comp, frontier = 1 << s, 1 << s
+        while frontier:
+            v = (frontier & -frontier).bit_length() - 1
+            frontier &= frontier - 1
+            new = masks[v] & ~comp
+            comp |= new
+            frontier |= new
+        seen |= comp
+        sizes.append(bin(comp).count("1"))
+    return len(sizes) >= 3 and len(sizes) % 2 == 1 and len(set(sizes)) == 1
+
+
+def _walk_colours(masks) -> tuple[tuple[int, int], ...]:
+    """Closed-walk counts of lengths 3 and 4 at each vertex, which an
+    isomorphism preserves."""
+    n = len(masks)
+    a = np.array([[m >> v & 1 for v in range(n)] for m in masks], dtype=np.int64)
+    a2 = a @ a
+    return tuple(zip(np.diagonal(a2 @ a).tolist(), np.diagonal(a2 @ a2).tolist()))
+
+
+def _isomorphic(a, ca, b, cb) -> bool:
+    """Backtracking search for a bijection u -> p[u] with a[u] ~ b[p[u]]
+    that maps each vertex to one of the same walk colour."""
+    n = len(a)
+    p: list[int] = []
+
+    def rec(u: int) -> bool:
+        if u == n:
+            return True
+        for v in range(n):
+            if v in p or ca[u] != cb[v]:
+                continue
+            if all((a[u] >> w & 1) == (b[v] >> p[w] & 1) for w in range(u)):
+                p.append(v)
+                if rec(u + 1):
+                    return True
+                p.pop()
+        return False
+
+    return sorted(ca) == sorted(cb) and rec(0)
+
+
+def _even_trace_masks(n: int, d: int) -> list[tuple[int, ...]]:
+    """The labelled d-regular graphs whose Laplacian L has tr(L^k) divisible
+    by 2^k for k = 1..n, as every graph with an even-integer spectrum must;
+    exact in int64, since no entry of L^n exceeds (2d)^n < 2^62."""
+    masks = np.array(list(_regular_masks(n, d)), dtype=np.int64).reshape(-1, n)
+    lap = d * np.eye(n, dtype=np.int64) - (masks[:, :, None] >> np.arange(n) & 1)
+    keep = np.ones(len(masks), dtype=bool)
+    power = lap
+    for k in range(1, n + 1):
+        keep &= np.trace(power, axis1=1, axis2=2) % (1 << k) == 0
+        power = power @ lap
+    return [tuple(row) for row in masks[keep].tolist()]
+
+
+def catalogue_classes(n: int) -> list[tuple[int, ...]]:
+    """One neighbour-mask tuple per isomorphism class of graphs on n <= 8
+    vertices that pass the necessary conditions for a real or Turyn
+    diagonaliser: regular (L = H diag(lambda) H* / n has every diagonal
+    entry equal to tr(L) / n), every Laplacian eigenvalue an even integer
+    (checked exactly on the characteristic polynomial after a 2-adic trace
+    prefilter), and neither the graph nor its complement an odd union of
+    equal components (such a union has no diagonaliser, and its complement
+    is connected, so a diagonaliser of the complement has an all-ones
+    column and would diagonalise the union too)."""
+    full = (1 << n) - 1
+    out: list[tuple[int, ...]] = []
+    for d in range(n):
+        reps: list[tuple[tuple[int, ...], tuple]] = []
+        for masks in _even_trace_masks(n, d):
+            colours = _walk_colours(masks)
+            if not any(_isomorphic(masks, colours, *rep) for rep in reps):
+                reps.append((masks, colours))
+        for masks, _ in reps:
+            comp = tuple(full & ~m & ~(1 << u) for u, m in enumerate(masks))
+            lap, _ = integer_matrix(_masks_to_graph(masks))
+            spectrum = rational_spectrum(lap)
+            if spectrum is None or any(x % 2 for x in spectrum):
+                continue
+            if not (_odd_union(masks) or _odd_union(comp)):
+                out.append(masks)
     return out

@@ -1,4 +1,9 @@
 import json
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -310,6 +315,10 @@ class TestMalformedInput:
         ):
             made[name] = tmp_path / f"{name}.json"
             made[name].write_text(text)
+        made["not_utf8"] = tmp_path / "not_utf8.json"
+        made["not_utf8"].write_bytes(b'{"n": 2, "edges": [[0, 1, "\xff"]]}')
+        made["directory"] = tmp_path / "directory.json"
+        made["directory"].mkdir()
         return {name: str(path) for name, path in made.items()}
 
     @pytest.mark.parametrize(
@@ -340,6 +349,9 @@ class TestMalformedInput:
             ("hadamard", "verify", "--in", "{hadamard_scalar}"),
             ("hadamard", "verify", "--in", "{float_order}"),
             ("hadamard", "verify", "--in", "{string_order}"),
+            ("density", "--graph", "{directory}"),
+            ("density", "--graph", "{not_utf8}"),
+            ("hadamard", "verify", "--in", "{not_utf8}"),
         ],
         ids=[
             "float-exponent",
@@ -362,6 +374,9 @@ class TestMalformedInput:
             "hadamard-not-an-object",
             "hadamard-float-order",
             "hadamard-string-order",
+            "graph-is-a-directory",
+            "graph-not-utf8",
+            "hadamard-not-utf8",
         ],
     )
     def test_rejected_with_json_error(self, files, capsys, argv):
@@ -382,3 +397,49 @@ class TestMalformedInput:
     def test_hadamard_json_error_names_the_fault(self, files, capsys, name, message):
         assert main(["hadamard", "verify", "--in", files[name]]) == 1
         assert message in json.loads(capsys.readouterr().err)["error"]
+
+
+class TestSizeCaps:
+    """Oversized groups and graphs are refused before anything is built.
+    Each command runs in a child limited to 1 GiB of address space, so an
+    allocation made before the check fails in the child alone."""
+
+    CHILD = (
+        "import sys, time\n"
+        "from chd.cli import main\n"
+        "t = time.perf_counter()\n"
+        "code = main(sys.argv[1:])\n"
+        "print(time.perf_counter() - t)\n"
+        "sys.exit(code)\n"
+    )
+
+    @staticmethod
+    def _limit():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("graph", "make", "hypercube", "30"),
+            ("hadamard", "character-table", "--moduli", ",".join(["2"] * 30)),
+            ("graph", "make", "complete", str(10**9)),
+            ("graph", "make", "empty", str(10**9)),
+            ("graph", "make", "complete-multipartite", str(10**9), "1"),
+            ("graph", "make", "cayley", "--moduli", "4096,4096", "--connection", "1,0"),
+        ],
+        ids=["hypercube-30", "characters-z2^30", "complete", "empty", "multipartite", "cayley"],
+    )
+    def test_refused_quickly(self, argv):
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-c", self.CHILD, *argv],
+            capture_output=True,
+            text=True,
+            env=env,
+            preexec_fn=self._limit,
+            timeout=60,
+        )
+        assert proc.returncode == 1, proc.stderr[-500:]
+        assert json.loads(proc.stderr)["type"] == "ScaleError"
+        assert float(proc.stdout) < 1.0

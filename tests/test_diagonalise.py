@@ -5,12 +5,15 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import oracles
 from chd import (
     AbelianGroup,
+    ButsonMatrix,
     ChdError,
     InternalCheckError,
     PreconditionError,
     ScaleError,
+    WeightedGraph,
     bipartition_from_column,
     catalogue,
     cayley,
@@ -26,7 +29,6 @@ from chd import (
     dephase,
     double,
     empty_graph,
-    enumerate_regular_graphs,
     graph_join,
     graph_union,
     hypercube,
@@ -40,6 +42,8 @@ from chd import (
     tensor,
     theorem_checks,
 )
+from chd.diagonalise import _dephased_at, _graph_masks, _laplacians_of
+from oracles import enumerate_regular_graphs
 
 
 class TestCertify:
@@ -454,6 +458,136 @@ class TestCatalogue:
         assert [(e.order, e.name) for e in small] == [
             (e.order, e.name) for e in full if e.order <= 4
         ]
+
+    def test_entries_in_order(self, full):
+        # (order, degree, name, sorted eigenvalues) of every entry, as the
+        # labelled-enumeration catalogue listed them
+        assert [
+            (e.order, e.degree, e.name, e.to_json()["eigenvalues"]) for e in full
+        ] == [
+            (n, d, name, sorted(str(x) for x in spectrum))
+            for n, d, name, spectrum in CATALOGUE_8
+        ]
+        for max_n in (2, 4, 6):
+            assert [e.to_json() for e in catalogue(max_n)] == [
+                e.to_json() for e in full if e.order <= max_n
+            ]
+
+    def test_classes_match_the_enumeration_oracle(self, full):
+        for n in (2, 4, 6, 8):
+            found = [_graph_masks(e.graph) for e in full if e.order == n]
+            expected = oracles.catalogue_classes(n)
+            assert len(found) == len(expected)
+            for masks in expected:
+                assert [_same_class(masks, m) for m in found].count(True) == 1
+
+    def test_closed_under_complement(self, full):
+        for entry in full:
+            comp = _graph_masks(complement(entry.graph))
+            assert any(
+                _same_class(comp, _graph_masks(e.graph))
+                for e in full
+                if e.order == entry.order
+            ), entry.name
+
+    def test_no_float_eigensolver(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the catalogue called a float eigensolver")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
+        assert len(catalogue(8)) == 18
+
+
+def _same_class(a, b) -> bool:
+    """Isomorphism of two neighbour-mask tuples, decided by the oracle."""
+    return oracles._isomorphic(a, oracles._walk_colours(a), b, oracles._walk_colours(b))
+
+
+CATALOGUE_8 = [
+    (2, 0, "K_2^c", [0, 0]),
+    (2, 1, "K_2", [0, 2]),
+    (4, 0, "K_4^c", [0, 0, 0, 0]),
+    (4, 1, "K_2+K_2", [0, 0, 2, 2]),
+    (4, 2, "C_4", [0, 2, 2, 4]),
+    (4, 3, "K_4", [0, 4, 4, 4]),
+    (6, 0, "K_6^c", [0] * 6),
+    (6, 5, "K_6", [0] + [6] * 5),
+    (8, 0, "K_8^c", [0] * 8),
+    (8, 1, "4K_2", [0] * 4 + [2] * 4),
+    (8, 2, "C_4+C_4", [0, 0, 2, 2, 2, 2, 4, 4]),
+    (8, 3, "K_4+K_4", [0, 0] + [4] * 6),
+    (8, 3, "K_{2,2}[]K_2", [0, 2, 2, 2, 4, 4, 4, 6]),
+    (8, 4, "(K_{2,2}[]K_2)^c", [0, 2, 4, 4, 4, 6, 6, 6]),
+    (8, 4, "K_{4,4}", [0] + [4] * 6 + [8]),
+    (8, 5, "(C_4+C_4)^c", [0, 4, 4, 6, 6, 6, 6, 8]),
+    (8, 6, "K_{2,2,2,2}", [0, 6, 6, 6, 6, 8, 8, 8]),
+    (8, 7, "K_8", [0] + [8] * 7),
+]
+
+
+class TestLaplaciansOf:
+    """The batched scan returns exactly the labelled graphs that a matrix
+    dephased at one column diagonalises."""
+
+    @pytest.mark.parametrize("n", [2, 4, 6])
+    def test_against_certify_on_every_regular_graph(self, n):
+        regular = list(enumerate_regular_graphs(n))
+        for name, h in instance_library()[n]:
+            if classify(h).kind not in ("real", "turyn"):
+                continue
+            for j in range(n):
+                hj = _dephased_at(h, j)
+                assert hj.is_dephased()
+                lam, adj = _laplacians_of(hj)
+                found = {a.tobytes() for a in adj.astype(np.int64)}
+                assert len(found) == len(adj), f"{name} column {j} repeats a graph"
+                expected = set()
+                for g in regular:
+                    spectrum = certify(g, hj)
+                    if spectrum is not None:
+                        expected.add(g.matrix.astype(np.int64).tobytes())
+                assert found == expected, f"{name} column {j}"
+                for values, a in zip(lam, adj):
+                    g = WeightedGraph._from_matrix(a)
+                    assert certify(g, hj).integers() == values.tolist()
+
+    def test_non_integral_laplacians_are_dropped(self):
+        # a Paley type-I matrix of order 12 (q = 11): every neighbour set
+        # gives integer eigenvalues, but only 24 of the 2048 give an integer
+        # Laplacian, and those are the empty graph, 2K_6, K_{6,6} and K_12
+        q = 11
+        squares = {x * x % q for x in range(1, q)}
+        c = np.zeros((12, 12), dtype=np.int64)
+        c[0, 1:], c[1:, 0] = 1, -1
+        for i in range(q):
+            for j in range(q):
+                if i != j:
+                    c[1 + i, 1 + j] = 1 if (j - i) % q in squares else -1
+        h = ButsonMatrix(np.where(np.eye(12, dtype=np.int64) + c == 1, 0, 1), 2)
+        for j in (0, 5):
+            hj = _dephased_at(h, j)
+            lam, adj = _laplacians_of(hj)
+            assert len(adj) == 24
+            for values, a in zip(lam, adj):
+                assert certify(WeightedGraph._from_matrix(a), hj).integers() == values.tolist()
+            assert {tuple(sorted(v)) for v in lam.tolist()} == {
+                (0,) * 12,
+                (0, 0) + (6,) * 10,
+                (0,) + (6,) * 10 + (12,),
+                (0,) + (12,) * 11,
+            }
+
+    def test_dephasing_at_a_column_multiplies_rows_by_its_conjugate(self):
+        # for a Turyn matrix the row phases include +-i
+        h = dict(instance_library()[8])["z4xz2-characters"]
+        r = h.r
+        for j in range(8):
+            hj = _dephased_at(h, j)
+            rows = (h.exps - h.exps[:, [j]]) % r
+            columns = {tuple((c - c[0]) % r) for c in rows.T}
+            assert {tuple(c) for c in hj.exps.T} == columns
+            assert not hj.exps[:, 0].any()
 
 
 class TestAdjacencyLaplacianEquivalence:

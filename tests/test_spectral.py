@@ -25,6 +25,7 @@ from chd import (
     sylvester_hadamard,
     tightness_check,
 )
+from chd import spectral
 from chd.spectral import cheeger_value_of
 
 
@@ -208,6 +209,15 @@ class TestCheegerInequality:
         audit = cheeger_inequality_audit(g)
         assert audit["gamma2"] == Fraction(5, 4)
         assert audit["lower_ok"] and audit["upper_ok"]
+
+    @pytest.mark.parametrize("d", [5, 6])
+    def test_cap_checked_before_the_spectrum(self, d, monkeypatch):
+        def refuse(g):
+            raise AssertionError(f"spectrum computed for n={g.n}")
+
+        monkeypatch.setattr(spectral, "exact_rational_spectrum", refuse)
+        with pytest.raises(ScaleError):
+            cheeger_inequality_audit(hypercube(d))
 
 
 class TestExactSpectrum:
