@@ -46,6 +46,21 @@ def _load_hadamard(path: str) -> hadamard.ButsonMatrix:
     return hadamard.ButsonMatrix.from_json(_load_json(path))
 
 
+def _need(value, option: str):
+    """The value of an option that the chosen command requires."""
+    if value is None:
+        raise ChdError(f"this command needs {option}")
+    return value
+
+
+def _int_list(text, option: str) -> list[int]:
+    """A comma-separated list of integers, as --moduli and --connection take."""
+    try:
+        return [int(x) for x in _need(text, option).split(",")]
+    except ValueError:
+        raise ChdError(f"{option} must be comma-separated integers, got {text!r}") from None
+
+
 def _angle(text: str) -> RationalAngle:
     """Parse 'p/q' (of a full turn 2*pi) into an exact angle."""
     try:
@@ -56,8 +71,11 @@ def _angle(text: str) -> RationalAngle:
 
 
 def _digest(path: str) -> str:
-    with open(path, "rb") as fh:
-        return hashlib.sha256(fh.read()).hexdigest()
+    try:
+        with open(path, "rb") as fh:
+            return hashlib.sha256(fh.read()).hexdigest()
+    except OSError as exc:
+        raise ChdError(f"cannot read {path}: {exc.strerror}") from None
 
 
 # which commands are pure exact arithmetic vs float-bearing output
@@ -124,18 +142,17 @@ def _eigenvalue_json(entry) -> object:
 def _cmd_hadamard(args) -> dict:
     action = args.action
     if action == "character-table":
-        moduli = [int(m) for m in args.moduli.split(",")]
-        return hadamard.character_table(moduli).to_json()
+        return hadamard.character_table(_int_list(args.moduli, "--moduli")).to_json()
     if action == "conference-lift":
         if args.infile:
             data = _load_json(args.infile)
-            if "c" not in data:
-                raise ChdError("conference JSON needs a field 'c'")
+            if not isinstance(data, dict) or "c" not in data:
+                raise ChdError("conference JSON must be an object with a field 'c'")
             return hadamard.conference_lift(data["c"]).to_json()
         return hadamard.conference_lift(
             hadamard.paley_conference(int(args.order) - 1)
         ).to_json()
-    h = _load_hadamard(args.infile)
+    h = _load_hadamard(_need(args.infile, "--in"))
     if action == "verify":
         return {"hadamard": hadamard.verify(h), "n": h.n, "r": h.r}
     if action == "dephase":
@@ -144,7 +161,7 @@ def _cmd_hadamard(args) -> dict:
         cls = hadamard.classify(h)
         return {"kind": cls.kind, "root_order": cls.root_order}
     if action == "tensor":
-        h2 = _load_hadamard(args.infile2)
+        h2 = _load_hadamard(_need(args.infile2, "--in2"))
         return hadamard.tensor(h, h2).to_json()
     raise ChdError(f"unknown hadamard action {action!r}")
 
@@ -152,26 +169,24 @@ def _cmd_hadamard(args) -> dict:
 def _cmd_graph_make(args) -> dict:
     kind = args.kind
     if kind == "cayley":
-        moduli = [int(m) for m in args.moduli.split(",")]
-        group = graphs.AbelianGroup(moduli)
-        conn = []
-        for item in args.connection.split(";"):
-            item = item.strip()
-            if item:
-                conn.append(tuple(int(x) for x in item.split(",")))
+        group = graphs.AbelianGroup(_int_list(args.moduli, "--moduli"))
+        conn = [
+            tuple(_int_list(item, "--connection"))
+            for item in _need(args.connection, "--connection").split(";")
+            if item.strip()
+        ]
         return graphs.cayley(group, conn).to_json()
-    if kind in ("complement",):
-        return graphs.complement(_load_graph(args.infile)).to_json()
-    if kind in ("union", "join"):
-        g1, g2 = _load_graph(args.infile), _load_graph(args.infile2)
-        return graphs.combine(g1, g2, kind).to_json()
+    if kind not in ("complement", "union", "join", "merge", "product"):
+        return graphs.named(kind, *args.sizes).to_json()
+    g1 = _load_graph(_need(args.infile, "--in"))
+    if kind == "complement":
+        return graphs.complement(g1).to_json()
+    g2 = _load_graph(_need(args.infile2, "--in2"))
     if kind == "merge":
-        g1, g2 = _load_graph(args.infile), _load_graph(args.infile2)
-        return graphs.merge(g1, g2, Fraction(args.w1), Fraction(args.w2)).to_json()
+        return graphs.merge(g1, g2, args.w1, args.w2).to_json()
     if kind == "product":
-        g1, g2 = _load_graph(args.infile), _load_graph(args.infile2)
         return graphs.product(g1, g2, args.product_kind).to_json()
-    return graphs.named(kind, *args.sizes).to_json()
+    return graphs.combine(g1, g2, kind).to_json()
 
 
 def _cmd_certify(args) -> dict:

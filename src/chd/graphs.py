@@ -296,18 +296,6 @@ class AbelianGroup:
     def neg(self, el) -> tuple[int, ...]:
         return tuple((-x) % m for x, m in zip(self.normalise(el), self.moduli))
 
-    def sub(self, a, b) -> tuple[int, ...]:
-        a, b = self.normalise(a), self.normalise(b)
-        return tuple((x - y) % m for x, y, m in zip(a, b, self.moduli))
-
-    def element_order(self, el) -> int:
-        el = self.normalise(el)
-        out = 1
-        for x, m in zip(el, self.moduli):
-            if x:
-                out = math.lcm(out, m // math.gcd(x, m))
-        return out
-
 
 def connection_set(group: AbelianGroup, connection) -> set[tuple[int, ...]]:
     """The normalised connection set, checked to avoid the identity (no
@@ -550,5 +538,5 @@ def named(family: str, *args) -> WeightedGraph:
         )
     try:
         return _FAMILIES[key](args)
-    except IndexError:
-        raise ChdError(f"family {family!r} is missing size arguments") from None
+    except (IndexError, ValueError):
+        raise ChdError(f"family {family!r} needs integer sizes, got {list(args)}") from None

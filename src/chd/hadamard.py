@@ -36,6 +36,14 @@ __all__ = [
 ]
 
 
+def _all_integers(arr: np.ndarray) -> bool:
+    """Whether every entry of an object array is an integer: a float or bool
+    entry is refused, not truncated."""
+    return all(
+        issubclass(t, (int, np.integer)) and t is not bool for t in set(map(type, arr.flat))
+    )
+
+
 class ButsonMatrix:
     """Square matrix of r-th roots of unity, stored as exponents mod r."""
 
@@ -47,11 +55,7 @@ class ButsonMatrix:
         arr = exps if integral else np.array(exps, dtype=object)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise ChdError(f"exponent table must be square, got shape {arr.shape}")
-        # a float or bool exponent is rejected, not truncated
-        if not integral and not all(
-            issubclass(t, (int, np.integer)) and t is not bool
-            for t in set(map(type, arr.flat))
-        ):
+        if not integral and not _all_integers(arr):
             raise ChdError("exponents must be integers")
         arr = (arr % r).astype(np.int64)
         arr.setflags(write=False)
@@ -225,15 +229,18 @@ def conference_lift(c) -> ButsonMatrix:
     C^T C = (n-1) I; the lift encodes I + iC over the fourth roots of unity
     and dephases it.
     """
-    c = np.array(c, dtype=np.int64)
-    n = c.shape[0]
+    c = np.array(c, dtype=object)
     if c.ndim != 2 or c.shape[0] != c.shape[1]:
         raise PreconditionError("conference matrix must be square")
+    if not _all_integers(c):
+        raise PreconditionError("conference matrix entries must be integers")
+    n = c.shape[0]
     if np.diag(c).any():
         raise PreconditionError("conference matrix must have zero diagonal")
     off = c[~np.eye(n, dtype=bool)]
     if not np.all(np.abs(off) == 1):
         raise PreconditionError("conference matrix entries must be +-1 off the diagonal")
+    c = c.astype(np.int64)
     if not np.array_equal(c, c.T):
         raise PreconditionError("only symmetric conference matrices are supported")
     if not np.array_equal(c.T @ c, (n - 1) * np.eye(n, dtype=np.int64)):

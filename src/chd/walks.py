@@ -5,6 +5,14 @@ spectral decomposition supplied by an exact certificate.  Fractional-revival
 and perfect-state-transfer checks, by contrast, are pure congruence
 arithmetic on integer eigenvalues and exact rational multiples of 2*pi;
 floats only ever appear in the final cross-validation of a certificate.
+
+One rule decides revival (Chan, Coutinho, Tamon, Vinet and Zhan, 2019).  For
+strongly cospectral a and b, H[a, j] = sigma_j H[b, j], with eigenvalues
+lambda_j, the walk sends e_a to alpha e_a + beta e_b, beta != 0, at time tau
+iff tau * lambda_j = 0 (mod 2pi) wherever sigma_j = +1 and
+-tau * lambda_j = 2 gamma (mod 2pi), one value and not 0, wherever
+sigma_j = -1.  ``_revival_phase`` decides it on integers; the revival entry
+points differ only in where sigma and lambda come from and which tau they try.
 """
 
 from __future__ import annotations
@@ -175,9 +183,13 @@ def evolve(
 ) -> np.ndarray:
     """The walk unitary exp(-i t M) computed spectrally as
     (1/n) H exp(-i t Lambda) H*."""
-    if g.n != h.n or spectrum.n != g.n:
-        raise ChdError("graph, matrix and spectrum orders must agree")
+    _require_orders(g, h, spectrum)
     return _unitary(h, np.array(spectrum.floats()), t)
+
+
+def _require_orders(g: WeightedGraph, h: ButsonMatrix, spectrum: SpectrumAssignment) -> None:
+    if not g.n == h.n == spectrum.n:
+        raise ChdError("graph, matrix and spectrum orders must agree")
 
 
 def _half_turn_residues(exps: np.ndarray, r: int) -> np.ndarray:
@@ -193,20 +205,38 @@ def _require_dephased(h: ButsonMatrix, caller: str) -> None:
         raise PreconditionError(f"{caller} needs a dephased matrix")
 
 
-def strongly_cospectral(h: ButsonMatrix, a: int, b: int) -> tuple[int, ...] | None:
-    """Sign pattern sigma with H[a, j] = sigma_j H[b, j] if one exists.
+def _sign_pattern(row_a: np.ndarray, row_b: np.ndarray, r: int) -> tuple[int, ...] | None:
+    """+1 where two exponent rows agree, -1 where they differ by a half
+    turn, and None if they differ otherwise anywhere."""
+    if not np.array_equal(_half_turn_residues(row_a, r), _half_turn_residues(row_b, r)):
+        return None
+    return tuple(np.where(row_a == row_b, 1, -1).tolist())
 
-    Decided exactly on the exponents: +1 where they agree, -1 where they
-    differ by a half turn (possible only for even root order), else None.
-    """
+
+def strongly_cospectral(h: ButsonMatrix, a: int, b: int) -> tuple[int, ...] | None:
+    """Sign pattern sigma with H[a, j] = sigma_j H[b, j] if one exists,
+    decided exactly on the exponents (a half turn needs even root order)."""
     _require_dephased(h, "strongly_cospectral")
     for vertex in (a, b):
         if not 0 <= vertex < h.n:
             raise ChdError(f"vertex {vertex} is out of range for n={h.n}")
-    rows = h.exps[[a, b]]
-    if not np.array_equal(*_half_turn_residues(rows, h.r)):
+    return _sign_pattern(h.exps[a], h.exps[b], h.r)
+
+
+def _split(sigma, lam) -> tuple[set[int], set[int]]:
+    """Distinct plus- and minus-eigenvalues of a sign pattern (none without one)."""
+    pairs = list(zip(sigma or (), lam))
+    return {l for s, l in pairs if s == 1}, {l for s, l in pairs if s == -1}
+
+
+def _revival_phase(plus, minus, s: int, q: int) -> RationalAngle | None:
+    """2 gamma for revival at tau = 2pi s/q, or None if there is none: every
+    s * l for l in plus is 0 mod q, and every -s * l for l in minus is one
+    nonzero residue mod q (so the minus set is not empty)."""
+    phases = {-l * s % q for l in minus}
+    if len(phases) != 1 or 0 in phases or any(l * s % q for l in plus):
         return None
-    return tuple(np.where(rows[0] == rows[1], 1, -1).tolist())
+    return RationalAngle(phases.pop(), q)
 
 
 def check_fr(
@@ -219,18 +249,12 @@ def check_fr(
     gamma: RationalAngle,
 ) -> bool:
     """Exact test of fractional revival from a to b at time tau with phase
-    gamma: plus-columns need tau * lambda_j = 0 (mod 2pi), minus-columns
-    need -tau * lambda_j = 2 gamma (mod 2pi), the minus set must be
-    nonempty and gamma must not be a multiple of pi (beta != 0)."""
+    gamma (mod pi); sigma is read off rows a and b of H, lambda off the
+    certified spectrum, which must be integral."""
+    _require_orders(g, h, spectrum)
     lam = spectrum.integers()
-    sigma = strongly_cospectral(h, a, b)
-    if sigma is None or all(s == 1 for s in sigma) or gamma.is_zero_mod_pi():
-        return False
-    two_gamma = gamma.times(2)
-    return all(
-        tau.times(l).is_zero() if s == 1 else tau.times(-l) == two_gamma
-        for s, l in zip(sigma, lam)
-    )
+    two = _revival_phase(*_split(strongly_cospectral(h, a, b), lam), tau.num, tau.den)
+    return two is not None and two == gamma.times(2)
 
 
 def check_pst(
@@ -245,28 +269,25 @@ def check_pst(
     return check_fr(g, h, spectrum, a, b, tau, RationalAngle.of_pi(1, 2))
 
 
-def _divisors(n: int) -> list[int]:
-    return [d for d in range(1, abs(n) + 1) if n % d == 0]
-
-
 def find_fr(
     g: WeightedGraph, h: ButsonMatrix, spectrum: SpectrumAssignment
 ) -> list[FRCertificate]:
     """All fractional-revival certificates over strongly cospectral pairs,
-    in (a, b, q, s) order.
+    in (a, b, q, s) order; sigma is read off the rows of H, lambda off the
+    certified spectrum, which must be integral.
 
     For a pair with plus-eigenvalues P and minus-eigenvalues M, every valid
-    time is tau = 2*pi*s/q with q dividing gcd(P \\ {0}); when P = {0} the
-    denominators are capped at the divisors of 2*lcm(M), which still captures
-    every perfect-state-transfer time (a documented completeness boundary).
-    A candidate is kept when all of M is one residue class mod q and the
-    resulting phase is not a multiple of pi.
+    time is tau = 2*pi*s/q with q dividing gcd(P \\ {0}), and those are the
+    candidates tried.  When P = {0} the denominators are capped at the
+    divisors of 2*lcm(M), which still captures every perfect-state-transfer
+    time: this is the search's completeness boundary.
 
     Pairs are rows equal modulo a half turn.  The (tau, gamma) list depends
     on the sign pattern alone and is computed once per pattern (Q7: 127 for
     8128 pairs).  Each certificate is checked against the float walk to 1e-9
     in blocks of 256 sharing tau (n x 256 complex arrays, 16 MiB at n = 4096).
     """
+    _require_orders(g, h, spectrum)
     lam = spectrum.integers()
     _require_dephased(h, "find_fr")
     residues = _half_turn_residues(h.exps, h.r).astype(np.uint16)  # r <= 1024
@@ -290,25 +311,16 @@ def find_fr(
 
 def _revival_times(minus_cols: np.ndarray, lam: list[int]) -> tuple:
     """A mask's sign pattern (None if it never revives) and (tau, gamma) list."""
-    signs = np.where(minus_cols, -1, 1).tolist()
-    minus = sorted({l for s, l in zip(signs, lam) if s == -1})
-    if not minus or 0 in minus:
-        return None, []
-    plus_nonzero = sorted({l for s, l in zip(signs, lam) if s == 1 and l != 0})
-    qs = _divisors(math.gcd(*plus_nonzero) if plus_nonzero else 2 * math.lcm(*minus))
-    found, mu = [], minus[0]
-    for q in qs:
-        for s in range(1, q):
-            if math.gcd(s, q) != 1:
-                continue
-            tau = RationalAngle.of_turn(s, q)
-            if any((l - mu) * s % q for l in minus):
-                continue
-            gamma2 = tau.times(-mu)  # = 2*gamma mod 2pi
-            if gamma2.is_zero():
-                continue  # beta would vanish
-            found.append((tau, _half_of(gamma2)))
-    return (tuple(signs) if found else None), found
+    signs = tuple(np.where(minus_cols, -1, 1).tolist())
+    plus, minus = _split(signs, lam)
+    top = math.gcd(*plus) if plus - {0} else 2 * math.lcm(*minus)
+    found = [
+        (RationalAngle.of_turn(s, q), _half_of(two))
+        for q in range(1, top + 1) if top % q == 0
+        for s in range(1, q)
+        if math.gcd(s, q) == 1 and (two := _revival_phase(plus, minus, s, q)) is not None
+    ]
+    return (signs if found else None), found
 
 
 def _half_of(angle: RationalAngle) -> RationalAngle:
@@ -343,8 +355,9 @@ def cayley_fr_conditions(
     group: AbelianGroup, connection, a, b, tau: RationalAngle
 ) -> bool:
     """Fractional-revival test for a Cayley graph straight from the group
-    data: integer spectrum, difference of order two, and the single-phase
-    congruence on each character class."""
+    data: lambda_j is the character sum over the connection set (an
+    irrational one rules revival out) and sigma is read off the character
+    rows of a and b."""
     conn_idx = [group.index(c) for c in connection_set(group, connection)]
     table = character_table(group.moduli)
     table_exps, r = table.exps, table.r
@@ -355,22 +368,8 @@ def cayley_fr_conditions(
     rem = reduce(coeffs, r)
     if rem[:, 1:].any():
         return False  # irrational eigenvalue: no revival is possible
-    lam = rem[:, 0].tolist()
-    diff = group.sub(group.normalise(a), group.normalise(b))
-    if group.element_order(diff) != 2:
-        return False
-    # chi_j(a-b) = +-1 is forced by the order-two difference
-    row = table_exps[group.index(diff)]
-    if _half_turn_residues(row, r).any():
-        return False
-    sigma = np.where(row == 0, 1, -1).tolist()
-    minus = sorted({l for s, l in zip(sigma, lam) if s == -1})
-    if not minus or 0 in minus:
-        return False
-    if any(s_ == 1 and not tau.times(l).is_zero() for s_, l in zip(sigma, lam)):
-        return False
-    mu = minus[0]
-    return all(tau.times(l - mu).is_zero() for l in minus) and not tau.times(mu).is_zero()
+    sigma = _sign_pattern(table_exps[group.index(a)], table_exps[group.index(b)], r)
+    return _revival_phase(*_split(sigma, rem[:, 0].tolist()), tau.num, tau.den) is not None
 
 
 def double_cover_fr(
@@ -380,13 +379,13 @@ def double_cover_fr(
     spectra: tuple[SpectrumAssignment, SpectrumAssignment],
     tau: RationalAngle,
 ) -> RationalAngle | None:
-    """Revival phase for the two-layer cover of G1 and G2 at time tau.
+    """Revival phase -d2 * tau (mod pi) from vertex 0 to its copy n in the
+    two-layer cover of G1 and a d2-regular G2 at time tau, or None.
 
-    Both graphs must be certified by the same dephased matrix; the phase is
-    -d2 * tau (mod pi) and exists iff tau * (lambda_j + mu_j) and
-    tau * (lambda_j - mu_j) vanish mod 2pi for every column, and it is not a
-    multiple of pi (otherwise the revival degenerates).  A found phase is
-    re-checked through the direct revival test on the built cover."""
+    Both graphs must be certified by the same dephased matrix H.  Under
+    [H, H; H, -H], sigma is +1 on the columns [H; H] with eigenvalues
+    lambda_j + mu_j and -1 on [H; -H] with lambda_j + 2 d2 - mu_j.  A found
+    phase is re-checked through ``check_fr`` on the built cover."""
     spec1, spec2 = spectra
     if g1.n != g2.n or spec1.n != g1.n or spec2.n != g2.n:
         raise ChdError("double cover needs equal orders and matching spectra")
@@ -394,11 +393,11 @@ def double_cover_fr(
     d2 = regularity_check(g2)
     if d2 is None or d2.denominator != 1:
         raise ExactnessError("second layer must be regular with integer degree")
-    if not all(tau.times(l + m).is_zero() and tau.times(l - m).is_zero()
-               for l, m in zip(lam, mu)):
-        return None
-    gamma = tau.times(-int(d2))
-    if gamma.is_zero_mod_pi():
+    d2 = int(d2)
+    plus = {l + m for l, m in zip(lam, mu)}
+    minus = {l + 2 * d2 - m for l, m in zip(lam, mu)}
+    gamma = tau.times(-d2)
+    if _revival_phase(plus, minus, tau.num, tau.den) != gamma.times(2):
         return None
     cover = merge(g1, g2, 1, 1)
     doubled = double(h)

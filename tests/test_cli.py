@@ -307,6 +307,11 @@ class TestMalformedInput:
             ("hadamard_scalar", "5"),
             ("float_order", '{"n": 2.0, "r": 2, "exps": [[0, 0], [0, 1]]}'),
             ("string_order", '{"n": "2", "r": 2, "exps": [[0, 0], [0, 1]]}'),
+            ("conference_scalar", "5"),
+            ("conference_word", '{"c": [["a"]]}'),
+            ("conference_ragged", '{"c": [[0, 1], [1]]}'),
+            ("conference_float", '{"c": [[0, 1.9], [1.9, 0]]}'),
+            ("conference_bool", '{"c": [[0, true], [true, 0]]}'),
             # K_20 with weight 2**57: int64 storage, but the cut tables overflow
             ("heavy_k20", json.dumps({
                 "n": 20,
@@ -319,6 +324,7 @@ class TestMalformedInput:
         made["not_utf8"].write_bytes(b'{"n": 2, "edges": [[0, 1, "\xff"]]}')
         made["directory"] = tmp_path / "directory.json"
         made["directory"].mkdir()
+        made["missing"] = tmp_path / "missing.json"
         return {name: str(path) for name, path in made.items()}
 
     @pytest.mark.parametrize(
@@ -352,6 +358,25 @@ class TestMalformedInput:
             ("density", "--graph", "{directory}"),
             ("density", "--graph", "{not_utf8}"),
             ("hadamard", "verify", "--in", "{not_utf8}"),
+            ("graph", "make", "hypercube", "abc"),
+            ("graph", "make", "complete", "2.5"),
+            ("graph", "make", "cayley", "--moduli", "2,x", "--connection", "1,0"),
+            ("hadamard", "character-table", "--moduli", "a"),
+            ("graph", "make", "cayley", "--moduli", "2,2"),
+            ("hadamard", "verify"),
+            ("graph", "make", "complement"),
+            ("hadamard", "tensor", "--in", "{f2}"),
+            ("graph", "make", "union", "--in", "{k2}"),
+            ("graph", "make", "merge", "--in", "{k2}", "--in2", "{k2}", "--w1", "abc"),
+            ("graph", "make", "merge", "--in", "{k2}", "--in2", "{k2}", "--w1", "1/0"),
+            ("hadamard", "conference-lift", "--in", "{conference_scalar}"),
+            ("hadamard", "conference-lift", "--in", "{conference_word}"),
+            ("hadamard", "conference-lift", "--in", "{conference_ragged}"),
+            ("hadamard", "conference-lift", "--in", "{conference_float}"),
+            ("hadamard", "conference-lift", "--in", "{conference_bool}"),
+            # --report digests every path given, also one the command ignores
+            ("--report", "hadamard", "character-table", "--moduli", "2",
+             "--in", "{missing}"),
         ],
         ids=[
             "float-exponent",
@@ -377,6 +402,23 @@ class TestMalformedInput:
             "graph-is-a-directory",
             "graph-not-utf8",
             "hadamard-not-utf8",
+            "family-size-not-a-number",
+            "family-size-not-an-integer",
+            "cayley-moduli-not-integers",
+            "character-moduli-not-integers",
+            "cayley-without-connection",
+            "verify-without-in",
+            "complement-without-in",
+            "tensor-without-in2",
+            "union-without-in2",
+            "merge-word-weight",
+            "merge-zero-denominator-weight",
+            "conference-not-an-object",
+            "conference-word-entry",
+            "conference-ragged",
+            "conference-float-entry",
+            "conference-bool-entry",
+            "report-digest-of-a-missing-file",
         ],
     )
     def test_rejected_with_json_error(self, files, capsys, argv):

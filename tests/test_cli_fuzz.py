@@ -1,6 +1,8 @@
-"""Fuzzing of the command-line loaders: whatever the graph and Hadamard
-files hold, ``certify``, ``density`` and ``hadamard verify`` exit 0 with
-JSON on stdout or 1 with the CLI's JSON error on stderr, and never raise."""
+"""Fuzzing of the command line: whatever the graph and Hadamard files hold,
+``certify``, ``density`` and ``hadamard verify`` exit 0 with JSON on stdout
+or 1 with the CLI's JSON error on stderr, and never raise; whatever the
+arguments of ``graph make`` and ``hadamard``, the run also may end in
+argparse's usage error, exit 2, and nothing else."""
 
 import contextlib
 import io
@@ -8,6 +10,7 @@ import json
 import tempfile
 from pathlib import Path
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -66,12 +69,19 @@ def _file(directory: Path, name: str, content) -> str:
     return str(path)
 
 
-def _check(argv) -> None:
+def _check(argv, usage_error=False) -> None:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv)
-    assert code in (0, 1)
-    if code == 0:
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            assert usage_error and exc.code == 2
+            code = 2
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith("usage: ")
+    elif code == 0:
         json.loads(out.getvalue())
         assert err.getvalue() == ""
     else:
@@ -103,3 +113,86 @@ def test_certify_and_density_survive_any_file(graph, hadamard):
 def test_hadamard_verify_survives_any_file(hadamard):
     with tempfile.TemporaryDirectory() as tmp:
         _check(["hadamard", "verify", "--in", _file(Path(tmp), "h.json", hadamard)])
+
+
+# numeric tokens stay at most 64 and moduli at most 6, so that no run builds
+# a graph or table near the 4096-vertex cap; three draws in four are numbers
+_number = st.one_of(st.integers(-2, 9), st.sampled_from([16, 32, 64])).map(str)
+_junk = st.sampled_from(["", "abc", "2.5", "1/2", "1/0", "-0", " 3", "1e3", "0x10", "٣"])
+_token = st.one_of(_number, _number, _number, _junk)
+_modulus = st.integers(1, 6).map(str)
+_moduli = st.lists(
+    st.one_of(_modulus, _modulus, _modulus, st.integers(-1, 0).map(str), _junk),
+    min_size=1,
+    max_size=3,
+).map(",".join)
+_connection = st.lists(_moduli, max_size=3).map(";".join)
+_kinds = st.sampled_from([
+    "complete", "cycle", "hypercube", "cocktail", "complete-bipartite",
+    "complete-multipartite", "empty", "cayley", "complement", "union", "join",
+    "merge", "product", "nonesuch",
+])
+_actions = st.sampled_from([
+    "verify", "dephase", "classify", "tensor", "character-table", "conference-lift",
+    "nonesuch",
+])
+
+
+@pytest.fixture(scope="module")
+def inputs(tmp_path_factory):
+    """Input files by name: a graph, a matrix, a conference matrix, broken
+    JSON, and a path that does not exist."""
+    directory = tmp_path_factory.mktemp("argv")
+    files = {
+        name: _file(directory, f"{name}.json", content)
+        for name, content in (
+            ("k2", {"n": 2, "edges": [[0, 1]]}),
+            ("f2", {"n": 2, "r": 2, "exps": [[0, 0], [0, 1]]}),
+            ("conference", {"c": [[0, 1], [1, 0]]}),
+            ("broken", "{"),
+        )
+    }
+    files["missing"] = str(directory / "missing.json")
+    return files
+
+
+def _options(draw, inputs, values, usual):
+    """Each option given or left out; --in and --in2 name the usual input
+    file of the command three times in four."""
+    argv = []
+    for option, strategy in values:
+        if draw(st.booleans()):
+            argv += [option, draw(strategy)]
+    for option in ("--in", "--in2"):
+        if draw(st.booleans()):
+            name = draw(st.sampled_from([usual] * 3 + sorted(inputs)))
+            argv += [option, inputs[name]]
+    return argv
+
+
+def _report(draw):
+    return ["--report"] if draw(st.booleans()) else []
+
+
+@_fuzz
+@given(data=st.data())
+def test_graph_make_survives_any_arguments(inputs, data):
+    draw = data.draw
+    argv = [*_report(draw), "graph", "make", draw(_kinds), *draw(st.lists(_token, max_size=3))]
+    argv += _options(draw, inputs, [
+        ("--moduli", _moduli),
+        ("--connection", _connection),
+        ("--w1", _token),
+        ("--w2", _token),
+        ("--kind", st.sampled_from(["direct", "cartesian", "tensor"])),
+    ], "k2")
+    _check(argv, usage_error=True)
+
+
+@_fuzz
+@given(data=st.data())
+def test_hadamard_survives_any_arguments(inputs, data):
+    draw = data.draw
+    argv = [*_report(draw), "hadamard", draw(_actions)]
+    argv += _options(draw, inputs, [("--moduli", _moduli), ("--order", _token)], "f2")
+    _check(argv, usage_error=True)

@@ -1,7 +1,7 @@
 """Differential tests: the table-driven reduction, verify and certify, the
 split cut tables, the integer characteristic polynomial, rational spectrum
 extraction and revival search against the loop kernels kept in
-``oracles``."""
+``oracles``, and the four revival entry points against each other."""
 
 import math
 import random
@@ -24,20 +24,25 @@ from chd import (
     ScaleError,
     WeightedGraph,
     cayley,
+    cayley_fr_conditions,
     certify,
     character_table,
+    check_fr,
     cheeger,
     cocktail_party,
+    complement,
     complete,
     complete_multipartite,
     cycle,
     double,
+    double_cover_fr,
     exact_rational_spectrum,
     find_fr,
     hypercube,
     merge,
     min_edge_density,
     root_of_unity,
+    strongly_cospectral,
     verify,
     walks,
 )
@@ -350,16 +355,22 @@ class TestCharPolyAgainstFractions:
 
 
 @st.composite
-def integral_cayley(draw):
-    """A Cayley graph over Z_r^d (r in {2, 3, 4, 6, 8}, at most 64 vertices)
-    whose connection set is closed under multiplication by the units mod r,
-    so that its spectrum is integral, with its character table."""
+def integral_connections(draw):
+    """A group Z_r^d (r in {2, 3, 4, 6, 8}, at most 64 elements) and a
+    connection set closed under multiplication by the units mod r, so that
+    the Cayley graph's spectrum is integral."""
     r = draw(st.sampled_from([2, 3, 4, 6, 8]))
     d = draw(st.integers(1, {2: 6, 3: 3, 4: 3, 6: 2, 8: 2}[r]))
     group = AbelianGroup((r,) * d)
     units = [k for k in range(1, r) if math.gcd(k, r) == 1]
     picks = draw(st.lists(st.sampled_from(group.elements()[1:]), max_size=4))
-    conn = {tuple(k * x % r for x in el) for el in picks for k in units}
+    return group, sorted({tuple(k * x % r for x in el) for el in picks for k in units})
+
+
+@st.composite
+def integral_cayley(draw):
+    """An integral Cayley graph and its character table."""
+    group, conn = draw(integral_connections())
     return cayley(group, conn), character_table(group.moduli)
 
 
@@ -392,6 +403,57 @@ class TestFindFrAgainstLoop:
         got = _same_revivals(g, h)
         if h.r % 2:
             assert got == []
+
+
+# every time 2pi s/q with q <= 16, each once
+_TAUS = sorted({RationalAngle(s, q) for q in range(1, 17) for s in range(q)}, key=repr)
+
+
+def _forced_phase(lam, sigma, tau):
+    """The gamma that the first minus-eigenvalue mu forces, -2 gamma = tau mu
+    (pi/2 when there is no minus-eigenvalue)."""
+    mu = next((l for s, l in zip(sigma or (), lam) if s == -1), None)
+    return RationalAngle.of_pi(1, 2) if mu is None else RationalAngle(-mu * tau.num, 2 * tau.den)
+
+
+class TestRevivalEntryPointsAgree:
+    """cayley_fr_conditions, check_fr, find_fr and double_cover_fr read sigma
+    and lambda in different ways and must decide revival alike."""
+
+    @settings(max_examples=12, deadline=None)
+    @given(integral_connections())
+    def test_cayley_graphs(self, data):
+        group, conn = data
+        g, h = cayley(group, conn), character_table(group.moduli)
+        spec = certify(g, h)
+        lam, els = spec.integers(), group.elements()
+        found = {(c.b, c.tau): c.gamma for c in find_fr(g, h, spec) if c.a == 0}
+        for b in range(group.order):
+            sigma = strongly_cospectral(h, 0, b)
+            plus_nonzero = any(l for s, l in zip(sigma or (), lam) if s == 1)
+            for tau in _TAUS:
+                gamma = _forced_phase(lam, sigma, tau)
+                revives = cayley_fr_conditions(group, conn, els[0], els[b], tau)
+                assert revives == check_fr(g, h, spec, 0, b, tau, gamma)
+                # pairs whose plus-eigenvalues are all 0 lie past find_fr's
+                # completeness boundary
+                if revives and plus_nonzero:
+                    assert found[b, tau].equals_mod_pi(gamma)
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_double_covers(self, n):
+        h, cp = character_table((2 * n,)), cocktail_party(n)
+        hh = double(h)
+        for g1, g2 in ((cp, complement(cp)), (complement(cp), cp)):
+            cover = merge(g1, g2, 1, 1)
+            spec = certify(cover, hh)
+            lam, sigma = spec.integers(), strongly_cospectral(hh, 0, g1.n)
+            spectra = certify(g1, h), certify(g2, h)
+            for tau in _TAUS:
+                gamma = double_cover_fr(g1, g2, h, spectra, tau)
+                forced = _forced_phase(lam, sigma, tau)
+                assert (gamma is not None) == check_fr(cover, hh, spec, 0, g1.n, tau, forced)
+                assert gamma is None or gamma.equals_mod_pi(forced)
 
 
 def _shifted(gamma):

@@ -8,6 +8,7 @@ import pytest
 
 from chd import (
     AbelianGroup,
+    ChdError,
     ExactnessError,
     RationalAngle,
     adjacency_walk_relation,
@@ -270,6 +271,28 @@ class TestFindFr:
         again = [(c.a, c.b, c.tau.den, c.tau.num) for c in find_fr(g, h, spec)]
         assert once == again
         assert once == sorted(once)
+
+
+class TestMismatchedOrders:
+    """The graph, the matrix and the spectrum must have one order; zip would
+    otherwise stop at the shortest and decide on a part of the spectrum."""
+
+    @pytest.fixture
+    def k2_spectrum(self):
+        return certify(complete(2), sylvester_hadamard(2))
+
+    def test_check_pst_with_a_smaller_spectrum(self, q3, f8, k2_spectrum):
+        # Q3 has no PST between neighbours; the first two columns alone say yes
+        with pytest.raises(ChdError, match="orders must agree"):
+            check_pst(q3, f8, k2_spectrum, 0, 1, pi_over(2))
+
+    def test_find_fr_with_a_smaller_spectrum(self, q3, f8, k2_spectrum):
+        with pytest.raises(ChdError, match="orders must agree"):
+            find_fr(q3, f8, k2_spectrum)
+
+    def test_find_fr_with_a_smaller_graph(self, f8, q3_spectrum):
+        with pytest.raises(ChdError, match="orders must agree"):
+            find_fr(complete(2), f8, q3_spectrum)
 
 
 class TestCayleyFrConditions:
