@@ -394,11 +394,29 @@ def _input_paths(args) -> list[str]:
     return paths
 
 
+# options whose value may start with "-" (a negative element, weight or
+# time); argparse reads such a value as an option unless it is a plain
+# negative number, so "--connection -1;1" is passed on as "--connection=-1;1"
+_SIGNED_OPTIONS = {"--moduli", "--connection", "--w1", "--w2", "--t", "--tau"}
+
+
+def _attach_signed_values(argv: list[str]) -> list[str]:
+    out = []
+    for token in argv:
+        signed = token.startswith("-") and not token.startswith("--")
+        if signed and out and out[-1] in _SIGNED_OPTIONS:
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    argv = list(argv) if argv is not None else sys.argv[1:]
+    args = parser.parse_args(_attach_signed_values(argv))
     args.t0 = time.perf_counter()
-    args.command_echo = list(argv) if argv is not None else sys.argv[1:]
+    args.command_echo = argv
     try:
         payload = args.func(args)
         _emit(payload, args, _input_paths(args))

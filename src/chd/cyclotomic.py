@@ -11,9 +11,11 @@ Reduction is linear, so it is one table per root order: row e of
 ``reduction_table(r)`` holds the coordinates of ``z**e`` in the basis
 ``1, z, ..., z**(phi(r)-1)``, and :func:`reduce` applies it to any batch of
 coefficient vectors.  Every exact equality in the package goes through that
-one product.  It runs in int64 when a bound proves that no partial sum can
-reach 2**62, and on Python integers otherwise.  Root orders are capped at
-``MAX_ORDER``; a table takes 8 r phi(r) bytes, at most 8.3 MB (r = 1021).
+one product.  It runs as a float64 (BLAS) product when a bound proves that
+no partial sum can reach 2**53, where float64 holds every integer exactly,
+in int64 when the bound stays below 2**62, and on Python integers
+otherwise.  Root orders are capped at ``MAX_ORDER``; a table takes
+8 r phi(r) bytes, at most 8.3 MB (r = 1021).
 
 >>> root_of_unity(4, 1) * root_of_unity(4, 3) == CyclotomicInt.integer(4, 1)
 True
@@ -34,6 +36,7 @@ from .errors import ChdError, InternalCheckError, OrderMismatchError, ScaleError
 
 MAX_ORDER = 1024
 INT64_BOUND = 1 << 62
+FLOAT64_BOUND = 1 << 53
 
 
 def check_order(r) -> int:
@@ -124,17 +127,36 @@ def _table_max(r: int) -> int:
     return int(np.abs(reduction_table(r)).max())
 
 
+def product_dtype(weights: np.ndarray, r: int):
+    """The dtype in which :func:`reduce` multiplies these weights by R_r.
+
+    bound = row length x max|weights| x max|R_r| bounds every term and every
+    partial sum, whatever the order of summation.  Below 2**53, where
+    float64 holds every such integer exactly, it is float64 (BLAS); below
+    2**62 int64; past that Python ints (``object``).
+    """
+    largest = max(int(weights.max(initial=0)), -int(weights.min(initial=0)))
+    bound = weights.shape[-1] * largest * _table_max(r)
+    return np.float64 if bound < FLOAT64_BOUND else exact_dtype(bound)
+
+
 def reduce(weights: np.ndarray, r: int, exps=None) -> np.ndarray:
-    """Reduced coordinates of ``sum_s weights[..., s] * z**exps[s]`` (exps
-    defaults to 0..r-1): the product ``weights @ R_r[exps]``, in int64 when
-    row length x max|weights| x max|R_r| < 2**62 and in Python ints
-    otherwise."""
-    table = reduction_table(r)
+    """Reduced coordinates of ``sum_s weights[..., s] * z**exps[s]``: the
+    product ``weights @ R_r[exps % r]``, with exps defaulting to 0..r-1.
+
+    exps may be an s x b block of exponent columns; the result then has
+    shape ``weights.shape[:-1] + (b, phi(r))``, one product for all b.  The
+    product runs in :func:`product_dtype`, and a float64 result is cast back
+    to int64.  Weights already in that dtype are not copied.
+    """
+    dtype = product_dtype(weights, r)
+    table = reduction_table(r).astype(dtype)
     if exps is not None:
-        table = table[exps]
-    bound = weights.shape[-1] * int(np.abs(weights).max(initial=0)) * _table_max(r)
-    dtype = exact_dtype(bound)
-    return weights.astype(dtype, copy=False) @ table.astype(dtype, copy=False)
+        table = np.take(table, exps, axis=0, mode="wrap")
+    out = weights.astype(dtype, copy=False) @ table.reshape(table.shape[0], -1)
+    if dtype is np.float64:
+        out = out.astype(np.int64)
+    return out.reshape(weights.shape[:-1] + table.shape[1:])
 
 
 class CyclotomicInt:

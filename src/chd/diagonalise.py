@@ -14,8 +14,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from .cyclotomic import CyclotomicInt, reduce, reduction_table
+from .cyclotomic import CyclotomicInt, product_dtype, reduce, reduction_table
 from .errors import (
     ChdError,
     ExactnessError,
@@ -48,6 +49,9 @@ __all__ = [
     "catalogue",
     "CatalogueEntry",
 ]
+
+# entries of one block of certify's columns (512 KiB in float64)
+_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -146,20 +150,31 @@ def certify(
     if not h.is_dephased():
         raise PreconditionError("certify requires a dephased matrix; dephase first")
     mat, scale = g.integer_matrix(target)
-    r = h.r
+    n, r = g.n, h.r
+    # row 0 of H is all ones, so lambda_j is row 0 of M h_j:
+    # lam[j] = sum_s M[0, s] z**exps[s, j]
+    lam = np.zeros((n, r), dtype=mat.dtype)
+    nz = np.flatnonzero(mat[0])
+    np.add.at(lam, (np.arange(n), h.exps[nz]), mat[0, nz][:, None])
+    coeffs = lam.tolist()
+    # cast once, not once per block inside reduce
+    weights = mat.astype(product_dtype(mat, r), copy=False)
     entries = []
-    # M h_j against lambda_j h_j, one column at a time so that the working
-    # set stays n x r rather than n x n x phi(r)
-    for e in h.exps.T:
-        lam = np.zeros(r, dtype=mat.dtype)
-        np.add.at(lam, e, mat[0])
-        expected = reduce(lam[(np.arange(r) - e[:, None]) % r], r)
-        if not np.array_equal(reduce(mat, r, e), expected):
+    # M h_j against lambda_j h_j for a block of b columns at a time, with
+    # max(n, r) x b x r entries at most _BLOCK
+    step = max(1, _BLOCK // (max(n, r) * r))
+    for lo in range(0, n, step):
+        e = h.exps[:, lo : lo + step]
+        block = np.concatenate((lam[lo : lo + step],) * 2, axis=1)
+        # row k of rolled[j] is lam[lo + j] rolled by k, z**k lambda_j
+        rolled = sliding_window_view(block, r, axis=1)[:, r:0:-1]
+        shifted = reduce(rolled, r)
+        expected = shifted[np.arange(e.shape[1]), e]
+        if not np.array_equal(reduce(weights, r, e), expected):
             return None
-        # row 0 of H is all ones, so row 0 of `expected` is lambda_j reduced
-        rem = expected[0].tolist()
-        rational = None if any(rem[1:]) else Fraction(rem[0], scale)
-        entries.append(EigenvalueEntry(CyclotomicInt(r, lam), scale, rational))
+        for j, rem in enumerate(shifted[:, 0].tolist(), lo):
+            rational = None if any(rem[1:]) else Fraction(rem[0], scale)
+            entries.append(EigenvalueEntry(CyclotomicInt(r, coeffs[j]), scale, rational))
     return SpectrumAssignment(tuple(entries), target)
 
 

@@ -15,7 +15,7 @@ from itertools import product as iter_product
 
 import numpy as np
 
-from .cyclotomic import check_order, reduce
+from .cyclotomic import check_order, reduce, reduction_table
 from .errors import ChdError, PreconditionError
 from .graphs import check_group_order
 
@@ -34,6 +34,18 @@ __all__ = [
     "sylvester_hadamard",
     "instance_library",
 ]
+
+# verify runs as float64 products while phi(r) is at most this (r in 1-6, 8,
+# 10, 12), and by counting exponent differences past it
+_PRODUCT_MAX_PHI = 4
+# entries of one n phi(r) x b x phi(r) block of verify's products (256 KiB
+# in float64); larger blocks run faster from n = 512 on, but add to the peak
+# memory of every verify of 128 rows or more
+_BLOCK = 1 << 15
+# but at least this many rows a block, so that the products and not the
+# per-block work take the time: a block then holds at most 32 n phi(r)**2
+# entries, 16 MiB at n = 4096 and phi(r) = 4
+_MIN_ROWS = 32
 
 
 def _all_integers(arr: np.ndarray) -> bool:
@@ -119,8 +131,47 @@ def verify(h: ButsonMatrix) -> bool:
     """
     if h._verified is not None:
         return h._verified
+    small = reduction_table(h.r).shape[1] <= _PRODUCT_MAX_PHI
+    ok = _gram_is_diagonal(h) if small else _counts_vanish(h)
+    h._verified = ok
+    return ok
+
+
+def _gram_is_diagonal(h: ButsonMatrix) -> bool:
+    """H H* = n I as float64 products, for small phi(r).
+
+    <h_i, h_k> = sum_c z**exps[i, c] z**-exps[k, c].  Write z**exps[i, c] by
+    its reduced coordinates, row exps[i, c] of R_r; the product of each
+    coordinate z**p with z**-exps[k, c] reduces to row p - exps[k, c] of
+    R_r.  So one ``reduce`` of the first table against the second gives the
+    reduced inner products of a block of rows with a block of rows, and
+    phi(r)**2 n**3 multiply-adds give them all.  R_r's entries are 0 or +-1
+    for these r, so ``reduce``'s bound is n phi(r) and the products run in
+    float64.  Blocks i <= k suffice: <h_k, h_i> is the conjugate of
+    <h_i, h_k>.
+    """
     n, r = h.n, h.r
-    ok = True
+    table = reduction_table(r).astype(np.float64)
+    phi = table.shape[1]
+    coords = np.arange(phi)
+    step = max(_MIN_ROWS, _BLOCK // (n * phi * phi))
+    for lo in range(0, n, step):
+        left = np.take(table, h.exps[lo : lo + step], axis=0).reshape(-1, n * phi)
+        for lo2 in range(lo, n, step):
+            # shift[(c, p), k] = p - exps[k, c]
+            shift = coords[:, None] - h.exps[lo2 : lo2 + step].T[:, None, :]
+            gram = reduce(left, r, shift.reshape(n * phi, -1))
+            if lo2 == lo:
+                diag = np.arange(len(left))
+                gram[diag, diag, 0] -= n
+            if gram.any():
+                return False
+    return True
+
+
+def _counts_vanish(h: ButsonMatrix) -> bool:
+    """H H* = n I by counting exponent differences, for large r."""
+    n, r = h.n, h.r
     # row i against every later row k: the counts of exps[i] - exps[k] mod r
     # are the coefficients of <h_i, h_k>, which must reduce to zero
     for i in range(n - 1):
@@ -128,10 +179,8 @@ def verify(h: ButsonMatrix) -> bool:
         offsets = r * np.arange(n - 1 - i)[:, None]
         counts = np.bincount((diff + offsets).ravel(), minlength=(n - 1 - i) * r)
         if reduce(counts.reshape(n - 1 - i, r), r).any():
-            ok = False
-            break
-    h._verified = ok
-    return ok
+            return False
+    return True
 
 
 def _require_verified(h: ButsonMatrix, what: str) -> None:

@@ -89,6 +89,13 @@ class TestGraphCommands:
         )
         assert out["n"] == 8 and len(out["edges"]) == 12
 
+    def test_values_may_start_with_a_minus_sign(self, run):
+        # "-1;1" is no negative number, so argparse alone takes it for an option
+        c4 = run("graph", "make", "cycle", "4")
+        assert run("graph", "make", "cayley", "--moduli", "4", "--connection", "-1;1") == c4
+        assert run("graph", "make", "cayley", "--moduli", "4", "--connection=-1;1") == c4
+        run("graph", "make", "cayley", "--moduli", "-4,2", "--connection", "1,0", expect=1)
+
     def test_round_trip(self, run, tmp_path, k4_file):
         out = json.loads(run("graph", "make", "complement", "--in", k4_file))
         assert out == {"n": 4, "edges": []}

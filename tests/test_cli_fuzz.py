@@ -1,7 +1,8 @@
 """Fuzzing of the command line: whatever the graph and Hadamard files hold,
 ``certify``, ``density`` and ``hadamard verify`` exit 0 with JSON on stdout
 or 1 with the CLI's JSON error on stderr, and never raise; whatever the
-arguments of ``graph make`` and ``hadamard``, the run also may end in
+arguments of ``graph make``, ``hadamard``, ``walk``, ``fr-search``,
+``pst-check``, ``cheeger`` and ``catalogue``, the run also may end in
 argparse's usage error, exit 2, and nothing else."""
 
 import contextlib
@@ -148,6 +149,8 @@ def inputs(tmp_path_factory):
         for name, content in (
             ("k2", {"n": 2, "edges": [[0, 1]]}),
             ("f2", {"n": 2, "r": 2, "exps": [[0, 0], [0, 1]]}),
+            ("c4", {"n": 4, "edges": [[0, 1], [1, 2], [2, 3], [0, 3]]}),
+            ("z4", {"n": 4, "r": 4, "exps": [[0, 0, 0, 0], [0, 1, 2, 3], [0, 2, 0, 2], [0, 3, 2, 1]]}),
             ("conference", {"c": [[0, 1], [1, 0]]}),
             ("broken", "{"),
         )
@@ -156,15 +159,16 @@ def inputs(tmp_path_factory):
     return files
 
 
-def _options(draw, inputs, values, usual):
-    """Each option given or left out; --in and --in2 name the usual input
-    file of the command three times in four."""
+def _options(draw, inputs, values, files):
+    """Each option given seven times in eight; each file option, given as
+    (option, usual input), names that input three times in four."""
+    given = st.sampled_from([True] * 7 + [False])
     argv = []
     for option, strategy in values:
-        if draw(st.booleans()):
+        if draw(given):
             argv += [option, draw(strategy)]
-    for option in ("--in", "--in2"):
-        if draw(st.booleans()):
+    for option, usual in files:
+        if draw(given):
             name = draw(st.sampled_from([usual] * 3 + sorted(inputs)))
             argv += [option, inputs[name]]
     return argv
@@ -185,7 +189,7 @@ def test_graph_make_survives_any_arguments(inputs, data):
         ("--w1", _token),
         ("--w2", _token),
         ("--kind", st.sampled_from(["direct", "cartesian", "tensor"])),
-    ], "k2")
+    ], [("--in", "k2"), ("--in2", "k2")])
     _check(argv, usage_error=True)
 
 
@@ -194,5 +198,32 @@ def test_graph_make_survives_any_arguments(inputs, data):
 def test_hadamard_survives_any_arguments(inputs, data):
     draw = data.draw
     argv = [*_report(draw), "hadamard", draw(_actions)]
-    argv += _options(draw, inputs, [("--moduli", _moduli), ("--order", _token)], "f2")
+    argv += _options(
+        draw, inputs, [("--moduli", _moduli), ("--order", _token)], [("--in", "f2"), ("--in2", "f2")]
+    )
+    _check(argv, usage_error=True)
+
+
+_times = st.one_of(_token, st.sampled_from(["0.7853", "-0.5", "1e-3", "nan", "inf", "-1e400"]))
+_vertex = st.one_of(st.integers(0, 3).map(str), _token)
+_angles = st.one_of(_token, st.sampled_from(["1/4", "-1/4", "3/8", "1/0", "0.25", "nan"]))
+# each command's value options and file options, with the usual input
+_ANALYSIS = {
+    "walk": ([("--t", _times), ("--from", _vertex)], [("--graph", "c4"), ("--hadamard", "z4")]),
+    "fr-search": ([], [("--graph", "c4"), ("--hadamard", "z4")]),
+    "pst-check": (
+        [("--from", _vertex), ("--to", _vertex), ("--tau", _angles)],
+        [("--graph", "k2"), ("--hadamard", "f2")],
+    ),
+    "cheeger": ([], [("--graph", "c4"), ("--hadamard", "z4")]),
+    "catalogue": ([("--max-n", _token)], []),
+}
+
+
+@_fuzz
+@given(data=st.data())
+def test_analysis_commands_survive_any_arguments(inputs, data):
+    draw = data.draw
+    command = draw(st.sampled_from(sorted(_ANALYSIS)))
+    argv = [*_report(draw), command, *_options(draw, inputs, *_ANALYSIS[command])]
     _check(argv, usage_error=True)

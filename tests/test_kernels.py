@@ -46,10 +46,13 @@ from chd import (
     verify,
     walks,
 )
+from chd import diagonalise, hadamard
 from chd.cyclotomic import (
+    FLOAT64_BOUND,
     INT64_BOUND,
     MAX_ORDER,
     cyclotomic_polynomial,
+    product_dtype,
     reduce,
     reduction_table,
 )
@@ -95,6 +98,22 @@ class TestReductionTable:
             coeffs = [rng.randint(-(2**70), 2**70) for _ in range(r)]
             x = CyclotomicInt(r, coeffs)
             assert x.reduced() == oracles.reduce(coeffs, r)
+
+    @pytest.mark.parametrize("r", [2, 5, 12])
+    @pytest.mark.parametrize("below", [True, False])
+    def test_either_side_of_the_float64_bound(self, r, below):
+        # the largest entry m puts r * m (R_r's entries are 0 or +-1 here)
+        # just below 2**53, a float64 product, or just above, int64; a row
+        # of +-m and -+(m - 1) sums to an odd number near 2**53, which
+        # float64 would round
+        m = (FLOAT64_BOUND - 1) // r if below else FLOAT64_BOUND // r + 1
+        rng = random.Random(r)
+        rows = [[m if k % 2 else 1 - m for k in range(r)], [1 - m if k % 2 else m for k in range(r)]]
+        rows += [[rng.randint(-m, m) for _ in range(r)] for _ in range(20)]
+        weights = np.array(rows, dtype=np.int64)
+        assert product_dtype(weights, r) is (np.float64 if below else np.int64)
+        got = reduce(weights, r)
+        assert [tuple(x) for x in got.tolist()] == [oracles.reduce(row, r) for row in rows]
 
     def test_root_order_cap(self):
         assert reduction_table(MAX_ORDER).shape == (MAX_ORDER, MAX_ORDER // 2)
@@ -179,10 +198,11 @@ class TestCertifyAgainstLoop:
         g = merge(g1, g2, w1, w2)
         assert _same_certificate(g, double(character_table(moduli))) is not None
 
-    @pytest.mark.parametrize("bits", [41, 61])
+    @pytest.mark.parametrize("bits", [41, 49, 61])
     def test_int64_and_object_paths(self, bits):
-        # at 2**41 the weights stay int64; at 2**61 n * max exceeds 2**62,
-        # so storage and reduction switch to Python integers
+        # certify's product of the Laplacian has the bound n * max|L|: below
+        # 2**53 at 2**41 (float64), below 2**62 at 2**49 (int64); at 2**61
+        # n * max exceeds 2**62, so storage and reduction use Python ints
         z44 = AbelianGroup((4, 4))
         g = merge(
             cayley(z44, [(1, 0), (3, 0), (0, 1), (0, 3)]),
@@ -192,17 +212,103 @@ class TestCertifyAgainstLoop:
         )
         assert g.scale == 35
         assert max(g.matrix.flat) > 2**bits
-        assert g.matrix.dtype == (np.int64 if bits == 41 else object)
+        assert g.matrix.dtype == (np.int64 if bits < 61 else object)
+        tier = [np.float64, np.int64, object][[41, 49, 61].index(bits)]
+        assert product_dtype(g.integer_matrix("laplacian")[0], 4) is tier
         spec = _same_certificate(g, double(character_table((4, 4))))
         assert spec is not None
         assert WeightedGraph.from_json(g.to_json()) == g
         assert hash(WeightedGraph.from_json(g.to_json())) == hash(g)
 
 
+def _corrupt_last_column(h):
+    """h with one entry of its last column moved, marked verified so that
+    certify runs on it: every other column is still an eigenvector."""
+    exps = h.exps.copy()
+    exps[-1, -1] = (exps[-1, -1] + 1) % h.r
+    bad = ButsonMatrix(exps, h.r)
+    bad._verified = True
+    return bad
+
+
+class TestBlocks:
+    """certify and verify give the same answers in blocks of 1 and 3 as in
+    one block, and a fault in the last block is caught."""
+
+    PAIRS = [
+        (hypercube(5), character_table((2,) * 5)),
+        (cycle(16), character_table((16,))),
+        (cayley(AbelianGroup((3, 3)), [(1, 0), (2, 0), (1, 1), (2, 2)]), character_table((3, 3))),
+    ]
+
+    @pytest.mark.parametrize("cols", [1, 3])
+    @pytest.mark.parametrize("pair", range(len(PAIRS)))
+    def test_certify(self, monkeypatch, cols, pair):
+        g, h = self.PAIRS[pair]
+        monkeypatch.setattr(diagonalise, "_BLOCK", cols * max(g.n, h.r) * h.r)
+        assert _same_certificate(g, h) is not None
+        for target in ("laplacian", "adjacency"):
+            bad = _corrupt_last_column(h)
+            assert oracles.certify(g, bad, target) is None
+            assert certify(g, bad, target) is None
+
+    @pytest.mark.parametrize("rows", [1, 3])
+    @pytest.mark.parametrize("moduli", [(2,) * 5, (3, 3), (4, 2), (5,), (12,)])
+    def test_verify(self, monkeypatch, rows, moduli):
+        h = character_table(moduli)
+        assert reduction_table(h.r).shape[1] <= hadamard._PRODUCT_MAX_PHI
+        monkeypatch.setattr(hadamard, "_BLOCK", 0)
+        monkeypatch.setattr(hadamard, "_MIN_ROWS", rows)
+        assert verify(ButsonMatrix(h.exps, h.r))
+        for i, j in ((h.n - 1, h.n - 1), (h.n - 2, h.n - 1), (0, h.n - 1), (h.n - 1, None)):
+            exps = h.exps.copy()
+            if j is None:
+                # the last row becomes z times the one before: only that pair
+                # fails, and at r = 4 only in the coordinate of i (n z**-1)
+                exps[i] = exps[i - 1] + 1
+            else:
+                exps[i, j] += 1
+            assert not oracles.verify((exps % h.r).tolist(), h.r)
+            assert not verify(ButsonMatrix(exps, h.r))
+
+
+@st.composite
+def large_cayley_pairs(draw):
+    """A Cayley graph of 64 to 256 vertices and its character table."""
+    moduli = draw(
+        st.sampled_from(
+            [(2,) * 8, (4,) * 4, (2,) * 6, (8, 8), (3,) * 5, (16, 16), (32, 8), (64, 4), (256,), (100,)]
+        )
+    )
+    group = AbelianGroup(moduli)
+    return cayley(group, _connection(draw, group)), character_table(moduli)
+
+
+class TestCertifyAgainstEigensolver:
+    """Past the loop oracle's reach: the certified spectrum of a Cayley graph
+    is the float eigensolver's, eigenvalue by eigenvalue."""
+
+    @settings(max_examples=20, deadline=None)
+    @given(large_cayley_pairs())
+    def test_cayley_graphs(self, pair):
+        g, h = pair
+        spec = certify(g, h)
+        assert spec is not None
+        got = np.sort(np.array([e.to_complex() for e in spec.entries]))
+        assert np.abs(got.imag).max() < 1e-9
+        want = np.linalg.eigvalsh(g.laplacian_float())
+        assert np.allclose(np.sort(got.real), want, atol=1e-8)
+
+
 @st.composite
 def corrupted_tables(draw):
     moduli = draw(
-        st.sampled_from([(2, 2, 2), (4,), (6,), (3, 3), (8,), (2, 4), (5,), (12,)])
+        # phi(r) <= 4 (float64 products) and past it (difference counts), the
+        # last three of each at n >= 64
+        st.sampled_from([
+            (2, 2, 2), (4,), (6,), (3, 3), (8,), (2, 4), (5,), (12,), (2,) * 6, (4, 4, 4), (8, 8),
+            (7,), (16,), (9,), (16, 4), (7, 7, 2), (32, 2),
+        ])
     )
     h = character_table(moduli)
     exps = h.exps.copy()
