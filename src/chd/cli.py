@@ -46,6 +46,18 @@ def _load_hadamard(path: str) -> hadamard.ButsonMatrix:
     return hadamard.ButsonMatrix.from_json(_load_json(path))
 
 
+def _certified(args):
+    """The graph and matrix the command names, with the spectrum that
+    ``certify`` assigns; a matrix that does not diagonalise the graph is an
+    error, and one that is not dephased is refused by ``certify``."""
+    g = _load_graph(args.graph)
+    h = _load_hadamard(args.hadamard)
+    spectrum = diagonalise.certify(g, h)
+    if spectrum is None:
+        raise ChdError("the supplied matrix does not diagonalise the graph")
+    return g, h, spectrum
+
+
 def _need(value, option: str):
     """The value of an option that the chosen command requires."""
     if value is None:
@@ -212,10 +224,8 @@ def _cmd_cheeger(args) -> dict:
     h_val, witness = spectral.cheeger(g)
     payload = {"h": str(h_val), "witness": witness.to_json()}
     if args.hadamard:
-        h = _load_hadamard(args.hadamard)
-        spectrum = diagonalise.certify(g, h)
-        if spectrum is None:
-            raise ChdError("the supplied matrix does not diagonalise the graph")
+        # cheeger refused any graph past 24 vertices, so reading it again is cheap
+        g, h, spectrum = _certified(args)
         d = diagonalise.regularity_check(g)
         gamma2 = spectrum.second_smallest() / d
         payload["gamma2"] = str(gamma2)
@@ -230,11 +240,7 @@ def _cmd_density(args) -> dict:
 
 
 def _cmd_walk(args) -> dict:
-    g = _load_graph(args.graph)
-    h = _load_hadamard(args.hadamard)
-    spectrum = diagonalise.certify(g, h)
-    if spectrum is None:
-        raise ChdError("the supplied matrix does not diagonalise the graph")
+    g, h, spectrum = _certified(args)
     if not 0 <= args.source < g.n:
         raise ChdError(f"vertex {args.source} is out of range for n={g.n}")
     u = walks.evolve(g, h, spectrum, args.t)
@@ -247,27 +253,14 @@ def _cmd_walk(args) -> dict:
 
 
 def _cmd_fr_search(args) -> dict:
-    g = _load_graph(args.graph)
-    h = _load_hadamard(args.hadamard)
-    if not h.is_dephased():
-        h = hadamard.dephase(h)
-    spectrum = diagonalise.certify(g, h)
-    if spectrum is None:
-        raise ChdError("the supplied matrix does not diagonalise the graph")
-    certs = walks.find_fr(g, h, spectrum)
+    certs = walks.find_fr(*_certified(args))
     return {"certificates": [c.to_json() for c in certs]}
 
 
 def _cmd_pst_check(args) -> dict:
-    g = _load_graph(args.graph)
-    h = _load_hadamard(args.hadamard)
-    if not h.is_dephased():
-        h = hadamard.dephase(h)
-    spectrum = diagonalise.certify(g, h)
-    if spectrum is None:
-        raise ChdError("the supplied matrix does not diagonalise the graph")
+    certified = _certified(args)
     tau = _angle(args.tau)
-    ok = walks.check_pst(g, h, spectrum, args.source, args.target, tau)
+    ok = walks.check_pst(*certified, args.source, args.target, tau)
     return {
         "pst": ok,
         "from": args.source,
@@ -277,16 +270,19 @@ def _cmd_pst_check(args) -> dict:
 
 
 def _cmd_theorems(args) -> dict:
-    g = _load_graph(args.graph)
-    h = _load_hadamard(args.hadamard)
-    spectrum = diagonalise.certify(g, h)
-    if spectrum is None:
-        raise ChdError("the supplied matrix does not diagonalise the graph")
-    return {"theorem_checks": diagonalise.theorem_checks(g, h, spectrum).to_json()}
+    return {"theorem_checks": diagonalise.theorem_checks(*_certified(args)).to_json()}
+
+
+class _Parser(argparse.ArgumentParser):
+    """A parser that takes only full option names, as do its subparsers (of
+    the same class), so that _SIGNED_OPTIONS names every accepted spelling."""
+
+    def __init__(self, **kwargs) -> None:
+        super().__init__(allow_abbrev=False, **kwargs)
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="chd",
         description="Exact toolkit for Hadamard-diagonalisable graphs "
         "and their quantum walks.",

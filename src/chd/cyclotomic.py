@@ -54,7 +54,9 @@ def exact_dtype(bound: int):
     return np.int64 if bound < INT64_BOUND else object
 
 
-def _primes(r: int) -> list[int]:
+def prime_factors(r: int) -> list[int]:
+    """The distinct prime factors of r in increasing order; r is prime iff
+    this is [r]."""
     out, p = [], 2
     while p * p <= r:
         if r % p == 0:
@@ -82,7 +84,7 @@ def cyclotomic_polynomial(r: int) -> tuple[int, ...]:
     r = check_order(r)
     if r == 1:
         return (-1, 1)
-    primes = _primes(r)
+    primes = prime_factors(r)
     m = r
     for p in primes:
         m = m // p * (p - 1)

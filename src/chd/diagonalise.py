@@ -16,7 +16,7 @@ from fractions import Fraction
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .cyclotomic import CyclotomicInt, product_dtype, reduce, reduction_table
+from .cyclotomic import CyclotomicInt, prime_factors, product_dtype, reduce
 from .errors import (
     ChdError,
     ExactnessError,
@@ -193,16 +193,38 @@ class EquitablePartition:
         return len(self.cells)
 
 
-def _verified_quotient(g: WeightedGraph, cells) -> tuple[tuple[Fraction, ...], ...]:
-    """Compute the adjacency-level quotient matrix, checking equitability
-    exactly; raises if some vertex breaks the cell-wise constancy."""
-    p = len(cells)
-    if any(not cell for cell in cells):
-        raise ChdError("equitable partition has an empty cell")
-    member = np.zeros((g.n, p), dtype=np.int64)
-    for i, cell in enumerate(cells):
-        member[list(cell), i] = 1
-    into = g.matrix @ member.astype(g.matrix.dtype)
+def _fractions(row, scale: int) -> tuple[Fraction, ...]:
+    return tuple(Fraction(int(x), scale) for x in row)
+
+
+def _column_cells(h: ButsonMatrix, k: int, m: int) -> np.ndarray:
+    """For each vertex u, the i with H[u, k] = z**(i r / m): the place of
+    the entry among the m-th roots of unity."""
+    if not 0 < k < h.n:
+        raise PreconditionError(f"column {k} is not in 1..{h.n - 1}; column 0 is all ones")
+    scaled = m * h.exps[:, k]
+    if (scaled % h.r).any():
+        raise PreconditionError(
+            f"column {k} contains an entry that is not a {m}-th root of unity"
+        )
+    return scaled // h.r
+
+
+def _equitable(
+    g: WeightedGraph, index: np.ndarray, p: int, lam: Fraction
+) -> EquitablePartition:
+    """The partition whose cell i holds the vertices u with index[u] = i, as
+    a column of eigenvalue lam cuts it, checked exactly: the cells are equal
+    in size, every vertex of a cell sends the same weight into each cell,
+    and the quotient is the one the column predicts, lam/p off the diagonal
+    and d - (p-1) lam/p on it."""
+    if g.n != len(index):
+        raise ChdError(f"order mismatch: graph has {g.n} vertices, matrix {len(index)}")
+    cells = tuple(tuple(np.flatnonzero(index == i).tolist()) for i in range(p))
+    if len({len(c) for c in cells}) != 1:
+        raise InternalCheckError("cells do not have equal sizes")
+    # into[u, i] is the weight from u into cell i
+    into = g.matrix @ (index[:, None] == np.arange(p)).astype(g.matrix.dtype)
     quotient = []
     for i, cell in enumerate(cells):
         row = into[cell[0]]
@@ -214,11 +236,17 @@ def _verified_quotient(g: WeightedGraph, cells) -> tuple[tuple[Fraction, ...], .
                     f"expected {_fractions(row, g.scale)}"
                 )
         quotient.append(_fractions(row, g.scale))
-    return tuple(quotient)
-
-
-def _fractions(row, scale: int) -> tuple[Fraction, ...]:
-    return tuple(Fraction(int(x), scale) for x in row)
+    quotient = tuple(quotient)
+    d = regularity_check(g)
+    off = lam / p
+    expected = tuple(
+        tuple(d - (p - 1) * off if i == j else off for j in range(p)) for i in range(p)
+    )
+    if quotient != expected:
+        raise InternalCheckError(
+            f"quotient {quotient} does not match the predicted {expected}"
+        )
+    return EquitablePartition(cells, quotient)
 
 
 def bipartition_from_column(
@@ -230,41 +258,11 @@ def bipartition_from_column(
     and the quotient is [[d - l/2, l/2], [l/2, d - l/2]] with l the column's
     eigenvalue.
     """
-    if k <= 0:
-        raise PreconditionError("column 0 is the all-ones column; pick k >= 1")
-    n, r = g.n, h.r
-    values = []
-    for u in range(n):
-        e = int(h.exps[u, k])
-        if (4 * e) % r:
-            raise PreconditionError(
-                f"column {k} contains an entry outside {{1, -1, i, -i}}"
-            )
-        values.append((4 * e // r) % 4)
+    index = _column_cells(h, k, 4) // 2
     lam = spectrum.entries[k].rational
     if lam is None:
         raise PreconditionError(f"column {k} has an irrational eigenvalue")
-    plus = tuple(u for u in range(n) if values[u] in (0, 1))
-    minus = tuple(u for u in range(n) if values[u] in (2, 3))
-    if len(plus) != n // 2 or len(minus) != n // 2:
-        raise InternalCheckError("cells are not both of size n/2")
-    quotient = _verified_quotient(g, (plus, minus))
-    d = regularity_check(g)
-    expected = (
-        (d - lam / 2, lam / 2),
-        (lam / 2, d - lam / 2),
-    )
-    if quotient != expected:
-        raise InternalCheckError(
-            f"quotient {quotient} does not match the predicted {expected}"
-        )
-    return EquitablePartition((plus, minus), quotient)
-
-
-def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    return all(p % q for q in range(2, int(p**0.5) + 1))
+    return _equitable(g, index, 2, lam)
 
 
 def p_partition_from_column(
@@ -280,10 +278,9 @@ def p_partition_from_column(
     Cell j collects the vertices where the column equals z**j; the quotient
     has off-diagonal entries l/p and diagonal d - (p-1) l/p.
     """
-    if not _is_prime(p):
+    if prime_factors(p) != [p]:
         raise PreconditionError(f"{p} is not prime")
-    if k <= 0:
-        raise PreconditionError("column 0 is the all-ones column; pick k >= 1")
+    index = _column_cells(h, k, p)
     entry = spectrum.entries[k]
     if not entry.is_integer or entry.rational == 0:
         raise PreconditionError(
@@ -292,30 +289,7 @@ def p_partition_from_column(
     lam = entry.rational
     if int(lam) % p:
         raise PreconditionError(f"eigenvalue {lam} is not divisible by {p}")
-    n, r = g.n, h.r
-    cells: list[list[int]] = [[] for _ in range(p)]
-    for u in range(n):
-        e = int(h.exps[u, k])
-        if (p * e) % r:
-            raise PreconditionError(
-                f"column {k} contains an entry that is not a {p}-th root of unity"
-            )
-        cells[(p * e // r) % p].append(u)
-    if len({len(c) for c in cells}) != 1:
-        raise InternalCheckError("cells do not have equal sizes")
-    cells_t = tuple(tuple(c) for c in cells)
-    quotient = _verified_quotient(g, cells_t)
-    d = regularity_check(g)
-    off = lam / p
-    diag = d - (p - 1) * off
-    expected = tuple(
-        tuple(diag if i == j else off for j in range(p)) for i in range(p)
-    )
-    if quotient != expected:
-        raise InternalCheckError(
-            f"quotient {quotient} does not match the predicted {expected}"
-        )
-    return EquitablePartition(cells_t, quotient)
+    return _equitable(g, index, p, lam)
 
 
 # -- parity / divisibility reports ---------------------------------------
@@ -402,7 +376,7 @@ def theorem_checks(
         TheoremCheck("power-of-two-even-integers", applicable, passed, detail)
     )
 
-    applicable = in_scope and r_min > 2 and _is_prime(r_min)
+    applicable = in_scope and r_min > 2 and prime_factors(r_min) == [r_min]
     passed = None
     detail = f"minimal root order is {r_min}"
     if applicable:
@@ -553,15 +527,13 @@ def _laplacians_of(h: ButsonMatrix) -> tuple[np.ndarray, np.ndarray]:
     it is an integer matrix whose off-diagonal entries are 0 or -1.
     """
     n, r = h.n, h.r
-    table = reduction_table(r)
     ys = (np.arange(1 << (n - 1))[:, None] >> np.arange(n - 1)) & 1
-    lam = np.tensordot(-ys, table[h.exps[1:]], 1)  # (y, column, coordinate)
-    lam[:, :, 0] += ys.sum(axis=1)[:, None]
+    # weights deg(0), -y against the rows of H; row 0 is all ones
+    lam = reduce(np.hstack((ys.sum(axis=1)[:, None], -ys)), r, h.exps)
     lam = lam[~lam[:, :, 1:].any(axis=(1, 2)), :, 0]
     # n L[u, v] = sum_k lambda_k z**(e_uk - e_vk), one product over k
-    diff = (h.exps[:, None, :] - h.exps[None, :, :]) % r
-    basis = table[diff].transpose(2, 0, 1, 3).reshape(n, -1)
-    scaled = (lam @ basis).reshape(len(lam), n, n, -1)
+    diff = h.exps.T[:, :, None] - h.exps.T[:, None, :]
+    scaled = reduce(lam, r, diff.reshape(n, -1)).reshape(len(lam), n, n, -1)
     integral = ~scaled[..., 1:].any(axis=(1, 2, 3))
     integral &= ~(scaled[..., 0] % n).any(axis=(1, 2))
     adj = -scaled[integral, :, :, 0] // n

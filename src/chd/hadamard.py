@@ -11,19 +11,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product as iter_product
 
 import numpy as np
 
-from .cyclotomic import check_order, reduce, reduction_table
+from .cyclotomic import check_order, prime_factors, reduce, reduction_table
 from .errors import ChdError, PreconditionError
-from .graphs import check_group_order
+from .graphs import AbelianGroup
 
 __all__ = [
     "ButsonMatrix",
     "HadamardClass",
     "verify",
     "dephase",
+    "character_rows",
     "character_table",
     "tensor",
     "double",
@@ -202,23 +202,27 @@ def dephase(h: ButsonMatrix) -> ButsonMatrix:
     return out
 
 
+def character_rows(group: AbelianGroup, elements) -> tuple[np.ndarray, int]:
+    """Rows of the character table of the group for these elements, with
+    the root order r = lcm(moduli): entry [i, j] of the rows is the
+    exponent of chi_j(elements[i]) mod r, the characters in the group's
+    row-major order."""
+    r = math.lcm(*group.moduli)
+    weights = np.array([r // m for m in group.moduli], dtype=np.int64)
+    rows = np.array(elements, dtype=np.int64) * weights
+    return rows @ np.array(group.elements(), dtype=np.int64).T % r, r
+
+
 def character_table(moduli) -> ButsonMatrix:
     """Character table of the abelian group Z_m1 x ... x Z_mk.
 
-    Rows index group elements and columns index characters, both in
-    row-major (mixed-radix) order, so the table lines up with the vertex
-    numbering used by Cayley-graph constructions.  The result is dephased
+    Rows index group elements and columns index characters, both in the
+    row-major (mixed-radix) order of ``AbelianGroup``, so the table lines
+    up with the vertex numbering of Cayley graphs.  The result is dephased
     and verified.
     """
-    moduli = tuple(int(m) for m in moduli)
-    if not moduli or any(m < 1 for m in moduli):
-        raise ChdError(f"moduli must be positive integers, got {moduli}")
-    check_group_order(moduli)
-    r = math.lcm(*moduli)
-    elements = np.array(list(iter_product(*(range(m) for m in moduli))), dtype=np.int64)
-    weights = np.array([r // m for m in moduli], dtype=np.int64)
-    exps = (elements * weights[None, :]) @ elements.T % r
-    return ButsonMatrix(exps, r)
+    group = AbelianGroup(moduli)
+    return ButsonMatrix(*character_rows(group, group.elements()))
 
 
 def tensor(h1: ButsonMatrix, h2: ButsonMatrix) -> ButsonMatrix:
@@ -306,7 +310,7 @@ def paley_conference(q: int) -> np.ndarray:
 
     q must be a prime with q = 1 (mod 4).
     """
-    if q < 5 or any(q % p == 0 for p in range(2, int(q**0.5) + 1)) or q % 4 != 1:
+    if q < 5 or prime_factors(q) != [q] or q % 4 != 1:
         raise ChdError(f"need a prime q = 1 (mod 4), got {q}")
     residues = {(x * x) % q for x in range(1, q)}
     chi = [0] * q

@@ -19,7 +19,7 @@ from fractions import Fraction
 import numpy as np
 
 from .cyclotomic import INT64_BOUND
-from .diagonalise import SpectrumAssignment, regularity_check
+from .diagonalise import SpectrumAssignment, bipartition_from_column, regularity_check
 from .errors import ChdError, ExactnessError, PreconditionError, ScaleError
 from .graphs import WeightedGraph
 from .hadamard import ButsonMatrix, classify
@@ -205,25 +205,12 @@ def tightness_check(
     h_val, _ = cheeger(g)
     if h_val != gamma2 / 2:
         return False
-    # witness: vertices where a lambda_2 column is 1 or i
-    k = _second_eigenvalue_column(spectrum)
-    r = h.r
-    plus = []
-    for u in range(g.n):
-        e = 4 * int(h.exps[u, k])
-        if e % r:
-            raise PreconditionError(f"column {k} has an entry outside {{1,-1,i,-i}}")
-        if (e // r) % 4 in (0, 1):
-            plus.append(u)
+    # witness: the cell where a lambda_2 column is 1 or i
+    ks = [k for k, e in enumerate(spectrum.entries) if k > 0 and e.rational == lam2]
+    if not ks:
+        raise ChdError("no column carries the second smallest eigenvalue")
+    plus = bipartition_from_column(g, h, spectrum, ks[0]).cells[0]
     return cheeger_value_of(g, plus) == h_val
-
-
-def _second_eigenvalue_column(spectrum: SpectrumAssignment) -> int:
-    lam2 = spectrum.second_smallest()
-    for k, entry in enumerate(spectrum.entries):
-        if k > 0 and entry.rational == lam2:
-            return k
-    raise ChdError("no column carries the second smallest eigenvalue")
 
 
 def cheeger_inequality_audit(

@@ -28,7 +28,7 @@ from .cyclotomic import reduce
 from .diagonalise import SpectrumAssignment, certify, regularity_check
 from .errors import ChdError, ExactnessError, InternalCheckError, PreconditionError
 from .graphs import AbelianGroup, WeightedGraph, connection_set, merge
-from .hadamard import ButsonMatrix, character_table, double, verify
+from .hadamard import ButsonMatrix, character_rows, double, verify
 
 __all__ = [
     "RationalAngle",
@@ -358,17 +358,16 @@ def cayley_fr_conditions(
     data: lambda_j is the character sum over the connection set (an
     irrational one rules revival out) and sigma is read off the character
     rows of a and b."""
-    conn_idx = [group.index(c) for c in connection_set(group, connection)]
-    table = character_table(group.moduli)
-    table_exps, r = table.exps, table.r
-    # lambda_j = |C| - sum_{c in C} chi_j(c), one coefficient row per j
-    coeffs = np.zeros((group.order, r), dtype=np.int64)
-    coeffs[:, 0] = len(conn_idx)
-    np.add.at(coeffs, (np.arange(group.order)[:, None], table_exps[conn_idx].T), -1)
-    rem = reduce(coeffs, r)
+    conn = list(connection_set(group, connection))
+    rows, r = character_rows(
+        group, [group.identity, *conn, group.normalise(a), group.normalise(b)]
+    )
+    # lambda_j = |C| chi_j(0) - sum_{c in C} chi_j(c)
+    weights = np.array([len(conn)] + [-1] * len(conn), dtype=np.int64)
+    rem = reduce(weights, r, rows[: len(conn) + 1])
     if rem[:, 1:].any():
         return False  # irrational eigenvalue: no revival is possible
-    sigma = _sign_pattern(table_exps[group.index(a)], table_exps[group.index(b)], r)
+    sigma = _sign_pattern(rows[-2], rows[-1], r)
     return _revival_phase(*_split(sigma, rem[:, 0].tolist()), tau.num, tau.den) is not None
 
 

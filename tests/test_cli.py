@@ -96,6 +96,14 @@ class TestGraphCommands:
         assert run("graph", "make", "cayley", "--moduli", "4", "--connection=-1;1") == c4
         run("graph", "make", "cayley", "--moduli", "-4,2", "--connection", "1,0", expect=1)
 
+    @pytest.mark.parametrize("value", ["-1;1", "1;3"])
+    def test_options_take_only_full_names(self, value):
+        # the leading-minus join knows full names only, so an abbreviation
+        # such as --conn for --connection is refused whatever its value
+        with pytest.raises(SystemExit) as exc:
+            main(["graph", "make", "cayley", "--moduli", "4", "--conn", value])
+        assert exc.value.code == 2
+
     def test_round_trip(self, run, tmp_path, k4_file):
         out = json.loads(run("graph", "make", "complement", "--in", k4_file))
         assert out == {"n": 4, "edges": []}
@@ -319,6 +327,8 @@ class TestMalformedInput:
             ("conference_ragged", '{"c": [[0, 1], [1]]}'),
             ("conference_float", '{"c": [[0, 1.9], [1.9, 0]]}'),
             ("conference_bool", '{"c": [[0, true], [true, 0]]}'),
+            # rows (1, 1) and (i, -i): verified, but not dephased
+            ("undephased", '{"n": 2, "r": 4, "exps": [[0, 0], [1, 3]]}'),
             # K_20 with weight 2**57: int64 storage, but the cut tables overflow
             ("heavy_k20", json.dumps({
                 "n": 20,
@@ -434,6 +444,29 @@ class TestMalformedInput:
         assert code == 1
         assert out.out == ""
         assert "error" in json.loads(out.err)
+
+    @pytest.mark.parametrize(
+        "command, extra",
+        [
+            ("certify", ()),
+            ("cheeger", ()),
+            ("walk", ("--t", "0.5", "--from", "0")),
+            ("fr-search", ()),
+            ("pst-check", ("--from", "0", "--to", "1", "--tau", "1/4")),
+            ("theorems", ()),
+        ],
+    )
+    def test_undephased_matrix_refused(self, files, capsys, command, extra):
+        # dephasing this matrix would give one that diagonalises K_2, so a
+        # command that dephased it quietly would print a result
+        argv = [command, "--graph", files["k2"], "--hadamard", files["undephased"], *extra]
+        assert main(argv) == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert json.loads(out.err) == {
+            "error": "certify requires a dephased matrix; dephase first",
+            "type": "PreconditionError",
+        }
 
     @pytest.mark.parametrize(
         "name, message",

@@ -155,6 +155,22 @@ class TestBipartition:
         with pytest.raises(PreconditionError):
             bipartition_from_column(g, h, spec, 1)
 
+    def test_two_cell_p_partition_is_the_bipartition(self, q3, f8, q3_spectrum):
+        for k in range(1, 8):
+            part = bipartition_from_column(q3, f8, q3_spectrum, k)
+            assert part.cells == p_partition_from_column(q3, f8, q3_spectrum, k, 2).cells
+
+    @pytest.mark.parametrize("k", [0, -1, 8])
+    def test_column_out_of_range_rejected(self, q3, f8, q3_spectrum, k):
+        with pytest.raises(PreconditionError, match="column 0 is all ones"):
+            bipartition_from_column(q3, f8, q3_spectrum, k)
+        with pytest.raises(PreconditionError, match="column 0 is all ones"):
+            p_partition_from_column(q3, f8, q3_spectrum, k, 2)
+
+    def test_order_mismatch_rejected(self, k4, f8, q3_spectrum):
+        with pytest.raises(ChdError, match="order mismatch"):
+            bipartition_from_column(k4, f8, q3_spectrum, 1)
+
     def test_quotient_rows_sum_to_degree(self, q3, f8, q3_spectrum):
         d = regularity_check(q3)
         for k in range(1, 8):

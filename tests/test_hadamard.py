@@ -2,8 +2,11 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chd import (
+    AbelianGroup,
     ButsonMatrix,
     ChdError,
     PreconditionError,
@@ -19,6 +22,7 @@ from chd import (
     tensor,
     verify,
 )
+from chd.hadamard import character_rows
 
 
 class TestVerify:
@@ -91,6 +95,15 @@ class TestCharacterTable:
             h = character_table(moduli)
             assert verify(h)
             assert h.is_dephased()
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.lists(st.integers(1, 6), min_size=1, max_size=3), st.data())
+    def test_rows_of_some_elements_are_rows_of_the_table(self, moduli, data):
+        group = AbelianGroup(moduli)
+        picks = data.draw(st.lists(st.integers(0, group.order - 1), min_size=1, max_size=5))
+        rows, r = character_rows(group, [group.elements()[i] for i in picks])
+        table = character_table(moduli)
+        assert r == table.r and np.array_equal(rows, table.exps[picks])
 
 
 class TestTensorAndDouble:
