@@ -132,6 +132,14 @@ def regularity_check(g: WeightedGraph) -> Fraction | None:
     return None
 
 
+def _require_orders(g: WeightedGraph, h: ButsonMatrix, spectrum: SpectrumAssignment) -> None:
+    if not g.n == h.n == spectrum.n:
+        raise ChdError(
+            "order mismatch: graph, matrix and spectrum orders must agree, "
+            f"got {g.n}, {h.n} and {spectrum.n}"
+        )
+
+
 def certify(
     g: WeightedGraph, h: ButsonMatrix, target: str = "laplacian"
 ) -> SpectrumAssignment | None:
@@ -218,8 +226,6 @@ def _equitable(
     in size, every vertex of a cell sends the same weight into each cell,
     and the quotient is the one the column predicts, lam/p off the diagonal
     and d - (p-1) lam/p on it."""
-    if g.n != len(index):
-        raise ChdError(f"order mismatch: graph has {g.n} vertices, matrix {len(index)}")
     cells = tuple(tuple(np.flatnonzero(index == i).tolist()) for i in range(p))
     if len({len(c) for c in cells}) != 1:
         raise InternalCheckError("cells do not have equal sizes")
@@ -258,6 +264,7 @@ def bipartition_from_column(
     and the quotient is [[d - l/2, l/2], [l/2, d - l/2]] with l the column's
     eigenvalue.
     """
+    _require_orders(g, h, spectrum)
     index = _column_cells(h, k, 4) // 2
     lam = spectrum.entries[k].rational
     if lam is None:
@@ -278,6 +285,7 @@ def p_partition_from_column(
     Cell j collects the vertices where the column equals z**j; the quotient
     has off-diagonal entries l/p and diagonal d - (p-1) l/p.
     """
+    _require_orders(g, h, spectrum)
     if prime_factors(p) != [p]:
         raise PreconditionError(f"{p} is not prime")
     index = _column_cells(h, k, p)
@@ -442,11 +450,7 @@ def _isomorphic_masks(a, b) -> bool:
 
 
 def _graph_masks(g: WeightedGraph) -> tuple[int, ...]:
-    masks = [0] * g.n
-    for u, v, _ in g.edges():
-        masks[u] |= 1 << v
-        masks[v] |= 1 << u
-    return tuple(masks)
+    return tuple(((g.matrix != 0) @ (1 << np.arange(g.n))).tolist())
 
 
 @dataclass(frozen=True)
@@ -564,8 +568,9 @@ def catalogue(max_n: int) -> list[CatalogueEntry]:
     and keeps the ones passing the exact even-spectrum and odd-union
     necessary conditions.
 
-    Candidates are keyed by their exact spectrum before the isomorphism
-    test, and each kept representative is certified against its witness.
+    A labelled candidate whose neighbour bit masks were already seen at its
+    order is dropped before any graph is built; the rest are keyed by exact
+    spectrum before the isomorphism test, and each class is certified once.
     """
     if max_n not in (2, 4, 6, 8):
         raise ScaleError(
@@ -574,40 +579,43 @@ def catalogue(max_n: int) -> list[CatalogueEntry]:
     lib = instance_library()
     entries: list[CatalogueEntry] = []
     for n in range(2, max_n + 1, 2):
+        targets = [
+            (name, int(regularity_check(g)), _graph_masks(g))
+            for name, g in _named_targets(n)
+        ]
+        seen: set[tuple[int, ...]] = set()
         classes: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
         for name, h in lib[n]:
             if classify(h).kind not in ("real", "turyn"):
                 continue
             for j in range(n):
                 hj = _dephased_at(h, j)
-                for lam, adj in zip(*_laplacians_of(hj)):
-                    graph = WeightedGraph._from_matrix(adj)
-                    masks = _graph_masks(graph)
+                lams, adjs = _laplacians_of(hj)
+                packed = (adjs @ (1 << np.arange(n))).tolist()
+                for lam, masks, adj in zip(lams, map(tuple, packed), adjs):
+                    if masks in seen:
+                        continue
+                    seen.add(masks)
                     reps = classes.setdefault(tuple(sorted(lam.tolist())), [])
                     if any(_isomorphic_masks(masks, m) for m in reps):
                         continue
                     reps.append(masks)
+                    graph = WeightedGraph._from_matrix(adj)
                     spectrum = certify(graph, hj)
                     if spectrum is None:
                         raise InternalCheckError(
                             f"a graph read off {name} fails its certificate"
                         )
                     hname = name if j == 0 else f"{name}-dephased-at-{j}"
-                    entries.append(_make_entry(n, graph, hname, hj, spectrum))
+                    entries.append(_make_entry(n, graph, masks, hname, hj, spectrum, targets))
     entries.sort(key=lambda e: (e.order, e.degree, e.name))
     return entries
 
 
-def _make_entry(n, graph, hname, h, spectrum) -> CatalogueEntry:
+def _make_entry(n, graph, masks, hname, h, spectrum, targets) -> CatalogueEntry:
     degree = int(regularity_check(graph))
-    gm = _graph_masks(graph)
-    name = None
-    for cand_name, cand in _named_targets(n):
-        if int(regularity_check(cand)) != degree:
-            continue
-        if _isomorphic_masks(gm, _graph_masks(cand)):
-            name = cand_name
-            break
-    if name is None:
-        name = f"order-{n}-degree-{degree}"
+    name = next(
+        (t for t, d, m in targets if d == degree and _isomorphic_masks(masks, m)),
+        f"order-{n}-degree-{degree}",
+    )
     return CatalogueEntry(n, degree, name, graph, hname, h, spectrum)

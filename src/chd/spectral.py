@@ -2,13 +2,14 @@
 
 Everything is exact: weights are scaled to integers, and the cut weight,
 volume and size of every subset of up to 24 vertices come from one split
-product: the vertices form a low and a high block of bits, and each table
-is an outer sum over the two blocks plus one int64 matrix product (see
-``_subset_tables``).  int64 is used only while n * sum(deg) and
-n**2 * scale stay below 2**62, which bounds every entry, numerator and
-denominator; beyond that a ScaleError is raised.  The minimising subset is
-selected by exact rational comparison (floats are used only to shortlist
-candidates, with an exact pass over the shortlist).
+product, scanned in blocks of 2**15 int64 entries (see ``_cut_tables``), so
+a search holds a few blocks, under 5 MiB at 24 vertices, never the
+2**(n-1)-entry tables.  The product's cross term runs on float64 BLAS while
+n * sum(deg) < 2**53 and in int64 above.  The tables are int64, used only
+while n * sum(deg) and n**2 * scale stay below 2**62, which bounds every
+entry, numerator and denominator; beyond that a ScaleError is raised.  The
+minimising subset is selected by exact rational comparison (floats only
+keep a running shortlist, with an exact pass over it).
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .cyclotomic import INT64_BOUND
+from .cyclotomic import FLOAT64_BOUND, INT64_BOUND
 from .diagonalise import SpectrumAssignment, bipartition_from_column, regularity_check
 from .errors import ChdError, ExactnessError, PreconditionError, ScaleError
 from .graphs import WeightedGraph
@@ -34,6 +35,8 @@ __all__ = [
 ]
 
 _MAX_VERTICES = 24
+# int64 entries of one block of the cut tables (256 KiB)
+_BLOCK = 1 << 15
 # n * (largest absolute row sum) below this keeps rounded eigvalsh exact
 _EIGVALSH_BOUND = 2**40
 
@@ -66,27 +69,29 @@ def _bits(k: int) -> np.ndarray:
     return (np.arange(1 << k)[:, None] >> np.arange(k)) & 1
 
 
-def _subset_tables(g: WeightedGraph):
-    """Cut weight, volume and size of every subset S of the first n - 1
+def _cut_tables(g: WeightedGraph):
+    """The total degree and blocks (first mask, cut, vol, size) that hold
+    the cut weight, volume and size of every subset S of the first n - 1
     vertices (so each {S, V - S} pair appears once), indexed by the bit mask
-    of S, with the total degree and the scale.
+    of S.
 
     The n - 1 vertices split into a low block of k bits and a high block.
     With x the indicator of S, cut(S) = vol(S) - x^T A x, and x^T A x is a
     term of each block plus 2 x_hi^T A_hl x_lo, so each table is an outer
-    sum over (high, low) plus one integer product; flattened row-major, its
-    index is the mask.  No entry, nor any numerator or denominator the
-    callers form, exceeds n * sum(deg) or n**2 * scale, so int64 is exact
-    below 2**62 for both; larger weights raise ScaleError.
+    sum over (high, low) plus one product.  A block is a run of about
+    _BLOCK / 2**k high rows, flattened row-major, so its index is the mask
+    less the first.  The product's partial sums are integers in
+    [-sum(deg), sum(deg)], so it runs on float64 BLAS while
+    n * sum(deg) < 2**53 and in int64 above.
     """
     n = g.n
     _require_cap(g)
     if n < 2:
         raise ChdError("need at least two vertices")
-    mat, scale = g.integer_matrix("adjacency")
+    mat = g.matrix  # the adjacency matrix times g.scale
     deg = mat.sum(axis=1)  # exact: the graph keeps n * max weight < 2**62
     total = sum(deg.tolist())
-    if n * total >= INT64_BOUND or n * n * scale >= INT64_BOUND:
+    if n * total >= INT64_BOUND or n * n * g.scale >= INT64_BOUND:
         raise ScaleError("weights this large overflow the int64 cut tables")
     k = (n - 1) // 2
     hi, lo = slice(k, n - 1), slice(0, k)
@@ -95,23 +100,28 @@ def _subset_tables(g: WeightedGraph):
     # cut within each block: vol - x^T A x
     q_hi = vol_hi - ((x_hi @ mat[hi, hi]) * x_hi).sum(axis=1)
     q_lo = vol_lo - ((x_lo @ mat[lo, lo]) * x_lo).sum(axis=1)
-    cut = x_hi @ (mat[hi, lo] @ x_lo.T)
-    cut *= -2
-    cut += q_hi[:, None]
-    cut += q_lo[None, :]
-    vol = vol_hi[:, None] + vol_lo[None, :]
-    size = x_hi.sum(axis=1)[:, None] + x_lo.sum(axis=1)[None, :]
-    return cut.ravel(), vol.ravel(), size.ravel(), total, scale
+    size_hi, size_lo = x_hi.sum(axis=1), x_lo.sum(axis=1)
+    # cut = [x_hi, q_hi, 1] @ [-2 A_hl x_lo^T; 1; q_lo]
+    dtype = np.float64 if n * total < FLOAT64_BOUND else np.int64
+    left = np.column_stack((x_hi, q_hi, np.ones_like(q_hi))).astype(dtype)
+    right = np.vstack((-2 * mat[hi, lo] @ x_lo.T, np.ones_like(q_lo), q_lo)).astype(dtype)
+    rows = max(1, _BLOCK >> k)
+
+    def blocks():
+        for a in range(0, len(x_hi), rows):
+            b = slice(a, a + rows)
+            cut = (left[b] @ right).astype(np.int64, copy=False)
+            vol = vol_hi[b, None] + vol_lo
+            size = size_hi[b, None] + size_lo
+            yield a << k, cut.ravel(), vol.ravel(), size.ravel()
+
+    return total, blocks()
 
 
-def _mask_vertices(mask: int, n: int) -> tuple[int, ...]:
-    return tuple(u for u in range(n) if mask >> u & 1)
-
-
-def _report(g: WeightedGraph, mask: int, cut_scaled: int, scale: int) -> CutReport:
+def _report(g: WeightedGraph, mask: int, cut_scaled: int) -> CutReport:
     n = g.n
-    subset = _mask_vertices(mask, n)
-    cut = Fraction(cut_scaled, scale)
+    subset = tuple(u for u in range(n) if mask >> u & 1)
+    cut = Fraction(cut_scaled, g.scale)
     vol_s = sum((g.degree(u) for u in subset), Fraction(0))
     vol_rest = sum(g.degrees(), Fraction(0)) - vol_s
     k = len(subset)
@@ -123,20 +133,36 @@ def _report(g: WeightedGraph, mask: int, cut_scaled: int, scale: int) -> CutRepo
     return CutReport(subset, cut, cheeger_value, density)
 
 
-def _exact_argmin(numerators, denominators, float_ratios):
-    """Index of the exact minimum of numerators[i]/denominators[i], using the
-    float ratios only to shortlist; ties break to the smallest index."""
-    fmin = float(np.min(float_ratios))
-    tol = 1e-9 * max(1.0, abs(fmin))
-    candidates = np.nonzero(float_ratios <= fmin + tol)[0]
-    best = None
-    best_idx = None
-    for i in candidates:
-        val = Fraction(int(numerators[i]), int(denominators[i]))
-        if best is None or val < best or (val == best and int(i) < best_idx):
-            best = val
-            best_idx = int(i)
-    return best_idx, best
+def _scan_minimum(g: WeightedGraph, blocks, ratio) -> tuple[Fraction, CutReport]:
+    """The exact minimum of num / den over the nonempty masks of the blocks,
+    (num, den) = ratio(cut, vol, size), and its report; ties break to the
+    smallest mask.
+
+    A block keeps the first entry of each distinct (num, den) pair whose
+    float ratio is within 1e-9 max(1, fmin) of the smallest so far.  The
+    ratios are nonnegative, so that threshold only tightens, and the kept
+    entries hold every one within it of the final minimum; those are
+    compared exactly, one Fraction per pair.
+    """
+    fmin, kept = np.inf, []
+    for first, *tables in blocks:
+        skip = int(first == 0)  # mask 0 is the empty set
+        cut, vol, size = (t[skip:] for t in tables)
+        num, den = ratio(cut, vol, size)
+        f = num / den
+        fmin = min(fmin, float(f.min(initial=np.inf)))
+        idx = np.flatnonzero(f <= fmin + 1e-9 * max(1.0, fmin))
+        idx = idx[np.lexsort((den[idx], num[idx]))]  # stable: masks ascend in a run
+        new = np.ones(len(idx), dtype=bool)
+        new[1:] = (num[idx[1:]] != num[idx[:-1]]) | (den[idx[1:]] != den[idx[:-1]])
+        idx = idx[new]
+        kept.append((idx + first + skip, cut[idx], num[idx], den[idx]))
+    masks, cuts, nums, dens = (np.concatenate(c) for c in zip(*kept))
+    sel = nums / dens <= fmin + 1e-9 * max(1.0, fmin)
+    pairs = list(zip(nums[sel].tolist(), dens[sel].tolist()))
+    value = {pair: Fraction(*pair) for pair in set(pairs)}
+    best = min(zip(map(value.get, pairs), masks[sel].tolist(), cuts[sel].tolist()))
+    return best[0], _report(g, *best[1:])
 
 
 def cheeger(g: WeightedGraph) -> tuple[Fraction, CutReport]:
@@ -148,25 +174,21 @@ def cheeger(g: WeightedGraph) -> tuple[Fraction, CutReport]:
     comps = g.components()
     if len(comps) > 1:
         mask = sum(1 << u for u in comps[0])
-        return Fraction(0), _report(g, mask, 0, g.scale)
-    # index 0 is the empty set and the last vertex is never in S, so every
-    # other index is a proper subset; entry i of the slices is mask i + 1
-    cut, vol, _, total, scale = _subset_tables(g)
-    cut, vol = cut[1:], vol[1:]
-    denom = np.minimum(vol, total - vol)
-    best_i, best = _exact_argmin(cut, denom, cut / denom)
-    return best, _report(g, best_i + 1, int(cut[best_i]), scale)
+        return Fraction(0), _report(g, mask, 0)
+    # the last vertex is never in S, so every nonempty mask is a proper subset
+    total, blocks = _cut_tables(g)
+    return _scan_minimum(
+        g, blocks, lambda cut, vol, size: (cut, np.minimum(vol, total - vol))
+    )
 
 
 def min_edge_density(g: WeightedGraph) -> tuple[Fraction, CutReport]:
     """Exact minimum over proper subsets of n * cut(S) / (|S| * |V-S|)."""
-    cut, _, size, _, scale = _subset_tables(g)
-    n = g.n
-    cut, size = cut[1:], size[1:]
-    numer = cut * n
-    denom = size * (n - size) * scale
-    best_i, best = _exact_argmin(numer, denom, numer / denom)
-    return best, _report(g, best_i + 1, int(cut[best_i]), scale)
+    n, scale = g.n, g.scale
+    _, blocks = _cut_tables(g)
+    return _scan_minimum(
+        g, blocks, lambda cut, vol, size: (cut * n, size * (n - size) * scale)
+    )
 
 
 def cheeger_value_of(g: WeightedGraph, subset) -> Fraction:

@@ -25,7 +25,7 @@ from fractions import Fraction
 import numpy as np
 
 from .cyclotomic import reduce
-from .diagonalise import SpectrumAssignment, certify, regularity_check
+from .diagonalise import SpectrumAssignment, _require_orders, certify, regularity_check
 from .errors import ChdError, ExactnessError, InternalCheckError, PreconditionError
 from .graphs import AbelianGroup, WeightedGraph, connection_set, merge
 from .hadamard import ButsonMatrix, character_rows, double, verify
@@ -185,11 +185,6 @@ def evolve(
     (1/n) H exp(-i t Lambda) H*."""
     _require_orders(g, h, spectrum)
     return _unitary(h, np.array(spectrum.floats()), t)
-
-
-def _require_orders(g: WeightedGraph, h: ButsonMatrix, spectrum: SpectrumAssignment) -> None:
-    if not g.n == h.n == spectrum.n:
-        raise ChdError("graph, matrix and spectrum orders must agree")
 
 
 def _half_turn_residues(exps: np.ndarray, r: int) -> np.ndarray:

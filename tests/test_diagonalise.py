@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 from fractions import Fraction
@@ -42,6 +43,8 @@ from chd import (
     tensor,
     theorem_checks,
 )
+from chd import diagonalise
+from chd.cli import main
 from chd.diagonalise import _dephased_at, _graph_masks, _laplacians_of
 from oracles import enumerate_regular_graphs
 
@@ -171,6 +174,12 @@ class TestBipartition:
         with pytest.raises(ChdError, match="order mismatch"):
             bipartition_from_column(k4, f8, q3_spectrum, 1)
 
+    def test_smaller_spectrum_rejected(self, q3, f8):
+        # column 3 lies past the two entries of K_2's spectrum
+        k2_spectrum = certify(complete(2), sylvester_hadamard(2))
+        with pytest.raises(ChdError, match="orders must agree"):
+            bipartition_from_column(q3, f8, k2_spectrum, 3)
+
     def test_quotient_rows_sum_to_degree(self, q3, f8, q3_spectrum):
         d = regularity_check(q3)
         for k in range(1, 8):
@@ -226,6 +235,12 @@ class TestPPartition:
         spec = certify(g, h)
         with pytest.raises(PreconditionError):
             p_partition_from_column(g, h, spec, 1, 5)
+
+    def test_order_mismatch_rejected(self, q3, f8, k4_spectrum):
+        with pytest.raises(ChdError, match="orders must agree"):
+            p_partition_from_column(q3, f8, k4_spectrum, 3, 2)
+        with pytest.raises(ChdError, match="orders must agree"):
+            p_partition_from_column(complete(4), f8, k4_spectrum, 1, 2)
 
     def test_non_prime_rejected(self):
         g = complete(4)
@@ -505,6 +520,23 @@ class TestCatalogue:
                 for e in full
                 if e.order == entry.order
             ), entry.name
+
+    def test_cli_output_is_pinned(self, capsys):
+        assert main(["catalogue", "--max-n", "8"]) == 0
+        digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        assert digest == "51bd64f0c19feec48da46f5481d569a9f9fefb060e3634a34745c567572683ff"
+
+    def test_isomorphism_tests_only_for_new_labellings(self, monkeypatch):
+        # 1344 labelled candidates at orders 2-8 (1280 at order 8) hold 140
+        # distinct labellings; only those meet the isomorphism test, and only
+        # the 18 representatives are named
+        calls = []
+        test = diagonalise._isomorphic_masks
+        monkeypatch.setattr(
+            diagonalise, "_isomorphic_masks", lambda a, b: calls.append(1) or test(a, b)
+        )
+        assert len(catalogue(8)) == 18
+        assert len(calls) == 142
 
     def test_no_float_eigensolver(self, monkeypatch):
         def refuse(*args, **kwargs):

@@ -46,7 +46,7 @@ from chd import (
     verify,
     walks,
 )
-from chd import diagonalise, hadamard
+from chd import diagonalise, hadamard, spectral
 from chd.cyclotomic import (
     FLOAT64_BOUND,
     INT64_BOUND,
@@ -56,7 +56,7 @@ from chd.cyclotomic import (
     reduce,
     reduction_table,
 )
-from chd.spectral import _char_poly, _subset_tables
+from chd.spectral import _char_poly, _cut_tables
 
 ORDERS = range(1, 211)
 
@@ -385,28 +385,77 @@ def _same_minimum(g, kind):
     assert (value, _mask(report.subset)) == oracles.cut_minimum(g, kind)
 
 
+def _tables(g):
+    """The blocks of ``_cut_tables`` joined, checking that each block starts
+    at the mask after the last one."""
+    total, blocks = _cut_tables(g)
+    tables, end = ([], [], []), 0
+    for first, *block in blocks:
+        assert first == end
+        end += len(block[0])
+        for table, part in zip(tables, block):
+            table.extend(part.tolist())
+    return (*tables, total, g.scale)
+
+
 class TestCutTablesAgainstLoop:
     @settings(max_examples=40, deadline=None)
-    @given(cut_graphs())
-    def test_tables(self, g):
-        cut, vol, size, total, scale = _subset_tables(g)
-        want = oracles.subset_tables(g)
-        assert (cut.tolist(), vol.tolist(), size.tolist(), total, scale) == want
+    @given(cut_graphs(), st.sampled_from([1, 8, 1 << 15]))
+    def test_tables(self, g, block):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(spectral, "_BLOCK", block)
+            assert _tables(g) == oracles.subset_tables(g)
 
     @settings(max_examples=40, deadline=None)
-    @given(cut_graphs())
-    def test_min_edge_density(self, g):
+    @given(cut_graphs(), st.sampled_from([1, 2, 8, 1 << 15]))
+    def test_min_edge_density(self, g, block):
+        # blocks of one row each, or of a few rows, against one pass
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(spectral, "_BLOCK", block)
+            _same_minimum(g, "density")
+
+    @settings(max_examples=40, deadline=None)
+    @given(cut_graphs(), st.sampled_from([1, 2, 8, 1 << 15]))
+    def test_cheeger(self, g, block):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(spectral, "_BLOCK", block)
+            if g.is_connected():
+                _same_minimum(g, "cheeger")
+            else:
+                value, report = cheeger(g)
+                assert value == 0 and report.cut_weight == 0
+                assert list(report.subset) == g.components()[0]
+
+    @pytest.mark.parametrize("block", [1, 16, 1 << 15])
+    @pytest.mark.parametrize(
+        "g",
+        [complete(7), complete(12), cycle(9), cycle(12), WeightedGraph.from_edges(11, [])],
+        ids=["K7", "K12", "C9", "C12", "empty-11"],
+    )
+    def test_ties_break_to_the_smallest_mask(self, monkeypatch, g, block):
+        # every subset of K_n has density n, and of the empty graph 0
+        monkeypatch.setattr(spectral, "_BLOCK", block)
         _same_minimum(g, "density")
-
-    @settings(max_examples=40, deadline=None)
-    @given(cut_graphs())
-    def test_cheeger(self, g):
         if g.is_connected():
             _same_minimum(g, "cheeger")
-        else:
-            value, report = cheeger(g)
-            assert value == 0 and report.cut_weight == 0
-            assert list(report.subset) == g.components()[0]
+
+    @pytest.mark.parametrize("below", [True, False])
+    def test_either_side_of_the_float64_bound(self, monkeypatch, below):
+        # odd weights with n * sum(deg) just below 2**53; above it, weights
+        # a * 2**50 + 1, a odd, whose cuts are 2 mod 4 and some past 2**54,
+        # where float64 would round them
+        monkeypatch.setattr(spectral, "_BLOCK", 4)
+        n = 7
+        unit = FLOAT64_BOUND // (n * 14 * 17) if below else 2**50
+        rng = random.Random(n)
+        edges = [(u, (u + 1) % n, (2 * rng.randint(1, 9) - 1) * unit | 1) for u in range(n)]
+        g = WeightedGraph.from_edges(n, edges)
+        total = 2 * sum(w for _, _, w in edges)
+        assert (n * total < FLOAT64_BOUND) is below
+        assert below or total > FLOAT64_BOUND
+        assert _tables(g) == oracles.subset_tables(g)
+        _same_minimum(g, "cheeger")
+        _same_minimum(g, "density")
 
     def test_largest_accepted_weights(self):
         # n * sum(deg) and n**2 * scale each one step below 2**62

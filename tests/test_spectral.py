@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations
 
@@ -268,3 +269,19 @@ class TestDensityBoundsConnectivity:
             density, _ = min_edge_density(g)
             lam2 = sorted(np.linalg.eigvalsh(g.laplacian_float()))[1]
             assert lam2 <= float(density) + 1e-9
+
+
+class TestCutSearchMemory:
+    """The cut search holds a few blocks of its tables at a time, not the
+    2**(n-1)-entry tables themselves (2**19 entries of each on C20)."""
+
+    @pytest.mark.parametrize("search", [cheeger, min_edge_density])
+    def test_traced_peak_on_c20(self, search):
+        g = cycle(20)
+        tracemalloc.start()
+        try:
+            search(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
