@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -474,23 +475,27 @@ class CatalogueEntry:
         }
 
 
-def _named_targets(n: int) -> list[tuple[str, WeightedGraph]]:
+@lru_cache(maxsize=None)
+def _named_targets(n: int) -> tuple[tuple[str, int, tuple[int, ...]], ...]:
+    """(name, degree, neighbour bit masks) of each named graph of order n,
+    built once per order."""
     g = graphmod
+    named = []
     if n == 2:
-        return [("K_2", g.complete(2)), ("K_2^c", g.empty_graph(2))]
-    if n == 4:
-        return [
+        named = [("K_2", g.complete(2)), ("K_2^c", g.empty_graph(2))]
+    elif n == 4:
+        named = [
             ("K_4", g.complete(4)),
             ("C_4", g.cycle(4)),
             ("K_2+K_2", g.graph_union(g.complete(2), g.complete(2))),
             ("K_4^c", g.empty_graph(4)),
         ]
-    if n == 6:
-        return [("K_6", g.complete(6)), ("K_6^c", g.empty_graph(6))]
-    if n == 8:
+    elif n == 6:
+        named = [("K_6", g.complete(6)), ("K_6^c", g.empty_graph(6))]
+    elif n == 8:
         c4c4 = g.graph_union(g.cycle(4), g.cycle(4))
         q3 = g.product(g.complete_bipartite(2, 2), g.complete(2), "cartesian")
-        return [
+        named = [
             ("K_8", g.complete(8)),
             ("K_{2,2,2,2}", g.complete_multipartite((2, 2, 2, 2))),
             ("(C_4+C_4)^c", complement(c4c4)),
@@ -508,7 +513,7 @@ def _named_targets(n: int) -> list[tuple[str, WeightedGraph]]:
                 ),
             ),
         ]
-    return []
+    return tuple((name, int(regularity_check(x)), _graph_masks(x)) for name, x in named)
 
 
 def _dephased_at(h: ButsonMatrix, j: int) -> ButsonMatrix:
@@ -579,10 +584,7 @@ def catalogue(max_n: int) -> list[CatalogueEntry]:
     lib = instance_library()
     entries: list[CatalogueEntry] = []
     for n in range(2, max_n + 1, 2):
-        targets = [
-            (name, int(regularity_check(g)), _graph_masks(g))
-            for name, g in _named_targets(n)
-        ]
+        targets = _named_targets(n)
         seen: set[tuple[int, ...]] = set()
         classes: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
         for name, h in lib[n]:

@@ -6,7 +6,10 @@ the lcm of the weight denominators, so the stored form is canonical.  The
 matrix is int64 when n times its largest entry stays below 2**62, which
 keeps every row sum and Laplacian entry exact, and an array of Python
 integers otherwise.  Fractions appear only at the boundary: ``from_edges``,
-JSON, ``edges()``, ``weight()`` and ``degrees()``.  Vertices of
+JSON, ``edges()``, ``weight()`` and ``degrees()``.  An edge list is
+validated in one bulk pass, by column and by distinct weight, not edge by
+edge; a pair given twice is refused, and when the list fails, the first
+offending edge in its order is the one reported.  Vertices of
 product-style constructions are numbered in row-major mixed-radix order so
 that they line up with the rows of tensor-product Hadamard matrices.
 """
@@ -20,7 +23,7 @@ from itertools import product as iter_product, repeat
 import numpy as np
 
 from .cyclotomic import exact_dtype
-from .errors import ChdError, ScaleError, SimplicityError
+from .errors import ChdError, InternalCheckError, ScaleError, SimplicityError
 
 __all__ = [
     "WeightedGraph",
@@ -64,6 +67,71 @@ def _as_fraction(x) -> Fraction:
         except (ValueError, ZeroDivisionError):
             pass
     raise ChdError(f"cannot interpret {x!r} as an exact rational weight")
+
+
+def _all_integers(items) -> bool:
+    """Whether every item is an integer, checked once per distinct type: a
+    float or bool is refused, not truncated."""
+    return all(
+        issubclass(t, (int, np.integer)) and t is not bool for t in set(map(type, items))
+    )
+
+
+def _edge_fault(item, n: int, seen: set) -> ChdError | None:
+    """What is wrong with one edge, by the rules in their order: shape,
+    weight, vertex type, range, loop, and a pair in ``seen``, the pairs of
+    the edges before it."""
+    if not isinstance(item, (list, tuple)) or len(item) not in (2, 3):
+        return ChdError(f"edge {item!r} is not [u, v] or [u, v, weight]")
+    u, v = item[:2]
+    if len(item) == 3:
+        try:
+            _as_fraction(item[2])
+        except ChdError as err:
+            return err
+    if not (_is_int(u) and _is_int(v)):
+        return ChdError(f"edge ({u!r}, {v!r}) has a vertex that is not an integer")
+    if not (0 <= u < n and 0 <= v < n):
+        return ChdError(f"edge ({u}, {v}) out of range for n={n}")
+    if u == v:
+        return SimplicityError(f"loop at vertex {u}")
+    if (min(u, v), max(u, v)) in seen:
+        return SimplicityError(f"duplicate edge ({u}, {v})")
+    seen.add((min(u, v), max(u, v)))
+    return None
+
+
+def _edge_columns(edges: list, n: int):
+    """(us, vs, keys, weights) of an edge list that breaks no rule of
+    ``_edge_fault``, else None, checked once per column or distinct value:
+    the vertex columns as int64 arrays, each edge's weight key, and the
+    weight of each key.  A key is a weight's type and value, so that True
+    is never taken for 1."""
+    if not all(issubclass(t, (list, tuple)) for t in set(map(type, edges))):
+        return None
+    lengths = set(map(len, edges))
+    if not lengths <= {2, 3}:
+        return None
+    us, vs, *ws = zip(*edges) if edges else ((), ())
+    ws = ws[0] if lengths == {3} else [item[2] if len(item) == 3 else 1 for item in edges]
+    keys = list(zip(map(type, ws), ws))
+    try:
+        weights = {k: _as_fraction(k[1]) for k in set(keys)}
+    except (ChdError, TypeError):  # TypeError: an unhashable weight
+        return None
+    if not _all_integers(us + vs):
+        return None
+    try:
+        us, vs = np.array(us, dtype=np.int64), np.array(vs, dtype=np.int64)
+    except OverflowError:  # a vertex past int64, so out of range
+        return None
+    lo, hi = np.minimum(us, vs), np.maximum(us, vs)
+    if (lo < 0).any() or (hi >= n).any() or (lo == hi).any():
+        return None
+    # a repeated pair, in either orientation, is a repeated key lo * n + hi
+    if (np.diff(np.sort(lo * n + hi)) == 0).any():
+        return None
+    return us, vs, keys, weights
 
 
 def _maxabs(a: np.ndarray) -> int:
@@ -139,27 +207,25 @@ class WeightedGraph:
 
     @classmethod
     def from_edges(cls, n: int, edges) -> "WeightedGraph":
+        """The graph on n vertices with these edges, each [u, v] (weight 1)
+        or [u, v, weight]; a pair given twice, in either orientation, is
+        refused whatever its weights.  The list is checked in one bulk pass;
+        if it fails, the first edge in the list's order that breaks a rule
+        is named by ``_edge_fault``."""
         _check_order(n)
-        weights: dict[tuple[int, int], Fraction] = {}
-        for item in edges:
-            if not isinstance(item, (list, tuple)) or len(item) not in (2, 3):
-                raise ChdError(f"edge {item!r} is not [u, v] or [u, v, weight]")
-            u, v = item[:2]
-            weight = _as_fraction(item[2]) if len(item) == 3 else Fraction(1)
-            if not (_is_int(u) and _is_int(v)):
-                raise ChdError(f"edge ({u!r}, {v!r}) has a vertex that is not an integer")
-            if not (0 <= u < n and 0 <= v < n):
-                raise ChdError(f"edge ({u}, {v}) out of range for n={n}")
-            if u == v:
-                raise SimplicityError(f"loop at vertex {u}")
-            if weights.get((u, v), 0) != 0:
-                raise SimplicityError(f"duplicate edge ({u}, {v})")
-            weights[u, v] = weights[v, u] = weight
+        edges = list(edges)
+        columns = _edge_columns(edges, n)
+        if columns is None:
+            seen = set()
+            for item in edges:
+                if fault := _edge_fault(item, n, seen):
+                    raise fault
+            raise InternalCheckError("the bulk edge check refused edges that break no rule")
+        us, vs, keys, weights = columns
         scale = math.lcm(1, *(w.denominator for w in weights.values()))
-        ints = [w.numerator * (scale // w.denominator) for w in weights.values()]
-        mat = np.zeros((n, n), dtype=exact_dtype(n * max(map(abs, ints), default=0)))
-        if weights:
-            mat[tuple(np.array(list(weights)).T)] = ints
+        ints = {k: w.numerator * (scale // w.denominator) for k, w in weights.items()}
+        mat = np.zeros((n, n), dtype=exact_dtype(n * max(map(abs, ints.values()), default=0)))
+        mat[us, vs] = mat[vs, us] = [ints[k] for k in keys]
         return cls._from_matrix(mat, scale)
 
     # -- matrices -------------------------------------------------------
@@ -182,11 +248,8 @@ class WeightedGraph:
             return self.matrix, self.scale
         return np.diag(self.matrix.sum(axis=1)) - self.matrix, self.scale
 
-    def adjacency_float(self) -> np.ndarray:
-        return (self.matrix.astype(object) / self.scale).astype(float)
-
     def laplacian_float(self) -> np.ndarray:
-        a = self.adjacency_float()
+        a = (self.matrix.astype(object) / self.scale).astype(float)
         return np.diag(a.sum(axis=1)) - a
 
     # -- structure ------------------------------------------------------

@@ -11,12 +11,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
 from .cyclotomic import check_order, prime_factors, reduce, reduction_table
 from .errors import ChdError, PreconditionError
-from .graphs import AbelianGroup
+from .graphs import AbelianGroup, _all_integers
 
 __all__ = [
     "ButsonMatrix",
@@ -48,12 +49,25 @@ _BLOCK = 1 << 15
 _MIN_ROWS = 32
 
 
-def _all_integers(arr: np.ndarray) -> bool:
-    """Whether every entry of an object array is an integer: a float or bool
-    entry is refused, not truncated."""
-    return all(
-        issubclass(t, (int, np.integer)) and t is not bool for t in set(map(type, arr.flat))
-    )
+def _exponent_table(rows) -> np.ndarray:
+    """An exponent table given as n rows of n integers, the rows lists or
+    tuples (an array is read through ``tolist``): checked once per distinct
+    entry type and read in one pass into int64, or kept as Python integers
+    past int64.  Anything else is refused with the shape numpy gives it, or
+    as not integers."""
+    if isinstance(rows, np.ndarray):
+        rows = rows.tolist()
+    n = len(rows) if isinstance(rows, (list, tuple)) else 0
+    square = n and all(isinstance(row, (list, tuple)) and len(row) == n for row in rows)
+    if square and _all_integers(chain.from_iterable(rows)):
+        try:
+            return np.fromiter(chain.from_iterable(rows), np.int64, n * n).reshape(n, n)
+        except OverflowError:
+            return np.array(rows, dtype=object)
+    shape = np.array(rows, dtype=object).shape
+    if len(shape) == 2 and shape[0] == shape[1]:
+        raise ChdError("exponents must be integers")
+    raise ChdError(f"exponent table must be square, got shape {shape}")
 
 
 class ButsonMatrix:
@@ -63,13 +77,13 @@ class ButsonMatrix:
 
     def __init__(self, exps, r: int) -> None:
         r = check_order(r)
-        integral = isinstance(exps, np.ndarray) and exps.dtype.kind in "iu"
-        arr = exps if integral else np.array(exps, dtype=object)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-            raise ChdError(f"exponent table must be square, got shape {arr.shape}")
-        if not integral and not _all_integers(arr):
-            raise ChdError("exponents must be integers")
-        arr = (arr % r).astype(np.int64)
+        if not (isinstance(exps, np.ndarray) and exps.dtype.kind in "iu"):
+            exps = _exponent_table(exps)
+        if exps.ndim != 2 or exps.shape[0] != exps.shape[1]:
+            raise ChdError(f"exponent table must be square, got shape {exps.shape}")
+        if exps.dtype == object or exps.size and not 0 <= exps.min() <= exps.max() < r:
+            exps = exps % r
+        arr = exps.astype(np.int64)
         arr.setflags(write=False)
         self.exps = arr
         self.r = r
@@ -285,7 +299,7 @@ def conference_lift(c) -> ButsonMatrix:
     c = np.array(c, dtype=object)
     if c.ndim != 2 or c.shape[0] != c.shape[1]:
         raise PreconditionError("conference matrix must be square")
-    if not _all_integers(c):
+    if not _all_integers(c.flat):
         raise PreconditionError("conference matrix entries must be integers")
     n = c.shape[0]
     if np.diag(c).any():

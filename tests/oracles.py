@@ -1,9 +1,13 @@
-"""Reference kernels kept as test oracles: the loop forms of cyclotomic
-reduction, Hadamard verification, certification, cut enumeration, the
-characteristic polynomial, rational root extraction and revival search
-that the table-driven kernels in ``chd`` replaced, and the labelled
-regular-graph enumeration that the small-graph catalogue replaced.  They
-share no code with those kernels: Phi_r comes from recursive long
+"""Reference kernels kept as test oracles: the per-edge graph loader and
+the object-array exponent table that the bulk loaders replaced, the loop
+forms of cyclotomic reduction, Hadamard verification, certification, cut
+enumeration, the characteristic polynomial, rational root extraction and
+revival search that the table-driven kernels in ``chd`` replaced, and the
+labelled regular-graph enumeration that the small-graph catalogue
+replaced.  They share no code with those kernels: the graph loader checks
+and stores one edge at a time and builds the graph from its dense
+Fraction matrix (only the vertex-count check is shared), the exponent
+table goes through a numpy object array, Phi_r comes from recursive long
 division, reduction is long division by Phi_r, the integer matrix is
 rebuilt from the graph's Fraction edges, the cut tables are one pass per
 edge on Python integers, the characteristic polynomial is computed in
@@ -23,8 +27,59 @@ from itertools import combinations
 
 import numpy as np
 
-from chd import ScaleError, WeightedGraph
+from chd import ChdError, ScaleError, SimplicityError, WeightedGraph
+from chd.graphs import _check_order
 from chd.walks import FRCertificate, RationalAngle
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
+def _as_fraction(x) -> Fraction:
+    if isinstance(x, Fraction):
+        return x
+    if _is_int(x):
+        return Fraction(int(x))
+    if isinstance(x, str):
+        try:
+            return Fraction(x)
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise ChdError(f"cannot interpret {x!r} as an exact rational weight")
+
+
+def graph_from_edges(n, edges) -> WeightedGraph:
+    """One Python step per edge, in order: shape, weight, vertex type,
+    range, loop, and any pair seen before in either orientation."""
+    _check_order(n)
+    weights: dict[tuple[int, int], Fraction] = {}
+    for item in edges:
+        if not isinstance(item, (list, tuple)) or len(item) not in (2, 3):
+            raise ChdError(f"edge {item!r} is not [u, v] or [u, v, weight]")
+        u, v = item[:2]
+        weight = _as_fraction(item[2]) if len(item) == 3 else Fraction(1)
+        if not (_is_int(u) and _is_int(v)):
+            raise ChdError(f"edge ({u!r}, {v!r}) has a vertex that is not an integer")
+        if not (0 <= u < n and 0 <= v < n):
+            raise ChdError(f"edge ({u}, {v}) out of range for n={n}")
+        if u == v:
+            raise SimplicityError(f"loop at vertex {u}")
+        if (u, v) in weights:
+            raise SimplicityError(f"duplicate edge ({u}, {v})")
+        weights[u, v] = weights[v, u] = weight
+    return WeightedGraph([[weights.get((u, v), 0) for v in range(n)] for u in range(n)])
+
+
+def exponent_table(exps, r: int) -> np.ndarray:
+    """The exponents mod r as an object array reads them: numpy's shape
+    must be square and every entry an integer."""
+    arr = np.array(exps, dtype=object)
+    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+        raise ChdError(f"exponent table must be square, got shape {arr.shape}")
+    if not all(_is_int(e) for e in arr.flat):
+        raise ChdError("exponents must be integers")
+    return (arr % r).astype(np.int64)
 
 
 def _exact_polydiv(num: list[int], den: list[int]) -> list[int]:

@@ -317,6 +317,8 @@ class TestMalformedInput:
             ("bare_edge", '{"n": 2, "edges": [5]}'),
             ("zero_denominator", '{"n": 2, "edges": [[0, 1, "1/0"]]}'),
             ("word_weight", '{"n": 2, "edges": [[0, 1, "abc"]]}'),
+            # refused whatever the first weight was, not summed or overwritten
+            ("repeated_pair", '{"n": 2, "edges": [[0, 1, "0"], [0, 1, "1"]]}'),
             ("string_n", '{"n": "2", "edges": [[0, 1]]}'),
             ("huge_n", '{"n": 100000, "edges": []}'),
             ("hadamard_scalar", "5"),
@@ -366,6 +368,7 @@ class TestMalformedInput:
             ("density", "--graph", "{bare_edge}"),
             ("density", "--graph", "{zero_denominator}"),
             ("density", "--graph", "{word_weight}"),
+            ("density", "--graph", "{repeated_pair}"),
             ("density", "--graph", "{string_n}"),
             ("density", "--graph", "{huge_n}"),
             ("cheeger", "--graph", "{heavy_k20}"),
@@ -410,6 +413,7 @@ class TestMalformedInput:
             "bare-edge",
             "zero-denominator-weight",
             "word-weight",
+            "repeated-pair",
             "string-vertex-count",
             "vertex-count-cap",
             "cheeger-cut-overflow",

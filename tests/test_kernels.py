@@ -1,7 +1,8 @@
-"""Differential tests: the table-driven reduction, verify and certify, the
-split cut tables, the integer characteristic polynomial, rational spectrum
-extraction and revival search against the loop kernels kept in
-``oracles``, and the four revival entry points against each other."""
+"""Differential tests: the bulk graph and exponent-table loaders, the
+table-driven reduction, verify and certify, the split cut tables, the
+integer characteristic polynomial, rational spectrum extraction and
+revival search against the loop kernels kept in ``oracles``, and the four
+revival entry points against each other."""
 
 import math
 import random
@@ -22,6 +23,7 @@ from chd import (
     InternalCheckError,
     RationalAngle,
     ScaleError,
+    SimplicityError,
     WeightedGraph,
     cayley,
     cayley_fr_conditions,
@@ -359,6 +361,176 @@ class TestWeightValidation:
         assert a == b and hash(a) == hash(b)
         assert a.scale == 2 and a.matrix.tolist() == [[0, 1, 0], [1, 0, 2], [0, 2, 0]]
         assert [w for _, _, w in a.edges()] == [Fraction(1, 2), Fraction(1)]
+
+
+def _outcome(load, *args):
+    """What a loader makes of its input: the stored arrays, or the type and
+    text of what it raised."""
+    try:
+        out = load(*args)
+    except Exception as err:
+        return type(err), str(err)
+    if isinstance(out, WeightedGraph):
+        return out.matrix.dtype, out.matrix.tolist(), out.scale
+    return out.dtype, out.tolist()
+
+
+_HUGE = [2**70, -(2**70)]
+# mostly well-formed edges, so that accepted lists, repeats and each
+# malformed kind all turn up; an item is malformed about one time in eight
+_pairs = st.sampled_from([(u, v) for u in range(6) for v in range(6) if u != v])
+_odd_vertices = st.sampled_from(
+    [-1, 5, np.int64(5), np.int64(-1), *_HUGE, True, False, 0.0, 1.5, "1", None]
+)
+_good_weights = st.one_of(
+    st.integers(0, 3),
+    st.integers(0, 3).map(np.int64),
+    st.fractions(min_value=0, max_value=3, max_denominator=6),
+    st.fractions(min_value=0, max_value=3, max_denominator=6).map(str),
+)
+_odd_weights = st.sampled_from(
+    ["-1", " 2/4 ", "1/0", "abc", "1.5", True, False, 1.0, None, [1], {"w": 1}, 2**70]
+)
+_odd_items = st.sampled_from([5, "01", None, [0], [0, 1, "1", 2], {"u": 0, "v": 1}, ()])
+
+
+@st.composite
+def _edge(draw):
+    u, v = draw(_pairs)
+    kind = draw(st.sampled_from(["pair", "weighted"] * 7 + ["vertex", "weight", "item", "loop"]))
+    if kind == "vertex":
+        u = draw(_odd_vertices)
+    elif kind == "loop":
+        v = u
+    elif kind == "item":
+        return draw(_odd_items)
+    if kind == "pair":
+        return [u, v] if draw(st.booleans()) else (u, v)
+    weight = draw(_odd_weights if kind == "weight" else _good_weights)
+    return [u, v, weight]
+
+
+_edges = st.lists(_edge(), max_size=6)
+# the container an edge list comes in; a generator is made afresh per load
+_containers = st.sampled_from([list, tuple, iter])
+
+_entries = st.one_of(
+    st.integers(-3, 9),
+    st.integers(-3, 9).map(np.int64),
+    st.integers(0, 9).map(np.int32),
+    st.sampled_from([*_HUGE, 2**63 - 1, -(2**63), 2**63, True, False, 1.0, 1.6,
+                     np.float64(1.0), np.True_, "1", None, [1]]),
+)
+
+
+@st.composite
+def exponent_tables(draw):
+    """Square tables of lists or tuples, with ragged, empty, deeper and
+    non-list tables among them."""
+    n = draw(st.integers(1, 4))
+    rows = [draw(st.lists(_entries, min_size=n, max_size=n)) for _ in range(n)]
+    kind = draw(st.sampled_from(["lists"] * 6 + ["tuples", "ragged", "deep", "other"]))
+    if kind == "tuples":
+        return tuple(map(tuple, rows))
+    if kind == "ragged":
+        return rows[:-1] + [rows[-1] + draw(st.lists(_entries, min_size=1, max_size=2))]
+    if kind == "deep":
+        return [[[e] for e in row] for row in rows]
+    if kind == "other":
+        return draw(st.sampled_from(
+            [[], [[]], [[], []], 5, "ab", None, {"exps": rows}, rows[0], np.ones((n, n))]
+        ))
+    return rows
+
+
+class TestLoadersAgainstLoop:
+    """The bulk loaders accept exactly what the per-edge and object-array
+    loaders accept and store the same arrays; otherwise they raise the same
+    exception with the same text."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.sampled_from([6, 6, 6, 0, 4, 5]), _edges, _containers)
+    def test_edge_lists(self, n, edges, container):
+        new = _outcome(lambda: WeightedGraph.from_edges(n, container(edges)))
+        assert new == _outcome(lambda: oracles.graph_from_edges(n, container(edges)))
+
+    @pytest.mark.parametrize(
+        "n, edges",
+        [
+            (3, []),
+            (3, [(np.int64(0), np.int64(1)), (1, np.int64(2), "1/3")]),
+            (3, [[0, 1], [1, 2], [2**70, 0]]),
+            (3, [[0, 1], [-(2**70), 0]]),
+            (2, [[0, 1, True]]),
+            (3, [[0, 1, 1], [1, 2, True]]),
+            (3, [[0, 1, np.int64(1)], [1, 2, "1"], [0, 2, Fraction(1)]]),
+            (2, [[0, 1, 1.0]]),
+            (2, [[0, 1, [1]]]),
+            (2, [[0, 1, {"w": 1}]]),
+            (3, [[0, 1, "abc"], [True, 2]]),
+            (3, [[0, 1, "1/2"], [1, 2, "1/3"], [0, 2, 2]]),
+            (3, [[0, 1, "0"], [0, 1, "1"]]),
+            (3, [[0, 1, "1"], [1, 0, "0"]]),
+            (3, [[0, 1], [1, 0], [5, 5]]),
+            (3, [[0, 1], [2, 2], [1, 0]]),
+            (3, [[0, 1, "-1"], [1, 2]]),
+            (3, [[0, 1, 2**70], [1, 2, 1]]),
+        ],
+    )
+    @pytest.mark.parametrize("container", [list, tuple, iter])
+    def test_edge_list_examples(self, n, edges, container):
+        new = _outcome(lambda: WeightedGraph.from_edges(n, container(edges)))
+        assert new == _outcome(lambda: oracles.graph_from_edges(n, container(edges)))
+
+    @settings(max_examples=400, deadline=None)
+    @given(exponent_tables(), st.integers(1, 12))
+    def test_exponent_tables(self, exps, r):
+        new = _outcome(lambda: ButsonMatrix(exps, r).exps)
+        assert new == _outcome(oracles.exponent_table, exps, r)
+
+    @pytest.mark.parametrize(
+        "exps",
+        [
+            [[0, 2**70], [-(2**70), 3]],
+            [[0, 2**63], [1, 0]],
+            [[np.int64(1), np.int32(2)], [0, 3]],
+            [[0, True], [0, 0]],
+            [[0, 1.0], [0, 0]],
+            [[0, 0], [0]],
+            [[[0], [1]], [[0], [1]]],
+            [],
+            [[]],
+            "ab",
+            5,
+        ],
+    )
+    def test_exponent_table_examples(self, exps):
+        assert _outcome(lambda: ButsonMatrix(exps, 4).exps) == _outcome(
+            oracles.exponent_table, exps, 4
+        )
+
+
+class TestRepeatedPair:
+    @pytest.mark.parametrize(
+        "edges, text",
+        [
+            ([[0, 1, "0"], [0, 1, "1"]], "duplicate edge (0, 1)"),
+            ([[0, 1, "1"], [0, 1, "0"]], "duplicate edge (0, 1)"),
+            ([[0, 1, "0"], [1, 0, "0"]], "duplicate edge (1, 0)"),
+            ([[0, 2], [0, 1], [2, 0, "1/2"], [1, 0]], "duplicate edge (2, 0)"),
+        ],
+    )
+    def test_refused_whatever_the_weights(self, edges, text):
+        with pytest.raises(SimplicityError) as err:
+            WeightedGraph.from_edges(3, edges)
+        assert str(err.value) == text
+
+    def test_first_fault_in_file_order(self):
+        # the repeat comes before the malformed edge, so it is the one named
+        with pytest.raises(SimplicityError, match=r"duplicate edge \(1, 0\)"):
+            WeightedGraph.from_edges(3, [[0, 1], [1, 0], [0, 1, "abc"]])
+        with pytest.raises(ChdError, match="cannot interpret 'abc'"):
+            WeightedGraph.from_edges(3, [[0, 1], [0, 2, "abc"], [1, 0]])
 
 
 @st.composite
