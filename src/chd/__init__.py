@@ -11,12 +11,11 @@ The package keeps three layers strictly apart:
   for cross-checking the exact results.
 """
 
-from .cyclotomic import CyclotomicInt, cyclotomic_polynomial, root_of_unity
+from .cyclotomic import CyclotomicInt, cyclotomic_polynomial
 from .errors import (
     ChdError,
     ExactnessError,
     InternalCheckError,
-    OrderMismatchError,
     PreconditionError,
     ScaleError,
     SimplicityError,

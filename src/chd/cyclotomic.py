@@ -1,11 +1,11 @@
-"""Exact arithmetic with integer combinations of roots of unity.
+"""Exact values in the ring of integer combinations of roots of unity.
 
-An element of the ring is a coefficient vector ``(a_0, ..., a_{r-1})``
-standing for ``sum_j a_j * z**j`` with ``z = exp(2*pi*i/r)``.  The
-representation is deliberately redundant: addition and multiplication are
-plain vector operations on the full basis, and reduction modulo the r-th
-cyclotomic polynomial happens only when equality or rationality is queried.
-Coefficients are Python integers, so no precision is ever lost.
+A value is a coefficient vector ``(a_0, ..., a_{r-1})`` of Z[x]/(x**r - 1),
+standing for ``sum_j a_j * z**j`` with ``z = exp(2*pi*i/r)``.  Many vectors
+stand for one value, so :class:`CyclotomicInt` holds one with no arithmetic
+of its own, and is compared, hashed and tested for rationality by its
+reduction modulo the r-th cyclotomic polynomial.  Coefficients are Python
+integers, so no precision is ever lost.
 
 Reduction is linear, so it is one table per root order: row e of
 ``reduction_table(r)`` holds the coordinates of ``z**e`` in the basis
@@ -17,10 +17,10 @@ in int64 when the bound stays below 2**62, and on Python integers
 otherwise.  Root orders are capped at ``MAX_ORDER``; a table takes
 8 r phi(r) bytes, at most 8.3 MB (r = 1021).
 
->>> root_of_unity(4, 1) * root_of_unity(4, 3) == CyclotomicInt.integer(4, 1)
+>>> CyclotomicInt(5, (1, 1, 1, 1, 1)) == CyclotomicInt(5, (0, 0, 0, 0, 0))
 True
->>> (root_of_unity(4, 1) + root_of_unity(4, 3)).is_zero()
-True
+>>> CyclotomicInt(4, (0, 1, 0, 0)) == CyclotomicInt(8, (0, 0, 1, 0, 0, 0, 0, 0))
+False
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ChdError, InternalCheckError, OrderMismatchError, ScaleError
+from .errors import ChdError, InternalCheckError, ScaleError
 
 MAX_ORDER = 1024
 INT64_BOUND = 1 << 62
@@ -48,6 +48,14 @@ def check_order(r) -> int:
     return int(r)
 
 
+def all_integers(items) -> bool:
+    """Whether every item is an integer, checked once per distinct type: a
+    float or bool is refused, not truncated."""
+    return all(
+        issubclass(t, (int, np.integer)) and t is not bool for t in set(map(type, items))
+    )
+
+
 def exact_dtype(bound: int):
     """The dtype for exact integer work whose values stay below ``bound`` in
     absolute value: int64 if bound < 2**62, else ``object`` (Python ints)."""
@@ -56,7 +64,13 @@ def exact_dtype(bound: int):
 
 def prime_factors(r: int) -> list[int]:
     """The distinct prime factors of r in increasing order; r is prime iff
-    this is [r]."""
+    this is [r].
+
+    >>> prime_factors(360)
+    [2, 3, 5]
+    >>> prime_factors(1021)
+    [1021]
+    """
     out, p = [], 2
     while p * p <= r:
         if r % p == 0:
@@ -105,7 +119,11 @@ def cyclotomic_polynomial(r: int) -> tuple[int, ...]:
 @lru_cache(maxsize=16)
 def reduction_table(r: int) -> np.ndarray:
     """R_r: the r x phi(r) int64 matrix whose row e is z**e reduced modulo
-    the r-th cyclotomic polynomial."""
+    the r-th cyclotomic polynomial.
+
+    >>> reduction_table(4).tolist()  # 1, i, -1, -i in the basis 1, i
+    [[1, 0], [0, 1], [-1, 0], [0, -1]]
+    """
     phi = np.array(cyclotomic_polynomial(r)[:-1], dtype=np.int64)
     m = len(phi)
     table = np.zeros((r, m), dtype=np.int64)
@@ -150,6 +168,11 @@ def reduce(weights: np.ndarray, r: int, exps=None) -> np.ndarray:
     shape ``weights.shape[:-1] + (b, phi(r))``, one product for all b.  The
     product runs in :func:`product_dtype`, and a float64 result is cast back
     to int64.  Weights already in that dtype are not copied.
+
+    >>> reduce(np.array([2, -1, 0, 0, -1]), 5).tolist()  # 2 - z - z**4
+    [3, 0, 1, 1]
+    >>> reduce(np.array([1, 1]), 4, np.array([[1], [3]])).tolist()  # i + -i
+    [[0, 0]]
     """
     dtype = product_dtype(weights, r)
     table = reduction_table(r).astype(dtype)
@@ -162,100 +185,27 @@ def reduce(weights: np.ndarray, r: int, exps=None) -> np.ndarray:
 
 
 class CyclotomicInt:
-    """An exact integer combination of the r-th roots of unity."""
+    """An exact integer combination of the r-th roots of unity, equal to a
+    value of the same order with the same reduced coordinates; values of
+    different orders are never equal."""
 
     __slots__ = ("order", "coeffs")
 
     def __init__(self, order: int, coeffs) -> None:
         order = check_order(order)
-        coeffs = tuple(int(c) for c in coeffs)
+        coeffs = tuple(coeffs)
         if len(coeffs) != order:
             raise ChdError(
                 f"coefficient vector has length {len(coeffs)}, expected {order}"
             )
+        if not all_integers(coeffs):
+            raise ChdError("coefficients must be integers")
         self.order = order
-        self.coeffs = coeffs
-
-    @classmethod
-    def zero(cls, order: int) -> "CyclotomicInt":
-        return cls(order, (0,) * order)
-
-    @classmethod
-    def integer(cls, order: int, value: int) -> "CyclotomicInt":
-        return cls(order, (int(value),) + (0,) * (order - 1))
-
-    def _check_order(self, other: "CyclotomicInt") -> None:
-        if self.order != other.order:
-            raise OrderMismatchError(
-                f"cannot combine root orders {self.order} and {other.order}; "
-                "no implicit embedding is performed"
-            )
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        self._check_order(other)
-        return CyclotomicInt(
-            self.order, tuple(a + b for a, b in zip(self.coeffs, other.coeffs))
-        )
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        self._check_order(other)
-        return CyclotomicInt(
-            self.order, tuple(a - b for a, b in zip(self.coeffs, other.coeffs))
-        )
-
-    def __neg__(self):
-        return CyclotomicInt(self.order, tuple(-a for a in self.coeffs))
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return CyclotomicInt(self.order, tuple(other * a for a in self.coeffs))
-        other = self._coerce(other)
-        self._check_order(other)
-        r = self.order
-        out = [0] * r
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                if b:
-                    out[(i + j) % r] += a * b
-        return CyclotomicInt(r, out)
-
-    __rmul__ = __mul__
-    __radd__ = __add__
-
-    def __rsub__(self, other):
-        return self._coerce(other) - self
-
-    def _coerce(self, other):
-        if isinstance(other, CyclotomicInt):
-            return other
-        if isinstance(other, int):
-            return CyclotomicInt.integer(self.order, other)
-        return NotImplemented
-
-    def shifted(self, k: int) -> "CyclotomicInt":
-        """Multiplication by z**k, i.e. a cyclic shift of the coefficients."""
-        r = self.order
-        k %= r
-        return CyclotomicInt(r, self.coeffs[-k:] + self.coeffs[:-k] if k else self.coeffs)
-
-    def conjugate(self) -> "CyclotomicInt":
-        """Complex conjugate: the coefficient of z**j moves to z**(-j)."""
-        r = self.order
-        out = [0] * r
-        for j, a in enumerate(self.coeffs):
-            out[(r - j) % r] = a
-        return CyclotomicInt(r, out)
+        self.coeffs = tuple(map(int, coeffs))
 
     def reduced(self) -> tuple[int, ...]:
         """Canonical coordinates in the basis 1, z, ..., z**(phi(r)-1)."""
         return tuple(reduce(np.array(self.coeffs, dtype=object), self.order).tolist())
-
-    def is_zero(self) -> bool:
-        return not any(self.reduced())
 
     def as_rational(self):
         """The value as a Fraction if it is rational, else None.
@@ -264,11 +214,9 @@ class CyclotomicInt:
         polynomial: the value is rational iff every non-constant coordinate
         of the reduced form vanishes.
 
-        >>> s = sum((root_of_unity(5, j) for j in range(1, 5)),
-        ...         root_of_unity(5, 0))
-        >>> s.as_rational()
+        >>> CyclotomicInt(5, (1, 1, 1, 1, 1)).as_rational()
         Fraction(0, 1)
-        >>> root_of_unity(3, 1).as_rational() is None
+        >>> CyclotomicInt(3, (0, 1, 0)).as_rational() is None
         True
         """
         rem = self.reduced()
@@ -286,13 +234,9 @@ class CyclotomicInt:
         ) or complex(0.0)
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, int):
-            other = CyclotomicInt.integer(self.order, other)
         if not isinstance(other, CyclotomicInt):
             return NotImplemented
-        if self.order != other.order:
-            return False
-        return (self - other).is_zero()
+        return self.order == other.order and self.reduced() == other.reduced()
 
     def __hash__(self) -> int:
         return hash((self.order, self.reduced()))
@@ -308,15 +252,3 @@ class CyclotomicInt:
                 terms.append(f"{a}*z{j}" if a != 1 else f"z{j}")
         body = " + ".join(terms) if terms else "0"
         return f"CyclotomicInt(r={self.order}: {body})"
-
-
-def root_of_unity(r: int, k: int) -> CyclotomicInt:
-    """The root of unity z**k in the order-r ring (exponent taken mod r).
-
-    >>> root_of_unity(4, 6).coeffs
-    (0, 0, 1, 0)
-    """
-    r = check_order(r)
-    out = [0] * r
-    out[k % r] = 1
-    return CyclotomicInt(r, out)

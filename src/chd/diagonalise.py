@@ -177,11 +177,11 @@ def certify(
         block = np.concatenate((lam[lo : lo + step],) * 2, axis=1)
         # row k of rolled[j] is lam[lo + j] rolled by k, z**k lambda_j
         rolled = sliding_window_view(block, r, axis=1)[:, r:0:-1]
-        shifted = reduce(rolled, r)
-        expected = shifted[np.arange(e.shape[1]), e]
+        multiples = reduce(rolled, r)
+        expected = multiples[np.arange(e.shape[1]), e]
         if not np.array_equal(reduce(weights, r, e), expected):
             return None
-        for j, rem in enumerate(shifted[:, 0].tolist(), lo):
+        for j, rem in enumerate(multiples[:, 0].tolist(), lo):
             rational = None if any(rem[1:]) else Fraction(rem[0], scale)
             entries.append(EigenvalueEntry(CyclotomicInt(r, coeffs[j]), scale, rational))
     return SpectrumAssignment(tuple(entries), target)

@@ -5,10 +5,6 @@ class ChdError(Exception):
     """Base class for all domain errors raised by this package."""
 
 
-class OrderMismatchError(ChdError):
-    """Two exact values living in different root-of-unity rings were combined."""
-
-
 class PreconditionError(ChdError):
     """An operation was called on input that violates its stated contract."""
 

@@ -22,7 +22,7 @@ from itertools import product as iter_product, repeat
 
 import numpy as np
 
-from .cyclotomic import exact_dtype
+from .cyclotomic import all_integers, exact_dtype
 from .errors import ChdError, InternalCheckError, ScaleError, SimplicityError
 
 __all__ = [
@@ -69,14 +69,6 @@ def _as_fraction(x) -> Fraction:
     raise ChdError(f"cannot interpret {x!r} as an exact rational weight")
 
 
-def _all_integers(items) -> bool:
-    """Whether every item is an integer, checked once per distinct type: a
-    float or bool is refused, not truncated."""
-    return all(
-        issubclass(t, (int, np.integer)) and t is not bool for t in set(map(type, items))
-    )
-
-
 def _edge_fault(item, n: int, seen: set) -> ChdError | None:
     """What is wrong with one edge, by the rules in their order: shape,
     weight, vertex type, range, loop, and a pair in ``seen``, the pairs of
@@ -119,7 +111,7 @@ def _edge_columns(edges: list, n: int):
         weights = {k: _as_fraction(k[1]) for k in set(keys)}
     except (ChdError, TypeError):  # TypeError: an unhashable weight
         return None
-    if not _all_integers(us + vs):
+    if not all_integers(us + vs):
         return None
     try:
         us, vs = np.array(us, dtype=np.int64), np.array(vs, dtype=np.int64)
@@ -188,13 +180,13 @@ class WeightedGraph:
         loops = np.flatnonzero(np.diagonal(mat))
         if loops.size:
             raise SimplicityError(f"vertex {loops[0]} carries a loop")
-        asym = np.argwhere(np.triu(mat != mat.T))
-        if asym.size:
-            u, v = asym[0].tolist()
+        asym = mat != mat.T
+        if asym.any():
+            u, v = np.argwhere(np.triu(asym))[0].tolist()
             raise SimplicityError(f"weight matrix is not symmetric at ({u}, {v})")
-        neg = np.argwhere(np.triu(mat < 0))
-        if neg.size:
-            u, v = neg[0].tolist()
+        neg = mat < 0
+        if neg.any():
+            u, v = np.argwhere(np.triu(neg))[0].tolist()
             raise SimplicityError(f"negative weight on edge ({u}, {v})")
         if scale != 1:
             common = math.gcd(scale, *np.unique(mat).tolist())
@@ -321,11 +313,11 @@ class WeightedGraph:
 class AbelianGroup:
     """Direct product of cyclic groups Z_m1 x ... x Z_mk.
 
-    Elements are exponent tuples; ``index`` ranks them in row-major order,
-    matching the row order of ``character_table`` with the same moduli.
+    Elements are exponent tuples in row-major order, matching the row order
+    of ``character_table`` with the same moduli.
     """
 
-    __slots__ = ("moduli", "_elements", "_index")
+    __slots__ = ("moduli", "_elements")
 
     def __init__(self, moduli) -> None:
         moduli = tuple(int(m) for m in moduli)
@@ -334,7 +326,6 @@ class AbelianGroup:
         check_group_order(moduli)
         self.moduli = moduli
         self._elements = tuple(iter_product(*(range(m) for m in moduli)))
-        self._index = {el: i for i, el in enumerate(self._elements)}
 
     @property
     def order(self) -> int:
@@ -352,9 +343,6 @@ class AbelianGroup:
         if len(el) != len(self.moduli):
             raise ChdError(f"element {el} has wrong arity for moduli {self.moduli}")
         return tuple(x % m for x, m in zip(el, self.moduli))
-
-    def index(self, el) -> int:
-        return self._index[self.normalise(el)]
 
     def neg(self, el) -> tuple[int, ...]:
         return tuple((-x) % m for x, m in zip(self.normalise(el), self.moduli))

@@ -15,9 +15,9 @@ from itertools import chain
 
 import numpy as np
 
-from .cyclotomic import check_order, prime_factors, reduce, reduction_table
+from .cyclotomic import all_integers, check_order, prime_factors, reduce, reduction_table
 from .errors import ChdError, PreconditionError
-from .graphs import AbelianGroup, _all_integers
+from .graphs import AbelianGroup
 
 __all__ = [
     "ButsonMatrix",
@@ -59,7 +59,7 @@ def _exponent_table(rows) -> np.ndarray:
         rows = rows.tolist()
     n = len(rows) if isinstance(rows, (list, tuple)) else 0
     square = n and all(isinstance(row, (list, tuple)) and len(row) == n for row in rows)
-    if square and _all_integers(chain.from_iterable(rows)):
+    if square and all_integers(chain.from_iterable(rows)):
         try:
             return np.fromiter(chain.from_iterable(rows), np.int64, n * n).reshape(n, n)
         except OverflowError:
@@ -101,12 +101,6 @@ class ButsonMatrix:
 
     def is_dephased(self) -> bool:
         return not self.exps[0].any() and not self.exps[:, 0].any()
-
-    def promoted(self, r_new: int) -> "ButsonMatrix":
-        """The same matrix viewed in a larger ring (r_new must be a multiple of r)."""
-        if r_new % self.r:
-            raise ChdError(f"{r_new} is not a multiple of root order {self.r}")
-        return ButsonMatrix(self.exps * (r_new // self.r), r_new)
 
     def to_json(self) -> dict:
         return {"n": self.n, "r": self.r, "exps": self.exps.tolist()}
@@ -161,8 +155,8 @@ def _gram_is_diagonal(h: ButsonMatrix) -> bool:
     reduced inner products of a block of rows with a block of rows, and
     phi(r)**2 n**3 multiply-adds give them all.  R_r's entries are 0 or +-1
     for these r, so ``reduce``'s bound is n phi(r) and the products run in
-    float64.  Blocks i <= k suffice: <h_k, h_i> is the conjugate of
-    <h_i, h_k>.
+    float64.  Blocks i <= k suffice: <h_k, h_i> and <h_i, h_k> vanish
+    together.
     """
     n, r = h.n, h.r
     table = reduction_table(r).astype(np.float64)
@@ -240,7 +234,7 @@ def character_table(moduli) -> ButsonMatrix:
 
 
 def tensor(h1: ButsonMatrix, h2: ButsonMatrix) -> ButsonMatrix:
-    """Kronecker product, promoted to the lcm of the two root orders.
+    """Kronecker product, over the lcm of the two root orders.
 
     Row/column indices are row-major pairs (i1, i2) -> i1 * n2 + i2.
     """
@@ -299,7 +293,7 @@ def conference_lift(c) -> ButsonMatrix:
     c = np.array(c, dtype=object)
     if c.ndim != 2 or c.shape[0] != c.shape[1]:
         raise PreconditionError("conference matrix must be square")
-    if not _all_integers(c.flat):
+    if not all_integers(c.flat):
         raise PreconditionError("conference matrix entries must be integers")
     n = c.shape[0]
     if np.diag(c).any():

@@ -15,7 +15,9 @@ Fractions, rational roots are found by trying every integer in range,
 revival search decides every vertex pair on its own and validates every
 certificate with its own walk column, and the catalogue oracle keeps, up
 to isomorphism, every labelled regular graph that passes the necessary
-conditions for a real or Turyn diagonaliser.
+conditions for a real or Turyn diagonaliser.  Sum, product and
+conjugation in Z[x]/(x**r - 1) live only here, to test that
+``chd.cyclotomic.reduce`` is a ring map onto Z[z].
 """
 
 from __future__ import annotations
@@ -121,6 +123,26 @@ def reduce(coeffs, r: int) -> tuple[int, ...]:
         for k in range(m):
             rem[i - m + k] -= c * phi[k]
     return tuple(rem[:m])
+
+
+def ring_add(x, y) -> list[int]:
+    """The sum of two coefficient vectors of one length r."""
+    return [a + b for a, b in zip(x, y, strict=True)]
+
+
+def ring_multiply(x, y) -> list[int]:
+    """The product in Z[x]/(x**r - 1): a cyclic convolution."""
+    r = len(x)
+    out = [0] * r
+    for i, a in enumerate(x):
+        for j, b in enumerate(y):
+            out[(i + j) % r] += a * b
+    return out
+
+
+def ring_conjugate(x) -> list[int]:
+    """Complex conjugation: the coefficient of z**j moves to z**(-j)."""
+    return [x[-j % len(x)] for j in range(len(x))]
 
 
 def verify(exps, r: int) -> bool:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import resource
@@ -142,6 +143,30 @@ class TestCertifyCommand:
         )
         out = json.loads(run("certify", "--graph", str(path), "--hadamard", h4_file))
         assert out["diagonalisable"] is False
+
+    def test_irrational_spectrum_is_pinned(self, run, tmp_path):
+        # C5 under the character table of Z_5: the eigenvalues 2 - z - z**4
+        # and 2 - z**2 - z**3 are irrational, printed by order and coeffs
+        g, h = tmp_path / "c5.json", tmp_path / "z5.json"
+        g.write_text(run("graph", "make", "cycle", "5"))
+        h.write_text(run("hadamard", "character-table", "--moduli", "5"))
+        out = run("certify", "--graph", str(g), "--hadamard", str(h))
+        eigenvalues = json.loads(out)["eigenvalues"]
+        assert eigenvalues[0] == "0"
+        assert [(e["order"], e["coeffs"], e["scale"]) for e in eigenvalues[1:]] == [
+            (5, [2, -1, 0, 0, -1], 1),
+            (5, [2, 0, -1, -1, 0], 1),
+            (5, [2, 0, -1, -1, 0], 1),
+            (5, [2, -1, 0, 0, -1], 1),
+        ]
+        assert [e["approx"] for e in eigenvalues[1:]] == [
+            [1.3819660112501053, 1.1102230246251565e-16],
+            [3.618033988749895, -2.220446049250313e-16],
+            [3.618033988749895, -2.220446049250313e-16],
+            [1.3819660112501053, 1.1102230246251565e-16],
+        ]
+        digest = hashlib.sha256(out.encode()).hexdigest()
+        assert digest == "319a17b914cf368453ebe3f04ea037562781993c1ab70b50eae10d13b28ee49f"
 
 
 class TestAnalysisCommands:

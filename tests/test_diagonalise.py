@@ -67,6 +67,17 @@ class TestCertify:
                 want = 2 - 2 * math.cos(2 * math.pi * j / r)
                 assert abs(entry.to_complex() - want) < 1e-9
 
+    def test_irrational_entries_print_their_ring_value(self):
+        # the strings that CatalogueEntry.to_json prints
+        spec = certify(cycle(5), character_table((5,)))
+        assert [str(e) for e in spec.entries] == [
+            "0",
+            "(CyclotomicInt(r=5: 2 + -1*z1 + -1*z4))/1",
+            "(CyclotomicInt(r=5: 2 + -1*z2 + -1*z3))/1",
+            "(CyclotomicInt(r=5: 2 + -1*z2 + -1*z3))/1",
+            "(CyclotomicInt(r=5: 2 + -1*z1 + -1*z4))/1",
+        ]
+
     def test_cube_spectrum_binomial(self, q3, f8, q3_spectrum):
         values = sorted(int(e.rational) for e in q3_spectrum.entries)
         want = sorted(2 * bin(j).count("1") for j in range(8))

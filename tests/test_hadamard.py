@@ -156,9 +156,9 @@ class TestClassify:
         assert (c.kind, c.root_order) == ("butson", 3)
 
     def test_minimal_root_order_detected(self):
-        # F2 promoted into the order-4 ring still classifies as real
-        promoted = sylvester_hadamard(2).promoted(4)
-        assert classify(promoted).kind == "real"
+        # F2 written over the fourth roots of unity still classifies as real
+        f2 = sylvester_hadamard(2)
+        assert classify(ButsonMatrix(f2.exps * 2, 4)).kind == "real"
 
 
 class TestConferenceLift:

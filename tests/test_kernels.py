@@ -43,7 +43,6 @@ from chd import (
     hypercube,
     merge,
     min_edge_density,
-    root_of_unity,
     strongly_cospectral,
     verify,
     walks,
@@ -121,8 +120,8 @@ class TestReductionTable:
         assert reduction_table(MAX_ORDER).shape == (MAX_ORDER, MAX_ORDER // 2)
         for make in (
             lambda: cyclotomic_polynomial(MAX_ORDER + 1),
-            lambda: root_of_unity(MAX_ORDER + 1, 1),
-            lambda: CyclotomicInt.zero(60000),
+            lambda: CyclotomicInt(MAX_ORDER + 1, [0, 1] + [0] * (MAX_ORDER - 1)),
+            lambda: CyclotomicInt(60000, (0,) * 60000),
             lambda: ButsonMatrix([[0]], MAX_ORDER + 1),
         ):
             with pytest.raises(ScaleError):
