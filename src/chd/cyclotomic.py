@@ -17,6 +17,10 @@ in int64 when the bound stays below 2**62, and on Python integers
 otherwise.  Root orders are capped at ``MAX_ORDER``; a table takes
 8 r phi(r) bytes, at most 8.3 MB (r = 1021).
 
+A family of values is decided to be 0 without reduction, by
+:func:`vanishes`: evaluated at a prime p = 1 (mod r), which splits
+completely in Z[z], as one float64 product of residues below p.
+
 >>> CyclotomicInt(5, (1, 1, 1, 1, 1)) == CyclotomicInt(5, (0, 0, 0, 0, 0))
 True
 >>> CyclotomicInt(4, (0, 1, 0, 0)) == CyclotomicInt(8, (0, 0, 1, 0, 0, 0, 0, 0))
@@ -184,6 +188,118 @@ def reduce(weights: np.ndarray, r: int, exps=None) -> np.ndarray:
     return out.reshape(weights.shape[:-1] + table.shape[1:])
 
 
+@lru_cache(maxsize=None)
+def split_prime(r: int, i: int = 0) -> tuple[int, int]:
+    """(p, g): the (i+1)-th largest prime p = 1 (mod r) with
+    4097 (p-1)**2 < 2**53, and the least g = x**((p-1)/r) of order exactly
+    r mod p.  p splits completely in Z[z] (L. Washington, Introduction to
+    Cyclotomic Fields, Thm 2.13): z -> g**k, one map for each unit k mod r,
+    are the phi(r) maps of Z[z] onto F_p.
+
+    >>> p, g = split_prime(4)
+    >>> p % 4, pow(g, 2, p) == p - 1, 4097 * (p - 1) ** 2 < 2**53
+    (1, True, True)
+    """
+    r = check_order(r)
+    p = split_prime(r, i - 1)[0] if i else math.isqrt((FLOAT64_BOUND - 1) // 4097) + 2
+    p -= (p - 1) % r or r  # the largest p' < p with p' = 1 (mod r)
+    while prime_factors(p) != [p]:
+        if p <= r:
+            raise ScaleError(f"no further prime = 1 (mod {r}) for an exact test")
+        p -= r
+    orders = [r // q for q in prime_factors(r)]
+    roots = (pow(x, (p - 1) // r, p) for x in range(2, p))
+    return p, next(g for g in roots if all(pow(g, d, p) != 1 for d in orders))
+
+
+@lru_cache(maxsize=None)
+def unit_generators(r: int) -> tuple[int, ...]:
+    """Units that generate (Z/r)^*, chosen greedily.
+
+    >>> unit_generators(8), unit_generators(9), unit_generators(2)
+    ((3, 5), (2,), ())
+    """
+    span, gens = {1 % r}, []
+    for k in range(2, r):
+        if math.gcd(k, r) == 1 and k not in span:
+            gens.append(k)
+            # the span with k is the union of the cosets k**j span
+            grown, x = set(span), k
+            while x not in span:
+                grown.update(x * s % r for s in span)
+                x = x * k % r
+            span = grown
+    return tuple(gens)
+
+
+@lru_cache(maxsize=None)
+def _powers(r: int, i: int) -> np.ndarray:
+    """g**e mod p for e in 0..r in float64, (p, g) = split_prime(r, i)."""
+    p, g = split_prime(r, i)
+    return np.array([pow(g, e, p) for e in range(r + 1)], dtype=np.float64)
+
+
+def _closed(exps: np.ndarray, r: int) -> bool:
+    """Whether the rows of exps, as a set, are closed under e -> k e mod r
+    for every unit k.  Each image row is found by a 64-bit key and then
+    compared in full, so a collision of keys can only give False."""
+    gens = unit_generators(r)
+    if not gens:  # r <= 2
+        return True
+    weights = np.cumprod(np.full(exps.shape[1], 0x9E3779B97F4A7C15, dtype=np.uint64)).view(np.int64)
+    keys = exps @ weights
+    order = np.argsort(keys)
+    for k in gens:
+        image = (np.arange(r) * k % r)[exps]
+        at = np.take(order, np.searchsorted(keys, image @ weights, sorter=order), mode="clip")
+        if not (exps[at] == image).all():
+            return False
+    return True
+
+
+def vanishes(residues, exps: np.ndarray, r: int, bound: int) -> bool:
+    """Whether every x of a finite family in Z[z] is exactly 0.
+
+    ``bound`` bounds ||coeffs(x)||_1, so every reduced coordinate of x is
+    at most bound max|R_r| in size (max|R_r| <= 5 for r <= MAX_ORDER,
+    reached at r = 935).  ``residues(p, powers)``, with powers[e] = g**e
+    mod p for e in 0..r, yields float64 blocks of integers below 2**53 in
+    size, congruent mod p to the values x(g).
+
+    x is 0 iff x(g**k) = 0 (mod p) for every unit k mod r and every p of a
+    set of primes from :func:`split_prime` whose product P exceeds twice
+    bound max|R_r|: x then lies in every prime of Z[z] above p, so p
+    divides x, and every reduced coordinate is a multiple of P smaller
+    than P.  Row e of ``exps`` indexes the elements that z -> z**k maps to
+    those of row k e mod r (the rows of H index the rows of H H*, the
+    columns of H those of M H).  If the rows are closed under e -> k e for
+    a generating set of units, so is the family under every z -> z**k, and
+    g alone stands for every g**k; otherwise each unit k is tried in turn,
+    up to the first nonzero.  A block x is tested as x == p rint(x / p),
+    exact below 2**53.
+
+    >>> exps = np.array([[0, 1, 2]])  # 1 + z + z**2
+    >>> vanishes(lambda p, powers: [powers[exps].sum(axis=1)], exps, 3, 3)
+    True
+    >>> vanishes(lambda p, powers: [powers[exps].sum(axis=1)], exps, 4, 3)
+    False
+    """
+    primes, product = [], 1
+    while product <= 2 * bound * _table_max(r):
+        primes.append(split_prime(r, len(primes))[0])
+        product *= primes[-1]
+
+    def zero_at(k: int) -> bool:  # up to the first nonzero
+        return all(
+            (x == p * np.rint(x / p)).all()
+            for i, p in enumerate(primes)
+            for x in residues(p, _powers(r, i)[np.arange(r + 1) * k % r])
+        )
+
+    units = (k for k in range(2, r) if math.gcd(k, r) == 1)
+    return zero_at(1) and (_closed(exps, r) or all(map(zero_at, units)))
+
+
 class CyclotomicInt:
     """An exact integer combination of the r-th roots of unity, equal to a
     value of the same order with the same reduced coordinates; values of
@@ -202,6 +318,14 @@ class CyclotomicInt:
             raise ChdError("coefficients must be integers")
         self.order = order
         self.coeffs = tuple(map(int, coeffs))
+
+    @classmethod
+    def of_ints(cls, order: int, coeffs: tuple[int, ...]) -> "CyclotomicInt":
+        """A value from a root order already checked and a tuple of Python
+        ints of that length, which are not checked again."""
+        value = object.__new__(cls)
+        value.order, value.coeffs = order, coeffs
+        return value
 
     def reduced(self) -> tuple[int, ...]:
         """Canonical coordinates in the basis 1, z, ..., z**(phi(r)-1)."""

@@ -3,7 +3,8 @@
 The central routine, :func:`certify`, never touches a numerical eigensolver:
 for each column h_j of a dephased matrix H it reads the candidate eigenvalue
 off the first coordinate of M h_j (valid because H[0, j] = 1) and then checks
-M h_j - lambda_j h_j = 0 exactly in the ring of root-of-unity combinations.
+M h_j - lambda_j h_j = 0 exactly in the ring of root-of-unity combinations,
+by evaluation at split primes (``cyclotomic.vanishes``).
 Everything downstream (equitable partitions, parity/divisibility checks, the
 small-graph catalogue) consumes those exact certificates.
 """
@@ -15,9 +16,8 @@ from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
-from .cyclotomic import CyclotomicInt, prime_factors, product_dtype, reduce
+from .cyclotomic import CyclotomicInt, prime_factors, reduce, vanishes
 from .errors import (
     ChdError,
     ExactnessError,
@@ -51,8 +51,8 @@ __all__ = [
     "CatalogueEntry",
 ]
 
-# entries of one block of certify's columns (512 KiB in float64)
-_BLOCK = 1 << 16
+# entries of one block of certify's columns (256 KiB in float64)
+_BLOCK = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -149,6 +149,13 @@ def certify(
     Requires a verified, dephased h of matching order.  Returns None when
     some column fails the exact residual check (the graph is then not
     diagonalised by h).
+
+    The check is M H(g) = H(g) diag(lambda(g)) (mod p), lambda(g) row 0 of
+    M H(g), by ``cyclotomic.vanishes``: an entry of M h_j - lambda_j h_j has
+    at most 2W in coefficients, W the largest row sum of |M|, so one split
+    prime decides while 20 W < p (about 1.4M).  Closure, as in ``verify``,
+    is over the columns of H.  Beside blocks of ``_BLOCK`` entries it holds
+    one float64 copy of M, 128 MiB at n = 4096.
     """
     if target not in ("laplacian", "adjacency"):
         raise ChdError(f"unknown target {target!r}")
@@ -160,31 +167,37 @@ def certify(
         raise PreconditionError("certify requires a dephased matrix; dephase first")
     mat, scale = g.integer_matrix(target)
     n, r = g.n, h.r
+    # W: a row of |L| sums to twice the degree, a row of A to the degree
+    w = int(g.matrix.sum(axis=1).max(initial=0)) * (2 if target == "laplacian" else 1)
+    if not vanishes(lambda p, powers: _residuals(mat, w, h, p, powers), h.exps.T, r, 2 * w):
+        return None
     # row 0 of H is all ones, so lambda_j is row 0 of M h_j:
     # lam[j] = sum_s M[0, s] z**exps[s, j]
     lam = np.zeros((n, r), dtype=mat.dtype)
     nz = np.flatnonzero(mat[0])
     np.add.at(lam, (np.arange(n), h.exps[nz]), mat[0, nz][:, None])
-    coeffs = lam.tolist()
-    # cast once, not once per block inside reduce
-    weights = mat.astype(product_dtype(mat, r), copy=False)
     entries = []
-    # M h_j against lambda_j h_j for a block of b columns at a time, with
-    # max(n, r) x b x r entries at most _BLOCK
-    step = max(1, _BLOCK // (max(n, r) * r))
-    for lo in range(0, n, step):
-        e = h.exps[:, lo : lo + step]
-        block = np.concatenate((lam[lo : lo + step],) * 2, axis=1)
-        # row k of rolled[j] is lam[lo + j] rolled by k, z**k lambda_j
-        rolled = sliding_window_view(block, r, axis=1)[:, r:0:-1]
-        multiples = reduce(rolled, r)
-        expected = multiples[np.arange(e.shape[1]), e]
-        if not np.array_equal(reduce(weights, r, e), expected):
-            return None
-        for j, rem in enumerate(multiples[:, 0].tolist(), lo):
-            rational = None if any(rem[1:]) else Fraction(rem[0], scale)
-            entries.append(EigenvalueEntry(CyclotomicInt(r, coeffs[j]), scale, rational))
+    for coeffs, rem in zip(lam.tolist(), reduce(lam, r).tolist()):
+        rational = None if any(rem[1:]) else Fraction(rem[0], scale)
+        entries.append(EigenvalueEntry(CyclotomicInt.of_ints(r, tuple(coeffs)), scale, rational))
     return SpectrumAssignment(tuple(entries), target)
+
+
+def _residuals(mat: np.ndarray, bound: int, h: ButsonMatrix, p: int, powers: np.ndarray):
+    """Blocks of columns of M H(g) - H(g) diag(lambda(g)), with powers[e] =
+    g**e mod p and lambda(g) row 0 of M H(g) reduced mod p.  M is reduced
+    mod p unless its row sums of |M|, at most ``bound``, are below p; either
+    way every entry is below 4097 (p-1)**2 < 2**53 in size, so float64
+    holds it exactly."""
+    weights = (mat if bound < p else mat % p).astype(np.float64)
+    n = h.n
+    step = max(1, _BLOCK // n)
+    for lo in range(0, n, step):
+        hg = powers.take(h.exps[:, lo : lo + step])
+        mh = weights @ hg
+        hg *= mh[0] - p * np.rint(mh[0] / p)
+        mh -= hg
+        yield mh
 
 
 # -- equitable partitions ------------------------------------------------
@@ -427,27 +440,41 @@ def odd_union_obstruction(g: WeightedGraph) -> bool:
 
 
 def _isomorphic_masks(a, b) -> bool:
-    """Backtracking search for a degree-preserving bijection u -> perm[u]
-    with a[u] ~ b[perm[u]], on tuples of neighbour bit masks."""
+    """Backtracking search for a bijection u -> perm[u] with a[u] ~
+    b[perm[u]], on tuples of neighbour bit masks.  The candidates for u are
+    the unused vertices of b of u's degree, grouped once; pulled[v] holds
+    the w < u with b[v] ~ perm[w] as a mask, so that a candidate is checked
+    against all earlier vertices by one comparison."""
     n = len(a)
     deg_a = [bin(m).count("1") for m in a]
     deg_b = [bin(m).count("1") for m in b]
-    perm: list[int] = []
+    if n != len(b) or sorted(deg_a) != sorted(deg_b):
+        return False
+    by_degree: dict[int, list[int]] = {}
+    for v, d in enumerate(deg_b):
+        by_degree.setdefault(d, []).append(v)
+    neighbours = [[x for x in range(n) if m >> x & 1] for m in b]
+    used = [False] * n
+    pulled = [0] * n
 
     def rec(u: int) -> bool:
         if u == n:
             return True
-        for v in range(n):
-            if v in perm or deg_b[v] != deg_a[u]:
+        want, bit = a[u] & ((1 << u) - 1), 1 << u
+        for v in by_degree[deg_a[u]]:
+            if used[v] or pulled[v] != want:
                 continue
-            if all((a[u] >> w & 1) == (b[v] >> perm[w] & 1) for w in range(u)):
-                perm.append(v)
-                if rec(u + 1):
-                    return True
-                perm.pop()
+            used[v] = True
+            for x in neighbours[v]:
+                pulled[x] |= bit
+            if rec(u + 1):
+                return True
+            used[v] = False
+            for x in neighbours[v]:
+                pulled[x] ^= bit
         return False
 
-    return n == len(b) and sorted(deg_a) == sorted(deg_b) and rec(0)
+    return rec(0)
 
 
 def _graph_masks(g: WeightedGraph) -> tuple[int, ...]:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import product as iter_product, repeat
+from itertools import chain, product as iter_product, repeat
 
 import numpy as np
 
@@ -339,27 +339,42 @@ class AbelianGroup:
         return self._elements
 
     def normalise(self, el) -> tuple[int, ...]:
-        el = tuple(int(x) for x in el)
-        if len(el) != len(self.moduli):
-            raise ChdError(f"element {el} has wrong arity for moduli {self.moduli}")
-        return tuple(x % m for x, m in zip(el, self.moduli))
+        return tuple(self.normalise_all([el])[0].tolist())
+
+    def normalise_all(self, els) -> np.ndarray:
+        """The elements as rows of an int64 array, each entry reduced mod
+        its modulus; a float or bool entry is refused, not truncated."""
+        els = [tuple(el) for el in els]
+        wrong = next((el for el in els if len(el) != len(self.moduli)), None)
+        if wrong is not None:
+            raise ChdError(f"element {wrong} has wrong arity for moduli {self.moduli}")
+        if not all_integers(chain.from_iterable(els)):
+            wrong = next(el for el in els if not all_integers(el))
+            raise ChdError(f"element {wrong} has an entry that is not an integer")
+        try:
+            rows = np.array(els, dtype=np.int64)
+        except OverflowError:  # reduced in Python integers
+            rows = np.array(els, dtype=object)
+        rows = rows.reshape(len(els), len(self.moduli)) % self.moduli
+        return rows.astype(np.int64, copy=False)
 
     def neg(self, el) -> tuple[int, ...]:
-        return tuple((-x) % m for x, m in zip(self.normalise(el), self.moduli))
+        return tuple((-self.normalise_all([el])[0] % self.moduli).tolist())
 
 
 def connection_set(group: AbelianGroup, connection) -> set[tuple[int, ...]]:
     """The normalised connection set, checked to avoid the identity (no
     loops) and to be closed under negation (undirected edges)."""
-    conn = {group.normalise(c) for c in connection}
-    if group.identity in conn:
+    conn = group.normalise_all(connection)
+    present = np.zeros(group.order, dtype=bool)
+    present[np.ravel_multi_index(conn.T, group.moduli)] = True
+    if present[0]:
         raise SimplicityError("connection set contains the identity (loops)")
-    for c in conn:
-        if group.neg(c) not in conn:
-            raise SimplicityError(
-                f"connection set is not closed under negation at {c}"
-            )
-    return conn
+    closed = present[np.ravel_multi_index((-conn % group.moduli).T, group.moduli)]
+    if not closed.all():
+        first = conn[np.argmin(closed)]
+        raise SimplicityError(f"connection set is not closed under negation at {tuple(first.tolist())}")
+    return set(map(tuple, conn.tolist()))
 
 
 def cayley(group: AbelianGroup, connection) -> WeightedGraph:

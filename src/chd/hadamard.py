@@ -4,7 +4,9 @@ A matrix of order n with entries that are r-th roots of unity is kept as an
 n x n integer table ``exps`` with entry ``H[j, k] = z**exps[j, k]``,
 ``z = exp(2*pi*i/r)``.  All structural checks (orthogonality, dephasing,
 products) run on the exponents, so they are exact; complex views are derived
-on demand.
+on demand.  Orthogonality is decided by evaluating H at a split prime
+(``cyclotomic.vanishes``).  Orders are capped at ``MAX_VERTICES``, as graphs
+are, and ``tensor`` checks the order of its product before building it.
 """
 
 from __future__ import annotations
@@ -15,9 +17,9 @@ from itertools import chain
 
 import numpy as np
 
-from .cyclotomic import all_integers, check_order, prime_factors, reduce, reduction_table
-from .errors import ChdError, PreconditionError
-from .graphs import AbelianGroup
+from .cyclotomic import all_integers, check_order, prime_factors, vanishes
+from .errors import ChdError, PreconditionError, ScaleError
+from .graphs import MAX_VERTICES, AbelianGroup
 
 __all__ = [
     "ButsonMatrix",
@@ -36,17 +38,16 @@ __all__ = [
     "instance_library",
 ]
 
-# verify runs as float64 products while phi(r) is at most this (r in 1-6, 8,
-# 10, 12), and by counting exponent differences past it
-_PRODUCT_MAX_PHI = 4
-# entries of one n phi(r) x b x phi(r) block of verify's products (256 KiB
-# in float64); larger blocks run faster from n = 512 on, but add to the peak
-# memory of every verify of 128 rows or more
+# entries of one block of rows of verify's Gram matrix (256 KiB in float64)
 _BLOCK = 1 << 15
-# but at least this many rows a block, so that the products and not the
-# per-block work take the time: a block then holds at most 32 n phi(r)**2
-# entries, 16 MiB at n = 4096 and phi(r) = 4
-_MIN_ROWS = 32
+
+
+def _check_order(n: int) -> None:
+    if n > MAX_VERTICES:
+        raise ScaleError(
+            f"matrices are capped at order {MAX_VERTICES}, as graphs are at "
+            f"{MAX_VERTICES} vertices, got {n}"
+        )
 
 
 def _exponent_table(rows) -> np.ndarray:
@@ -58,6 +59,7 @@ def _exponent_table(rows) -> np.ndarray:
     if isinstance(rows, np.ndarray):
         rows = rows.tolist()
     n = len(rows) if isinstance(rows, (list, tuple)) else 0
+    _check_order(n)
     square = n and all(isinstance(row, (list, tuple)) and len(row) == n for row in rows)
     if square and all_integers(chain.from_iterable(rows)):
         try:
@@ -81,6 +83,7 @@ class ButsonMatrix:
             exps = _exponent_table(exps)
         if exps.ndim != 2 or exps.shape[0] != exps.shape[1]:
             raise ChdError(f"exponent table must be square, got shape {exps.shape}")
+        _check_order(exps.shape[0])
         if exps.dtype == object or exps.size and not 0 <= exps.min() <= exps.max() < r:
             exps = exps % r
         arr = exps.astype(np.int64)
@@ -135,60 +138,36 @@ class ButsonMatrix:
 def verify(h: ButsonMatrix) -> bool:
     """True iff the rows are exactly orthogonal, i.e. H H* = n I in the ring.
 
+    By ``cyclotomic.vanishes``: an entry of H H* - n I has at most 2n
+    terms, so one split prime p decides every order up to the 4096 cap,
+    and the test is H(g) H(g**-1)^T = n I (mod p), exact in float64 as
+    n (p-1)**2 < 2**53.  The rows of a character table, of a tensor of
+    tables and of ``double`` of a table are closed under e -> k e mod r, so
+    g alone decides them.  Beside blocks of ``_BLOCK`` entries it holds
+    H(g) and, for r > 2, H(g**-1), 128 MiB each at n = 4096.
+
     Never raises on a non-Hadamard exponent table; it just returns False.
     """
-    if h._verified is not None:
-        return h._verified
-    small = reduction_table(h.r).shape[1] <= _PRODUCT_MAX_PHI
-    ok = _gram_is_diagonal(h) if small else _counts_vanish(h)
-    h._verified = ok
-    return ok
+    if h._verified is None:
+        h._verified = vanishes(lambda p, powers: _gram_residues(h, powers), h.exps, h.r, 2 * h.n)
+    return h._verified
 
 
-def _gram_is_diagonal(h: ButsonMatrix) -> bool:
-    """H H* = n I as float64 products, for small phi(r).
-
-    <h_i, h_k> = sum_c z**exps[i, c] z**-exps[k, c].  Write z**exps[i, c] by
-    its reduced coordinates, row exps[i, c] of R_r; the product of each
-    coordinate z**p with z**-exps[k, c] reduces to row p - exps[k, c] of
-    R_r.  So one ``reduce`` of the first table against the second gives the
-    reduced inner products of a block of rows with a block of rows, and
-    phi(r)**2 n**3 multiply-adds give them all.  R_r's entries are 0 or +-1
-    for these r, so ``reduce``'s bound is n phi(r) and the products run in
-    float64.  Blocks i <= k suffice: <h_k, h_i> and <h_i, h_k> vanish
-    together.
-    """
-    n, r = h.n, h.r
-    table = reduction_table(r).astype(np.float64)
-    phi = table.shape[1]
-    coords = np.arange(phi)
-    step = max(_MIN_ROWS, _BLOCK // (n * phi * phi))
+def _gram_residues(h: ButsonMatrix, powers: np.ndarray):
+    """Blocks of rows of H(g) H(g**-1)^T - n I, with powers[e] = g**e mod p
+    for e in 0..r, so that powers[::-1][e] = g**(r - e) = g**-e."""
+    n = h.n
+    left = powers.take(h.exps)
+    right = left if h.r <= 2 else powers[::-1].take(h.exps)
+    step = max(1, _BLOCK // n)
     for lo in range(0, n, step):
-        left = np.take(table, h.exps[lo : lo + step], axis=0).reshape(-1, n * phi)
-        for lo2 in range(lo, n, step):
-            # shift[(c, p), k] = p - exps[k, c]
-            shift = coords[:, None] - h.exps[lo2 : lo2 + step].T[:, None, :]
-            gram = reduce(left, r, shift.reshape(n * phi, -1))
-            if lo2 == lo:
-                diag = np.arange(len(left))
-                gram[diag, diag, 0] -= n
-            if gram.any():
-                return False
-    return True
-
-
-def _counts_vanish(h: ButsonMatrix) -> bool:
-    """H H* = n I by counting exponent differences, for large r."""
-    n, r = h.n, h.r
-    # row i against every later row k: the counts of exps[i] - exps[k] mod r
-    # are the coefficients of <h_i, h_k>, which must reduce to zero
-    for i in range(n - 1):
-        diff = (h.exps[i] - h.exps[i + 1 :]) % r
-        offsets = r * np.arange(n - 1 - i)[:, None]
-        counts = np.bincount((diff + offsets).ravel(), minlength=(n - 1 - i) * r)
-        if reduce(counts.reshape(n - 1 - i, r), r).any():
-            return False
-    return True
+        # for r <= 2, g = g**-1 and the product is symmetric, so the columns
+        # from lo on suffice
+        first = lo if h.r <= 2 else 0
+        gram = left[lo : lo + step] @ right[first:].T
+        rows = np.arange(len(gram))
+        gram[rows, rows + lo - first] -= n
+        yield gram
 
 
 def _require_verified(h: ButsonMatrix, what: str) -> None:
@@ -238,12 +217,13 @@ def tensor(h1: ButsonMatrix, h2: ButsonMatrix) -> ButsonMatrix:
 
     Row/column indices are row-major pairs (i1, i2) -> i1 * n2 + i2.
     """
+    n = h1.n * h2.n
+    _check_order(n)
     _require_verified(h1, "tensor")
     _require_verified(h2, "tensor")
     r = math.lcm(h1.r, h2.r)
     a = h1.exps * (r // h1.r)
     b = h2.exps * (r // h2.r)
-    n = h1.n * h2.n
     exps = (a[:, None, :, None] + b[None, :, None, :]).reshape(n, n) % r
     return ButsonMatrix(exps, r)
 

@@ -354,9 +354,7 @@ def cayley_fr_conditions(
     irrational one rules revival out) and sigma is read off the character
     rows of a and b."""
     conn = list(connection_set(group, connection))
-    rows, r = character_rows(
-        group, [group.identity, *conn, group.normalise(a), group.normalise(b)]
-    )
+    rows, r = character_rows(group, [group.identity, *conn, *group.normalise_all([a, b]).tolist()])
     # lambda_j = |C| chi_j(0) - sum_{c in C} chi_j(c)
     weights = np.array([len(conn)] + [-1] * len(conn), dtype=np.int64)
     rem = reduce(weights, r, rows[: len(conn) + 1])

@@ -528,6 +528,22 @@ class TestSizeCaps:
     def _limit():
         resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
+    def _child(self, argv, cwd=None):
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-c", self.CHILD, *argv],
+            capture_output=True,
+            text=True,
+            env=env,
+            preexec_fn=self._limit,
+            timeout=60,
+            cwd=cwd,
+        )
+        assert proc.returncode == 1, proc.stderr[-500:]
+        assert json.loads(proc.stderr)["type"] == "ScaleError"
+        assert float(proc.stdout) < 1.0
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -541,16 +557,10 @@ class TestSizeCaps:
         ids=["hypercube-30", "characters-z2^30", "complete", "empty", "multipartite", "cayley"],
     )
     def test_refused_quickly(self, argv):
-        src = str(Path(__file__).resolve().parent.parent / "src")
-        env = dict(os.environ, PYTHONPATH=src)
-        proc = subprocess.run(
-            [sys.executable, "-c", self.CHILD, *argv],
-            capture_output=True,
-            text=True,
-            env=env,
-            preexec_fn=self._limit,
-            timeout=60,
-        )
-        assert proc.returncode == 1, proc.stderr[-500:]
-        assert json.loads(proc.stderr)["type"] == "ScaleError"
-        assert float(proc.stdout) < 1.0
+        self._child(argv)
+
+    def test_tensor_refused_before_it_is_built(self, run, tmp_path):
+        # two order-128 tables would make an order-16384 table through a
+        # 2 GiB broadcast
+        (tmp_path / "t128.json").write_text(run("hadamard", "character-table", "--moduli", "128"))
+        self._child(("hadamard", "tensor", "--in", "t128.json", "--in2", "t128.json"), tmp_path)

@@ -22,4 +22,4 @@ def test_docstring_examples(name):
 
 
 def test_cyclotomic_has_examples():
-    assert doctest.testmod(importlib.import_module("chd.cyclotomic")).attempted >= 9
+    assert doctest.testmod(importlib.import_module("chd.cyclotomic")).attempted >= 18

@@ -28,6 +28,9 @@ from chd import (
 )
 
 
+from chd.graphs import connection_set
+
+
 def laplacian_spectrum(g):
     return sorted(round(float(x), 9) for x in np.linalg.eigvalsh(g.laplacian_float()))
 
@@ -79,6 +82,28 @@ class TestCayley:
     def test_asymmetric_connection_rejected(self):
         with pytest.raises(SimplicityError):
             cayley(AbelianGroup((5,)), [(1,)])
+
+    @pytest.mark.parametrize(
+        "conn", [[(1.6,), (3,)], [(1.6,), (3.2,)], [(True,), (3,)], [(1,), ("3",)], [(np.float64(1),), (3,)]]
+    )
+    def test_non_integer_elements_refused(self, conn):
+        group = AbelianGroup((4,))
+        with pytest.raises(ChdError, match="not an integer"):
+            connection_set(group, conn)
+        with pytest.raises(ChdError, match="not an integer"):
+            cayley(group, conn)
+
+    def test_connection_set_messages(self):
+        group = AbelianGroup((4, 2))
+        assert connection_set(group, [(5, 1), (-1, 3), (np.int64(2), 0)]) == {(1, 1), (3, 1), (2, 0)}
+        assert connection_set(group, [(2**70 + 1, 0), (3, 0)]) == {(1, 0), (3, 0)}
+        with pytest.raises(ChdError, match=r"element \(1, 0, 0\) has wrong arity for moduli \(4, 2\)"):
+            connection_set(group, [(1, 0), (1, 0, 0)])
+        with pytest.raises(SimplicityError, match=r"the identity \(loops\)"):
+            connection_set(group, [(1, 0), (3, 0), (4, 2)])
+        with pytest.raises(SimplicityError, match=r"not closed under negation at \(1, 1\)"):
+            connection_set(group, [(2, 0), (1, 1), (1, 0), (3, 0)])
+        assert group.neg((1, 1)) == (3, 1) and group.normalise((-1, 3)) == (3, 1)
 
     def test_constant_degree(self):
         group = AbelianGroup((3, 3))

@@ -10,6 +10,7 @@ from chd import (
     ButsonMatrix,
     ChdError,
     PreconditionError,
+    ScaleError,
     character_table,
     classify,
     conference_lift,
@@ -22,6 +23,7 @@ from chd import (
     tensor,
     verify,
 )
+from chd.graphs import MAX_VERTICES
 from chd.hadamard import character_rows
 
 
@@ -42,6 +44,18 @@ class TestVerify:
 
     def test_sylvester_cube(self, f8):
         assert verify(f8)
+
+    def test_orders_past_the_cap_refused(self):
+        # before the table is read or built
+        with pytest.raises(ScaleError):
+            ButsonMatrix([[0]] * (MAX_VERTICES + 1), 2)
+        with pytest.raises(ScaleError):
+            ButsonMatrix(np.zeros((MAX_VERTICES + 1,) * 2, dtype=np.int64), 2)
+        with pytest.raises(ScaleError):
+            tensor(character_table((64,)), character_table((128,)))
+        # the order is checked before H is verified or doubled
+        with pytest.raises(ScaleError):
+            double(ButsonMatrix(np.zeros((MAX_VERTICES // 2 + 1,) * 2, dtype=np.int64), 2))
 
     def test_float_oracle(self, t4, h6):
         for h in (t4, h6):

@@ -1,8 +1,9 @@
 """Differential tests: the bulk graph and exponent-table loaders, the
-table-driven reduction, verify and certify, the split cut tables, the
-integer characteristic polynomial, rational spectrum extraction and
-revival search against the loop kernels kept in ``oracles``, and the four
-revival entry points against each other."""
+table-driven reduction, verify and certify with their split-prime zero
+test, the split cut tables, the integer characteristic polynomial,
+rational spectrum extraction and revival search against the loop kernels
+kept in ``oracles``, and the four revival entry points against each
+other."""
 
 import math
 import random
@@ -47,7 +48,7 @@ from chd import (
     verify,
     walks,
 )
-from chd import diagonalise, hadamard, spectral
+from chd import cyclotomic, diagonalise, graphs, hadamard, spectral
 from chd.cyclotomic import (
     FLOAT64_BOUND,
     INT64_BOUND,
@@ -201,9 +202,10 @@ class TestCertifyAgainstLoop:
 
     @pytest.mark.parametrize("bits", [41, 49, 61])
     def test_int64_and_object_paths(self, bits):
-        # certify's product of the Laplacian has the bound n * max|L|: below
+        # a reduction of the Laplacian has the bound n * max|L|: below
         # 2**53 at 2**41 (float64), below 2**62 at 2**49 (int64); at 2**61
-        # n * max exceeds 2**62, so storage and reduction use Python ints
+        # n * max exceeds 2**62, so storage and reduction use Python ints;
+        # certify reduces L mod each split prime, as its row sums pass p
         z44 = AbelianGroup((4, 4))
         g = merge(
             cayley(z44, [(1, 0), (3, 0), (0, 1), (0, 3)]),
@@ -246,7 +248,7 @@ class TestBlocks:
     @pytest.mark.parametrize("pair", range(len(PAIRS)))
     def test_certify(self, monkeypatch, cols, pair):
         g, h = self.PAIRS[pair]
-        monkeypatch.setattr(diagonalise, "_BLOCK", cols * max(g.n, h.r) * h.r)
+        monkeypatch.setattr(diagonalise, "_BLOCK", cols * g.n)
         assert _same_certificate(g, h) is not None
         for target in ("laplacian", "adjacency"):
             bad = _corrupt_last_column(h)
@@ -257,9 +259,7 @@ class TestBlocks:
     @pytest.mark.parametrize("moduli", [(2,) * 5, (3, 3), (4, 2), (5,), (12,)])
     def test_verify(self, monkeypatch, rows, moduli):
         h = character_table(moduli)
-        assert reduction_table(h.r).shape[1] <= hadamard._PRODUCT_MAX_PHI
-        monkeypatch.setattr(hadamard, "_BLOCK", 0)
-        monkeypatch.setattr(hadamard, "_MIN_ROWS", rows)
+        monkeypatch.setattr(hadamard, "_BLOCK", rows * h.n)
         assert verify(ButsonMatrix(h.exps, h.r))
         for i, j in ((h.n - 1, h.n - 1), (h.n - 2, h.n - 1), (0, h.n - 1), (h.n - 1, None)):
             exps = h.exps.copy()
@@ -304,8 +304,7 @@ class TestCertifyAgainstEigensolver:
 @st.composite
 def corrupted_tables(draw):
     moduli = draw(
-        # phi(r) <= 4 (float64 products) and past it (difference counts), the
-        # last three of each at n >= 64
+        # phi(r) <= 4 and past it, the last three of each at n >= 64
         st.sampled_from([
             (2, 2, 2), (4,), (6,), (3, 3), (8,), (2, 4), (5,), (12,), (2,) * 6, (4, 4, 4), (8, 8),
             (7,), (16,), (9,), (16, 4), (7, 7, 2), (32, 2),
@@ -330,6 +329,154 @@ class TestVerifyAgainstPairwise:
     def test_corruptions(self, table):
         exps, r = table
         assert verify(ButsonMatrix(exps, r)) == oracles.verify(exps.tolist(), r)
+
+
+def _sieve(limit: int) -> np.ndarray:
+    is_prime = np.ones(limit + 1, dtype=bool)
+    is_prime[:2] = False
+    for q in range(2, math.isqrt(limit) + 1):
+        if is_prime[q]:
+            is_prime[q * q :: q] = False
+    return is_prime
+
+
+def _not_closed(h):
+    """h is a table whose rows and columns are not closed under e -> k e,
+    so the zero test falls back to every unit."""
+    assert not cyclotomic._closed(h.exps, h.r) and not cyclotomic._closed(h.exps.T, h.r)
+    return h
+
+
+def _split_prime_tables():
+    """(name, matrix, graph it diagonalises): closed character tables at
+    root orders with one, two and three prime factors, and tables that are
+    not closed: the conference-6 lift, a tensor with it, and monomial
+    transforms with random phases."""
+    rng = random.Random(14)
+    h6 = hadamard.conference_lift(hadamard.paley_conference(5))
+    z4 = AbelianGroup((4,))
+    out = [
+        (str(m), character_table(m), cayley(AbelianGroup(m), [(1,) + (0,) * (len(m) - 1), (-1,) + (0,) * (len(m) - 1)]))
+        for m in [(9,), (16,), (12,), (4, 6), (30,), (2, 3, 5)]
+    ]
+    out.append(("conference-6", _not_closed(h6), complete(6)))
+    out.append(("conference-6 x Z4", _not_closed(hadamard.tensor(h6, character_table((4,)))),
+                graphs.product(complete(6), cayley(z4, [(1,), (3,)]), "cartesian")))
+    for m in [(12,), (3, 3), (8,)]:
+        t = character_table(m)
+        n = t.n
+        phases = [[rng.randrange(t.r) for _ in range(n)] for _ in range(2)]
+        out.append((f"monomial {m}", _not_closed(hadamard.monomial_transform(
+            t, rng.sample(range(n), n), rng.sample(range(n), n), *phases)), None))
+    return out
+
+
+SPLIT_PRIME_TABLES = _split_prime_tables()
+
+
+class TestSplitPrimeZeroTest:
+    """verify and certify decide by evaluation at split primes; every
+    decision is the long-division oracle's."""
+
+    @pytest.mark.parametrize("case", range(len(SPLIT_PRIME_TABLES)), ids=[c[0] for c in SPLIT_PRIME_TABLES])
+    def test_tables_against_oracles(self, case):
+        _, h, g = SPLIT_PRIME_TABLES[case]
+        assert oracles.verify(h.exps.tolist(), h.r)
+        assert verify(ButsonMatrix(h.exps, h.r))
+        if g is not None:
+            for target in ("laplacian", "adjacency"):
+                assert _same_certificate(g, h, target) is not None
+                assert _same_certificate(g, _corrupt_last_column(h), target) is None
+
+    @pytest.mark.parametrize("case", range(len(SPLIT_PRIME_TABLES)), ids=[c[0] for c in SPLIT_PRIME_TABLES])
+    def test_every_one_entry_corruption_rejected(self, case):
+        # moving one entry of row i changes <h_i, h_k> by a nonzero amount
+        # for every k != i, so no such table is Hadamard
+        _, h, _ = SPLIT_PRIME_TABLES[case]
+        exps = h.exps.copy()
+        for i in range(h.n):
+            for j in range(h.n):
+                for shift in range(1, h.r):
+                    exps[i, j] = (h.exps[i, j] + shift) % h.r
+                    assert not verify(ButsonMatrix(exps, h.r)), (i, j, shift)
+                exps[i, j] = h.exps[i, j]
+
+    def test_corruptions_against_the_oracle_where_it_is_cheap(self):
+        rng = random.Random(5)
+        for name, h, _ in SPLIT_PRIME_TABLES[:4] + SPLIT_PRIME_TABLES[6:]:
+            for _ in range(5):
+                exps = h.exps.copy()
+                i, j = rng.randrange(h.n), rng.randrange(h.n)
+                exps[i, j] = (exps[i, j] + rng.randrange(1, h.r)) % h.r
+                assert verify(ButsonMatrix(exps, h.r)) == oracles.verify(exps.tolist(), h.r) is False, name
+
+    @pytest.mark.parametrize("r", [64, 105])
+    def test_one_embedding_alone_is_not_enough(self, r):
+        # two 0/1 vectors with equal sums of g**e mod p (a birthday
+        # collision among 4000) differ by a nonzero x with x(g) = 0 mod p;
+        # only the other embeddings show that x is not 0
+        p, g = cyclotomic.split_prime(r)
+        rng = np.random.default_rng(r)
+        values = np.array([pow(g, e, p) for e in range(r)], dtype=np.int64)
+        subsets = rng.integers(0, 2, size=(4000, r))
+        sums = subsets @ values % p
+        order = np.argsort(sums, kind="stable")
+        i = next(i for i in range(len(order) - 1) if sums[order[i]] == sums[order[i + 1]])
+        x = subsets[order[i]] - subsets[order[i + 1]]
+        assert any(oracles.reduce(x.tolist(), r))
+
+        def residues(p, powers):
+            yield np.array([x @ powers[:r]])
+
+        bound = int(np.abs(x).sum())
+        # rows [0, 1, ..., r-1] are not closed under e -> k e, so every
+        # unit is tried; a single row [0] is, and g alone is taken
+        assert not cyclotomic.vanishes(residues, np.arange(r)[None, :], r, bound)
+        assert cyclotomic.vanishes(residues, np.zeros((1, 1), dtype=np.int64), r, bound)
+
+    def test_huge_weights_take_further_primes(self, monkeypatch):
+        # W is about 2**74, so the product of primes must pass 20 W: four
+        # primes of about 2**20.5
+        used = []
+        split_prime = cyclotomic.split_prime
+        monkeypatch.setattr(cyclotomic, "split_prime", lambda r, i=0: used.append(i) or split_prime(r, i))
+        z44 = AbelianGroup((4, 4))
+        g = merge(
+            cayley(z44, [(1, 0), (3, 0), (0, 1), (0, 3)]),
+            cayley(z44, [(1, 1), (3, 3), (2, 0)]),
+            Fraction(2**70 + 1, 5),
+            Fraction(2**70 - 1, 7),
+        )
+        assert g.matrix.dtype == object
+        h = double(character_table((4, 4)))
+        assert _same_certificate(g, h) is not None
+        assert max(used) >= 3
+        assert _same_certificate(g, _corrupt_last_column(h)) is None
+
+    def test_split_primes_and_unit_generators(self):
+        limit = math.isqrt((FLOAT64_BOUND - 1) // 4097) + 1
+        is_prime = _sieve(limit)
+        for r in range(1, MAX_ORDER + 1):
+            p, g = cyclotomic.split_prime(r)
+            assert is_prime[p] and p % r == 1 % r and 4097 * (p - 1) ** 2 < FLOAT64_BOUND
+            assert not is_prime[p + r : limit + 1 : r].any()  # the largest such prime
+            powers = [1]
+            while len(powers) == 1 or powers[-1] != 1:
+                powers.append(powers[-1] * g % p)
+            assert len(powers) - 1 == r  # the order of g is exactly r
+            units = {k for k in range(r) if math.gcd(k, r) == 1} or {0}
+            span, frontier = {1 % r}, [1 % r]
+            while frontier:
+                x = frontier.pop()
+                for y in (x * k % r for k in cyclotomic.unit_generators(r)):
+                    if y not in span:
+                        span.add(y)
+                        frontier.append(y)
+            assert span == units
+        for r in (1, 2, 7, 128, 1021):
+            ps = [cyclotomic.split_prime(r, i)[0] for i in range(4)]
+            assert ps == sorted(ps, reverse=True) and len(set(ps)) == 4
+            assert all(is_prime[q] and q % r == 1 % r for q in ps)
 
 
 class TestExponentValidation:
