@@ -213,23 +213,65 @@ def split_prime(r: int, i: int = 0) -> tuple[int, int]:
 
 
 @lru_cache(maxsize=None)
-def unit_generators(r: int) -> tuple[int, ...]:
-    """Units that generate (Z/r)^*, chosen greedily.
+def _units(r: int) -> tuple[int, ...]:
+    """The units mod r, 1 first."""
+    return (1 % r,) + tuple(k for k in range(2, r) if math.gcd(k, r) == 1)
 
-    >>> unit_generators(8), unit_generators(9), unit_generators(2)
-    ((3, 5), (2,), ())
+
+def _row_set(exps: np.ndarray) -> set[bytes]:
+    """The rows of a uint16 table, as a set of bytes."""
+    rows = np.ascontiguousarray(exps)
+    return set(rows.view(np.dtype((np.void, 2 * rows.shape[1]))).ravel().tolist())
+
+
+def unit_cosets(exps: np.ndarray, r: int) -> list[int]:
+    """Units k mod r, 1 first, one from each coset k S of the group S of
+    units under which the rows of the dephased table, as a set, are closed
+    (e -> k e mod r maps every row to a row).  The dephased table is exps
+    less each row's entry in column 0 and each column's entry in row 0.
+
+    Units are tested in increasing order, skipping each that the tests so
+    far decide: one in the group they span, or in a coset of it already
+    known to lie outside S.  A table closed under every unit is tested on
+    a generating set, one closed under none on every unit.
+
+    >>> unit_cosets(np.array([[0, 0], [0, 1], [0, 2], [0, 3]]), 8)  # none but 1
+    [1, 3, 5, 7]
+    >>> unit_cosets(np.array([[0, 1], [0, 3], [0, 5], [0, 7]]), 8)  # all
+    [1]
+    >>> unit_cosets(np.array([[0, 1], [0, 5], [0, 2], [0, 6]]), 8)  # S = {1, 5}
+    [1, 3]
     """
-    span, gens = {1 % r}, []
-    for k in range(2, r):
-        if math.gcd(k, r) == 1 and k not in span:
-            gens.append(k)
-            # the span with k is the union of the cosets k**j span
-            grown, x = set(span), k
-            while x not in span:
-                grown.update(x * s % r for s in span)
+    units = _units(r)
+    group, outside = {units[0]}, set()
+
+    def image(k: int) -> set[bytes]:
+        # entry x in -2r..2r-1 is read as x + 2r when negative, and
+        # (x + 2r) k = x k (mod r)
+        return _row_set((np.arange(2 * r) * k % r).astype(np.uint16)[table])
+
+    if len(units) > 1:
+        table = exps - exps[:, :1] - (exps[:1] - exps[:1, :1])  # dephased
+        rows = image(1)
+    for k in units[1:]:
+        if k in group or k in outside:
+            continue
+        if image(k) == rows:
+            # the group spanned with k is the union of the cosets k**j group
+            grown, x = set(group), k
+            while x not in group:
+                grown.update(x * s % r for s in group)
                 x = x * k % r
-            span = grown
-    return tuple(gens)
+            group = grown
+            outside = {x * s % r for x in outside for s in group}
+        else:
+            outside.update(k * s % r for s in group)
+    cosets, covered = [], set()
+    for k in units:
+        if k not in covered:
+            cosets.append(k)
+            covered.update(k * s % r for s in group)
+    return cosets
 
 
 @lru_cache(maxsize=None)
@@ -237,24 +279,6 @@ def _powers(r: int, i: int) -> np.ndarray:
     """g**e mod p for e in 0..r in float64, (p, g) = split_prime(r, i)."""
     p, g = split_prime(r, i)
     return np.array([pow(g, e, p) for e in range(r + 1)], dtype=np.float64)
-
-
-def _closed(exps: np.ndarray, r: int) -> bool:
-    """Whether the rows of exps, as a set, are closed under e -> k e mod r
-    for every unit k.  Each image row is found by a 64-bit key and then
-    compared in full, so a collision of keys can only give False."""
-    gens = unit_generators(r)
-    if not gens:  # r <= 2
-        return True
-    weights = np.cumprod(np.full(exps.shape[1], 0x9E3779B97F4A7C15, dtype=np.uint64)).view(np.int64)
-    keys = exps @ weights
-    order = np.argsort(keys)
-    for k in gens:
-        image = (np.arange(r) * k % r)[exps]
-        at = np.take(order, np.searchsorted(keys, image @ weights, sorter=order), mode="clip")
-        if not (exps[at] == image).all():
-            return False
-    return True
 
 
 def vanishes(residues, exps: np.ndarray, r: int, bound: int) -> bool:
@@ -270,13 +294,15 @@ def vanishes(residues, exps: np.ndarray, r: int, bound: int) -> bool:
     set of primes from :func:`split_prime` whose product P exceeds twice
     bound max|R_r|: x then lies in every prime of Z[z] above p, so p
     divides x, and every reduced coordinate is a multiple of P smaller
-    than P.  Row e of ``exps`` indexes the elements that z -> z**k maps to
-    those of row k e mod r (the rows of H index the rows of H H*, the
-    columns of H those of M H).  If the rows are closed under e -> k e for
-    a generating set of units, so is the family under every z -> z**k, and
-    g alone stands for every g**k; otherwise each unit k is tried in turn,
-    up to the first nonzero.  A block x is tested as x == p rint(x / p),
-    exact below 2**53.
+    than P.  Row i of ``exps`` indexes elements of the family (the rows of
+    H index those of H H*, the columns of H those of M H), which
+    z -> z**k maps to powers of z times the elements indexed by any row
+    that is k times row i once the table is dephased (:func:`unit_cosets`).
+    So if those rows are closed under e -> k e for every k of a group S of
+    units, the family is closed up to such powers under z -> z**k, k in S,
+    and one unit of each coset of S stands for the whole coset: g alone
+    when S holds every unit.  The cosets are tried in turn, up to the first
+    nonzero.  A block x is tested as x == p rint(x / p), exact below 2**53.
 
     >>> exps = np.array([[0, 1, 2]])  # 1 + z + z**2
     >>> vanishes(lambda p, powers: [powers[exps].sum(axis=1)], exps, 3, 3)
@@ -296,8 +322,7 @@ def vanishes(residues, exps: np.ndarray, r: int, bound: int) -> bool:
             for x in residues(p, _powers(r, i)[np.arange(r + 1) * k % r])
         )
 
-    units = (k for k in range(2, r) if math.gcd(k, r) == 1)
-    return zero_at(1) and (_closed(exps, r) or all(map(zero_at, units)))
+    return zero_at(1 % r) and all(map(zero_at, unit_cosets(exps, r)[1:]))
 
 
 class CyclotomicInt:
@@ -318,14 +343,6 @@ class CyclotomicInt:
             raise ChdError("coefficients must be integers")
         self.order = order
         self.coeffs = tuple(map(int, coeffs))
-
-    @classmethod
-    def of_ints(cls, order: int, coeffs: tuple[int, ...]) -> "CyclotomicInt":
-        """A value from a root order already checked and a tuple of Python
-        ints of that length, which are not checked again."""
-        value = object.__new__(cls)
-        value.order, value.coeffs = order, coeffs
-        return value
 
     def reduced(self) -> tuple[int, ...]:
         """Canonical coordinates in the basis 1, z, ..., z**(phi(r)-1)."""

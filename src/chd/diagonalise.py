@@ -167,8 +167,7 @@ def certify(
         raise PreconditionError("certify requires a dephased matrix; dephase first")
     mat, scale = g.integer_matrix(target)
     n, r = g.n, h.r
-    # W: a row of |L| sums to twice the degree, a row of A to the degree
-    w = int(g.matrix.sum(axis=1).max(initial=0)) * (2 if target == "laplacian" else 1)
+    w = int(np.abs(mat).sum(axis=1).max(initial=0))
     if not vanishes(lambda p, powers: _residuals(mat, w, h, p, powers), h.exps.T, r, 2 * w):
         return None
     # row 0 of H is all ones, so lambda_j is row 0 of M h_j:
@@ -179,7 +178,7 @@ def certify(
     entries = []
     for coeffs, rem in zip(lam.tolist(), reduce(lam, r).tolist()):
         rational = None if any(rem[1:]) else Fraction(rem[0], scale)
-        entries.append(EigenvalueEntry(CyclotomicInt.of_ints(r, tuple(coeffs)), scale, rational))
+        entries.append(EigenvalueEntry(CyclotomicInt(r, coeffs), scale, rational))
     return SpectrumAssignment(tuple(entries), target)
 
 

@@ -130,25 +130,25 @@ def _maxabs(a: np.ndarray) -> int:
     return int(np.abs(a).max(initial=0))
 
 
-def _check_order(n) -> None:
+def check_count(n, noun: str = "vertices") -> None:
+    """Refuse a count of graph vertices, group elements or matrix rows that
+    is not an integer in 0..MAX_VERTICES, before anything of that size is
+    built."""
     if not _is_int(n) or n < 0:
-        raise ChdError(f"the vertex count must be a nonnegative integer, got {n!r}")
+        raise ChdError(f"the number of {noun} must be a nonnegative integer, got {n!r}")
     if n > MAX_VERTICES:
-        raise ScaleError(f"graphs are capped at {MAX_VERTICES} vertices, got {n}")
+        raise ScaleError(f"{noun} are capped at {MAX_VERTICES}, got {n}")
 
 
 def check_group_order(moduli) -> None:
     """Refuse a product of cyclic groups with more than MAX_VERTICES
-    elements before anything is built, multiplying the moduli one at a time
-    so that a long iterable of factors is never read to its end."""
+    elements, multiplying the moduli one at a time so that a long iterable
+    of factors is never read to its end: the count refused may be a
+    partial product."""
     order = 1
     for m in moduli:
         order *= m
-        if order > MAX_VERTICES:
-            raise ScaleError(
-                f"groups are capped at {MAX_VERTICES} elements, as graphs are at "
-                f"{MAX_VERTICES} vertices"
-            )
+        check_count(order, "group elements")
 
 
 class WeightedGraph:
@@ -176,7 +176,7 @@ class WeightedGraph:
         n = mat.shape[0]
         if mat.ndim != 2 or mat.shape[1] != n:
             raise ChdError("weight matrix must be square")
-        _check_order(n)
+        check_count(n)
         loops = np.flatnonzero(np.diagonal(mat))
         if loops.size:
             raise SimplicityError(f"vertex {loops[0]} carries a loop")
@@ -204,7 +204,7 @@ class WeightedGraph:
         refused whatever its weights.  The list is checked in one bulk pass;
         if it fails, the first edge in the list's order that breaks a rule
         is named by ``_edge_fault``."""
-        _check_order(n)
+        check_count(n)
         edges = list(edges)
         columns = _edge_columns(edges, n)
         if columns is None:
@@ -529,13 +529,13 @@ def weighted_tensor_sum(terms) -> WeightedGraph:
 
 def complete(n: int) -> WeightedGraph:
     _check_size(n)
-    _check_order(n)
+    check_count(n)
     return complete_multipartite((1,) * n)
 
 
 def empty_graph(n: int) -> WeightedGraph:
     _check_size(n)
-    _check_order(n)
+    check_count(n)
     return WeightedGraph._from_matrix(np.zeros((n, n), dtype=np.int64))
 
 
@@ -571,7 +571,7 @@ def complete_multipartite(parts) -> WeightedGraph:
     parts = tuple(int(p) for p in parts)
     if not parts or any(p < 1 for p in parts):
         raise ChdError(f"part sizes must be positive, got {parts}")
-    _check_order(sum(parts))
+    check_count(sum(parts))
     block = np.repeat(np.arange(len(parts)), parts)
     mat = (block[:, None] != block[None, :]).astype(np.int64)
     return WeightedGraph._from_matrix(mat)

@@ -5,7 +5,7 @@ n x n integer table ``exps`` with entry ``H[j, k] = z**exps[j, k]``,
 ``z = exp(2*pi*i/r)``.  All structural checks (orthogonality, dephasing,
 products) run on the exponents, so they are exact; complex views are derived
 on demand.  Orthogonality is decided by evaluating H at a split prime
-(``cyclotomic.vanishes``).  Orders are capped at ``MAX_VERTICES``, as graphs
+(``cyclotomic.vanishes``).  Orders are capped by ``graphs.check_count``, as graphs
 are, and ``tensor`` checks the order of its product before building it.
 """
 
@@ -18,8 +18,8 @@ from itertools import chain
 import numpy as np
 
 from .cyclotomic import all_integers, check_order, prime_factors, vanishes
-from .errors import ChdError, PreconditionError, ScaleError
-from .graphs import MAX_VERTICES, AbelianGroup
+from .errors import ChdError, PreconditionError
+from .graphs import AbelianGroup, check_count
 
 __all__ = [
     "ButsonMatrix",
@@ -42,14 +42,6 @@ __all__ = [
 _BLOCK = 1 << 15
 
 
-def _check_order(n: int) -> None:
-    if n > MAX_VERTICES:
-        raise ScaleError(
-            f"matrices are capped at order {MAX_VERTICES}, as graphs are at "
-            f"{MAX_VERTICES} vertices, got {n}"
-        )
-
-
 def _exponent_table(rows) -> np.ndarray:
     """An exponent table given as n rows of n integers, the rows lists or
     tuples (an array is read through ``tolist``): checked once per distinct
@@ -59,7 +51,7 @@ def _exponent_table(rows) -> np.ndarray:
     if isinstance(rows, np.ndarray):
         rows = rows.tolist()
     n = len(rows) if isinstance(rows, (list, tuple)) else 0
-    _check_order(n)
+    check_count(n, "matrix rows")
     square = n and all(isinstance(row, (list, tuple)) and len(row) == n for row in rows)
     if square and all_integers(chain.from_iterable(rows)):
         try:
@@ -83,7 +75,7 @@ class ButsonMatrix:
             exps = _exponent_table(exps)
         if exps.ndim != 2 or exps.shape[0] != exps.shape[1]:
             raise ChdError(f"exponent table must be square, got shape {exps.shape}")
-        _check_order(exps.shape[0])
+        check_count(exps.shape[0], "matrix rows")
         if exps.dtype == object or exps.size and not 0 <= exps.min() <= exps.max() < r:
             exps = exps % r
         arr = exps.astype(np.int64)
@@ -143,8 +135,11 @@ def verify(h: ButsonMatrix) -> bool:
     and the test is H(g) H(g**-1)^T = n I (mod p), exact in float64 as
     n (p-1)**2 < 2**53.  The rows of a character table, of a tensor of
     tables and of ``double`` of a table are closed under e -> k e mod r, so
-    g alone decides them.  Beside blocks of ``_BLOCK`` entries it holds
-    H(g) and, for r > 2, H(g**-1), 128 MiB each at n = 4096.
+    g alone decides them.  Row and column phases scale an entry of H H*
+    by a power of z, so closure is judged on the dephased rows: a monomial
+    transform of such a table is closed too.  Beside blocks of ``_BLOCK``
+    entries it holds H(g) and, for r > 2, H(g**-1), 128 MiB each at
+    n = 4096.
 
     Never raises on a non-Hadamard exponent table; it just returns False.
     """
@@ -218,7 +213,7 @@ def tensor(h1: ButsonMatrix, h2: ButsonMatrix) -> ButsonMatrix:
     Row/column indices are row-major pairs (i1, i2) -> i1 * n2 + i2.
     """
     n = h1.n * h2.n
-    _check_order(n)
+    check_count(n, "matrix rows")
     _require_verified(h1, "tensor")
     _require_verified(h2, "tensor")
     r = math.lcm(h1.r, h2.r)

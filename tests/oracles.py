@@ -30,7 +30,7 @@ from itertools import combinations
 import numpy as np
 
 from chd import ChdError, ScaleError, SimplicityError, WeightedGraph
-from chd.graphs import _check_order
+from chd.graphs import check_count
 from chd.walks import FRCertificate, RationalAngle
 
 
@@ -54,7 +54,7 @@ def _as_fraction(x) -> Fraction:
 def graph_from_edges(n, edges) -> WeightedGraph:
     """One Python step per edge, in order: shape, weight, vertex type,
     range, loop, and any pair seen before in either orientation."""
-    _check_order(n)
+    check_count(n)
     weights: dict[tuple[int, int], Fraction] = {}
     for item in edges:
         if not isinstance(item, (list, tuple)) or len(item) not in (2, 3):

@@ -340,33 +340,48 @@ def _sieve(limit: int) -> np.ndarray:
     return is_prime
 
 
+def _cosets(exps, r):
+    return len(cyclotomic.unit_cosets(exps, r))
+
+
 def _not_closed(h):
-    """h is a table whose rows and columns are not closed under e -> k e,
-    so the zero test falls back to every unit."""
-    assert not cyclotomic._closed(h.exps, h.r) and not cyclotomic._closed(h.exps.T, h.r)
+    """h is dephased and neither its rows nor its columns are closed under
+    e -> k e for every unit k, so the zero test takes more than g."""
+    assert h.is_dephased() and _cosets(h.exps, h.r) > 1 and _cosets(h.exps.T, h.r) > 1
+    return h
+
+
+def _closed_once_dephased(h):
+    """h's rows are not closed under every unit as they stand, but those of
+    its dephased form are, so verify evaluates at g alone."""
+    rows = {tuple(e) for e in h.exps.tolist()}
+    units = [k for k in range(2, h.r) if math.gcd(k, h.r) == 1]
+    assert any({tuple(e) for e in (k * h.exps % h.r).tolist()} != rows for k in units)
+    assert _cosets(h.exps, h.r) == 1
     return h
 
 
 def _split_prime_tables():
     """(name, matrix, graph it diagonalises): closed character tables at
-    root orders with one, two and three prime factors, and tables that are
-    not closed: the conference-6 lift, a tensor with it, and monomial
-    transforms with random phases."""
+    root orders with one, two and three prime factors, tables that are not
+    closed: the conference-6 lift and tensors with it, one of which is
+    closed under half the units, and monomial transforms with random
+    phases, which are closed once dephased."""
     rng = random.Random(14)
     h6 = hadamard.conference_lift(hadamard.paley_conference(5))
-    z4 = AbelianGroup((4,))
     out = [
         (str(m), character_table(m), cayley(AbelianGroup(m), [(1,) + (0,) * (len(m) - 1), (-1,) + (0,) * (len(m) - 1)]))
         for m in [(9,), (16,), (12,), (4, 6), (30,), (2, 3, 5)]
     ]
     out.append(("conference-6", _not_closed(h6), complete(6)))
-    out.append(("conference-6 x Z4", _not_closed(hadamard.tensor(h6, character_table((4,)))),
-                graphs.product(complete(6), cayley(z4, [(1,), (3,)]), "cartesian")))
+    for m in (4, 8):
+        out.append((f"conference-6 x Z{m}", _not_closed(hadamard.tensor(h6, character_table((m,)))),
+                    graphs.product(complete(6), cycle(m), "cartesian")))
     for m in [(12,), (3, 3), (8,)]:
         t = character_table(m)
         n = t.n
         phases = [[rng.randrange(t.r) for _ in range(n)] for _ in range(2)]
-        out.append((f"monomial {m}", _not_closed(hadamard.monomial_transform(
+        out.append((f"monomial {m}", _closed_once_dephased(hadamard.monomial_transform(
             t, rng.sample(range(n), n), rng.sample(range(n), n), *phases)), None))
     return out
 
@@ -403,7 +418,7 @@ class TestSplitPrimeZeroTest:
 
     def test_corruptions_against_the_oracle_where_it_is_cheap(self):
         rng = random.Random(5)
-        for name, h, _ in SPLIT_PRIME_TABLES[:4] + SPLIT_PRIME_TABLES[6:]:
+        for name, h, _ in SPLIT_PRIME_TABLES[:4] + SPLIT_PRIME_TABLES[6:8] + SPLIT_PRIME_TABLES[9:]:
             for _ in range(5):
                 exps = h.exps.copy()
                 i, j = rng.randrange(h.n), rng.randrange(h.n)
@@ -429,9 +444,10 @@ class TestSplitPrimeZeroTest:
             yield np.array([x @ powers[:r]])
 
         bound = int(np.abs(x).sum())
-        # rows [0, 1, ..., r-1] are not closed under e -> k e, so every
-        # unit is tried; a single row [0] is, and g alone is taken
-        assert not cyclotomic.vanishes(residues, np.arange(r)[None, :], r, bound)
+        # rows [0, ..., 0] and [0, 1, ..., r-1] are not closed under
+        # e -> k e, so every unit is tried; a single row [0] is, and g
+        # alone is taken
+        assert not cyclotomic.vanishes(residues, np.arange(r) * np.arange(2)[:, None], r, bound)
         assert cyclotomic.vanishes(residues, np.zeros((1, 1), dtype=np.int64), r, bound)
 
     def test_huge_weights_take_further_primes(self, monkeypatch):
@@ -453,7 +469,7 @@ class TestSplitPrimeZeroTest:
         assert max(used) >= 3
         assert _same_certificate(g, _corrupt_last_column(h)) is None
 
-    def test_split_primes_and_unit_generators(self):
+    def test_split_primes(self):
         limit = math.isqrt((FLOAT64_BOUND - 1) // 4097) + 1
         is_prime = _sieve(limit)
         for r in range(1, MAX_ORDER + 1):
@@ -464,19 +480,30 @@ class TestSplitPrimeZeroTest:
             while len(powers) == 1 or powers[-1] != 1:
                 powers.append(powers[-1] * g % p)
             assert len(powers) - 1 == r  # the order of g is exactly r
-            units = {k for k in range(r) if math.gcd(k, r) == 1} or {0}
-            span, frontier = {1 % r}, [1 % r]
-            while frontier:
-                x = frontier.pop()
-                for y in (x * k % r for k in cyclotomic.unit_generators(r)):
-                    if y not in span:
-                        span.add(y)
-                        frontier.append(y)
-            assert span == units
         for r in (1, 2, 7, 128, 1021):
             ps = [cyclotomic.split_prime(r, i)[0] for i in range(4)]
             assert ps == sorted(ps, reverse=True) and len(set(ps)) == 4
             assert all(is_prime[q] and q % r == 1 % r for q in ps)
+
+    @pytest.mark.parametrize("r", [1, 2, 8, 15, 16, 24, 63, 105, 128, 1021])
+    def test_unit_cosets_against_the_stabiliser(self, r):
+        # rows: the orbit of random rows under the group spanned by random
+        # units, so the stabiliser S is that group or larger; it is found by
+        # trying every unit, and unit_cosets must give one unit per coset
+        units = [k for k in range(r) if math.gcd(k, r) == 1] or [0]
+        rng = random.Random(r)
+        for trial in range(6):
+            span = {1 % r, *rng.sample(units, min(trial, len(units)))}
+            while not (grown := {a * b % r for a in span for b in span}) <= span:
+                span |= grown
+            # a zero row and a zero column, so that the table is dephased
+            seeds = np.array([[0] * 5] + [[0] + [rng.randrange(r) for _ in range(4)] for _ in range(2)])
+            exps = np.unique(np.concatenate([k * seeds % r for k in span]), axis=0)
+            rows = {tuple(e) for e in exps.tolist()}
+            stab = {k for k in units if {tuple(e) for e in (k * exps % r).tolist()} == rows}
+            cosets = cyclotomic.unit_cosets(exps, r)
+            assert cosets[0] == 1 % r and span <= stab
+            assert sorted(k * s % r for k in cosets for s in stab) == units
 
 
 class TestExponentValidation:
