@@ -55,9 +55,12 @@ def check_order(r) -> int:
 def all_integers(items) -> bool:
     """Whether every item is an integer, checked once per distinct type: a
     float or bool is refused, not truncated."""
-    return all(
-        issubclass(t, (int, np.integer)) and t is not bool for t in set(map(type, items))
-    )
+    return _integer_types(set(map(type, items)))
+
+
+def _integer_types(types) -> bool:
+    """Whether every type in ``types`` is an integer type other than bool."""
+    return all(issubclass(t, (int, np.integer)) and t is not bool for t in types)
 
 
 def exact_dtype(bound: int):
@@ -339,10 +342,11 @@ class CyclotomicInt:
             raise ChdError(
                 f"coefficient vector has length {len(coeffs)}, expected {order}"
             )
-        if not all_integers(coeffs):
+        types = set(map(type, coeffs))
+        if not _integer_types(types):
             raise ChdError("coefficients must be integers")
         self.order = order
-        self.coeffs = tuple(map(int, coeffs))
+        self.coeffs = coeffs if types == {int} else tuple(map(int, coeffs))
 
     def reduced(self) -> tuple[int, ...]:
         """Canonical coordinates in the basis 1, z, ..., z**(phi(r)-1)."""

@@ -1,21 +1,27 @@
 """Brute-force cut searches: Cheeger constant, edge density, tightness.
 
-Everything is exact: weights are scaled to integers, and the cut weight,
-volume and size of every subset of up to 24 vertices come from one split
-product, scanned in blocks of 2**15 int64 entries (see ``_cut_tables``), so
-a search holds a few blocks, under 5 MiB at 24 vertices, never the
-2**(n-1)-entry tables.  The product's cross term runs on float64 BLAS while
-n * sum(deg) < 2**53 and in int64 above.  The tables are int64, used only
-while n * sum(deg) and n**2 * scale stay below 2**62, which bounds every
-entry, numerator and denominator; beyond that a ScaleError is raised.  The
-minimising subset is selected by exact rational comparison (floats only
-keep a running shortlist, with an exact pass over it).
+Everything is exact: weights are scaled to integers, and the cut weight of
+every subset of up to 24 vertices comes from one split product over a low
+and a high block of vertices (see ``_cut_tables``).  The low subsets are
+sorted by the key that fixes the ratio's denominator, volume for the
+Cheeger ratio and size for the density, so within one high subset a run of
+equal keys shares its denominator and only its least cut can be minimal.
+Each block of 2**15 products shrinks to its run minima by one grouped
+minimum, and only those are divided, so a search holds a few blocks, under
+5 MiB at 24 vertices, never the 2**(n-1)-entry tables.  The product runs on
+float64 BLAS while n * sum(deg) < 2**53 and in int64 above.  Keys and
+ratios are int64, used only while n * sum(deg) and n**2 * scale stay below
+2**62, which bounds every cut, numerator and denominator; beyond that a
+ScaleError is raised.  The minimum and its smallest subset are selected by
+exact comparison (floats only keep a running shortlist, with an exact pass
+over it).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -35,8 +41,11 @@ __all__ = [
 ]
 
 _MAX_VERTICES = 24
-# int64 entries of one block of the cut tables (256 KiB)
+# entries of one block of cuts (256 KiB in float64 or int64)
 _BLOCK = 1 << 15
+# runs shorter than this on average are left whole: a grouped minimum over
+# them costs more than the division it saves
+_MIN_RUN = 4
 # n * (largest absolute row sum) below this keeps rounded eigvalsh exact
 _EIGVALSH_BOUND = 2**40
 
@@ -69,20 +78,49 @@ def _bits(k: int) -> np.ndarray:
     return (np.arange(1 << k)[:, None] >> np.arange(k)) & 1
 
 
-def _cut_tables(g: WeightedGraph):
-    """The total degree and blocks (first mask, cut, vol, size) that hold
-    the cut weight, volume and size of every subset S of the first n - 1
-    vertices (so each {S, V - S} pair appears once), indexed by the bit mask
-    of S.
+class _CutTables(NamedTuple):
+    """The cut weight and key of every subset S of the first n - 1 vertices
+    (so each {S, V - S} pair appears once).  S's bit mask splits at bit k
+    into a high mask h and a low mask order[j], and then
+    cut(S) = left[h] @ right[:, j] and key(S) = key_hi[h] + key_lo[j].  The
+    low masks are sorted by key, ascending within a key, so equal keys form
+    runs, which begin at ``starts``; when runs are shorter than _MIN_RUN on
+    average, every mask starts one."""
+
+    total: int  # the sum of the degrees
+    left: np.ndarray
+    right: np.ndarray
+    order: np.ndarray
+    starts: np.ndarray
+    key_hi: np.ndarray
+    key_lo: np.ndarray
+
+    def run_minima(self):
+        """(first high mask, the least cut of each run in each of the next
+        high masks), from products of about _BLOCK entries, gathered to
+        about _BLOCK run minima."""
+        rows, parts, first = max(1, _BLOCK // len(self.order)), [], 0
+        for a in range(0, len(self.left), rows):
+            cut = self.left[a : a + rows] @ self.right
+            if len(self.starts) < len(self.order):
+                cut = np.minimum.reduceat(cut, self.starts, axis=1)
+            parts.append(cut)
+            end = a + len(cut)
+            if (end - first) * len(self.starts) >= _BLOCK or end == len(self.left):
+                yield first, np.concatenate(parts) if len(parts) > 1 else parts[0]
+                parts, first = [], end
+
+
+def _cut_tables(g: WeightedGraph, key: str) -> _CutTables:
+    """The cut tables of g, keyed by "volume" (the sum of the degrees in S)
+    or by "size".
 
     The n - 1 vertices split into a low block of k bits and a high block.
     With x the indicator of S, cut(S) = vol(S) - x^T A x, and x^T A x is a
-    term of each block plus 2 x_hi^T A_hl x_lo, so each table is an outer
-    sum over (high, low) plus one product.  A block is a run of about
-    _BLOCK / 2**k high rows, flattened row-major, so its index is the mask
-    less the first.  The product's partial sums are integers in
-    [-sum(deg), sum(deg)], so it runs on float64 BLAS while
-    n * sum(deg) < 2**53 and in int64 above.
+    term of each block plus 2 x_hi^T A_hl x_lo, so the cut is one product
+    [x_hi, q_hi, 1] @ [-2 A_hl x_lo^T; 1; q_lo], q the cut within a block.
+    Its partial sums are integers in [-sum(deg), sum(deg)], so it runs on
+    float64 BLAS while n * sum(deg) < 2**53 and in int64 above.
     """
     n = g.n
     _require_cap(g)
@@ -95,27 +133,20 @@ def _cut_tables(g: WeightedGraph):
         raise ScaleError("weights this large overflow the int64 cut tables")
     k = (n - 1) // 2
     hi, lo = slice(k, n - 1), slice(0, k)
+    weight = deg if key == "volume" else np.ones_like(deg)
     x_hi, x_lo = _bits(n - 1 - k), _bits(k)
-    vol_hi, vol_lo = x_hi @ deg[hi], x_lo @ deg[lo]
-    # cut within each block: vol - x^T A x
-    q_hi = vol_hi - ((x_hi @ mat[hi, hi]) * x_hi).sum(axis=1)
-    q_lo = vol_lo - ((x_lo @ mat[lo, lo]) * x_lo).sum(axis=1)
-    size_hi, size_lo = x_hi.sum(axis=1), x_lo.sum(axis=1)
-    # cut = [x_hi, q_hi, 1] @ [-2 A_hl x_lo^T; 1; q_lo]
+    key_lo = x_lo @ weight[lo]
+    order = np.argsort(key_lo, kind="stable")
+    x_lo, key_lo = x_lo[order], key_lo[order]
+    q_hi = x_hi @ deg[hi] - ((x_hi @ mat[hi, hi]) * x_hi).sum(axis=1)
+    q_lo = x_lo @ deg[lo] - ((x_lo @ mat[lo, lo]) * x_lo).sum(axis=1)
     dtype = np.float64 if n * total < FLOAT64_BOUND else np.int64
     left = np.column_stack((x_hi, q_hi, np.ones_like(q_hi))).astype(dtype)
     right = np.vstack((-2 * mat[hi, lo] @ x_lo.T, np.ones_like(q_lo), q_lo)).astype(dtype)
-    rows = max(1, _BLOCK >> k)
-
-    def blocks():
-        for a in range(0, len(x_hi), rows):
-            b = slice(a, a + rows)
-            cut = (left[b] @ right).astype(np.int64, copy=False)
-            vol = vol_hi[b, None] + vol_lo
-            size = size_hi[b, None] + size_lo
-            yield a << k, cut.ravel(), vol.ravel(), size.ravel()
-
-    return total, blocks()
+    starts = np.flatnonzero(np.diff(key_lo, prepend=-1))
+    if len(starts) * _MIN_RUN > len(key_lo):
+        starts = np.arange(len(key_lo))
+    return _CutTables(total, left, right, order, starts, x_hi @ weight[hi], key_lo)
 
 
 def _report(g: WeightedGraph, mask: int, cut_scaled: int) -> CutReport:
@@ -133,36 +164,49 @@ def _report(g: WeightedGraph, mask: int, cut_scaled: int) -> CutReport:
     return CutReport(subset, cut, cheeger_value, density)
 
 
-def _scan_minimum(g: WeightedGraph, blocks, ratio) -> tuple[Fraction, CutReport]:
-    """The exact minimum of num / den over the nonempty masks of the blocks,
-    (num, den) = ratio(cut, vol, size), and its report; ties break to the
-    smallest mask.
+def _scan_minimum(g: WeightedGraph, t: _CutTables, ratio) -> tuple[Fraction, CutReport]:
+    """The exact minimum of num / den over the nonempty masks of t,
+    (num, den) = ratio(cut, key) with num increasing in the cut, and its
+    report; ties break to the smallest mask.
 
-    A block keeps the first entry of each distinct (num, den) pair whose
-    float ratio is within 1e-9 max(1, fmin) of the smallest so far.  The
+    Within one high row a run of equal keys shares its denominator, so its
+    least ratio is that of its least cut: only the run minima are divided.
+    Of those, the first entry of each distinct (num, den) pair is kept while
+    its float ratio is within 1e-9 max(1, fmin) of the smallest so far.  The
     ratios are nonnegative, so that threshold only tightens, and the kept
-    entries hold every one within it of the final minimum; those are
-    compared exactly, one Fraction per pair.
+    entries hold every pair within it of the final minimum; those are
+    compared exactly, one Fraction per pair.  The first row at the minimum
+    holds the smallest minimising mask; that row is recomputed whole and
+    its masks are compared with the minimum in Python integers.
     """
     fmin, kept = np.inf, []
-    for first, *tables in blocks:
-        skip = int(first == 0)  # mask 0 is the empty set
-        cut, vol, size = (t[skip:] for t in tables)
-        num, den = ratio(cut, vol, size)
-        f = num / den
-        fmin = min(fmin, float(f.min(initial=np.inf)))
+    run_keys, width = t.key_lo[t.starts], len(t.starts)
+    for a, cut in t.run_minima():
+        num, den = ratio(cut, t.key_hi[a : a + len(cut), None] + run_keys)
+        # den is 0 only at mask 0, the empty set, in the first block
+        f = num / den if a else np.divide(num, den, out=np.full(num.shape, np.inf), where=den > 0)
+        fmin = min(fmin, float(f.min()))
         idx = np.flatnonzero(f <= fmin + 1e-9 * max(1.0, fmin))
-        idx = idx[np.lexsort((den[idx], num[idx]))]  # stable: masks ascend in a run
-        new = np.ones(len(idx), dtype=bool)
-        new[1:] = (num[idx[1:]] != num[idx[:-1]]) | (den[idx[1:]] != den[idx[:-1]])
-        idx = idx[new]
-        kept.append((idx + first + skip, cut[idx], num[idx], den[idx]))
-    masks, cuts, nums, dens = (np.concatenate(c) for c in zip(*kept))
-    sel = nums / dens <= fmin + 1e-9 * max(1.0, fmin)
-    pairs = list(zip(nums[sel].tolist(), dens[sel].tolist()))
-    value = {pair: Fraction(*pair) for pair in set(pairs)}
-    best = min(zip(map(value.get, pairs), masks[sel].tolist(), cuts[sel].tolist()))
-    return best[0], _report(g, *best[1:])
+        if len(idx):
+            f, num, den = (x.ravel()[idx] for x in (f, num, den))
+            pos = np.lexsort((den, num))  # stable: the first of a pair leads
+            pos = pos[(np.diff(num[pos], prepend=-1) != 0) | (np.diff(den[pos], prepend=-1) != 0)]
+            kept.append((f[pos], num[pos].astype(np.int64), den[pos], a + idx[pos] // width))
+    fs, nums, dens, rows = (np.concatenate(c) for c in zip(*kept))
+    sel = fs <= fmin + 1e-9 * max(1.0, fmin)
+    first = {}  # the first row of each pair; rows ascend over blocks
+    for pair, row in zip(zip(nums[sel].tolist(), dens[sel].tolist()), rows[sel].tolist()):
+        first.setdefault(pair, row)
+    best, row = min((Fraction(*pair), row) for pair, row in first.items())
+    cut = (t.left[row] @ t.right).astype(np.int64, copy=False)
+    num, den = ratio(cut, t.key_hi[row] + t.key_lo)
+    p, q = best.numerator, best.denominator
+    j = min(
+        (j for j, (x, y) in enumerate(zip(num.tolist(), den.tolist())) if y and x * q == y * p),
+        key=t.order.__getitem__,
+    )
+    k = len(t.order).bit_length() - 1
+    return best, _report(g, row << k | int(t.order[j]), int(cut[j]))
 
 
 def cheeger(g: WeightedGraph) -> tuple[Fraction, CutReport]:
@@ -176,18 +220,15 @@ def cheeger(g: WeightedGraph) -> tuple[Fraction, CutReport]:
         mask = sum(1 << u for u in comps[0])
         return Fraction(0), _report(g, mask, 0)
     # the last vertex is never in S, so every nonempty mask is a proper subset
-    total, blocks = _cut_tables(g)
-    return _scan_minimum(
-        g, blocks, lambda cut, vol, size: (cut, np.minimum(vol, total - vol))
-    )
+    t = _cut_tables(g, "volume")
+    return _scan_minimum(g, t, lambda cut, vol: (cut, np.minimum(vol, t.total - vol, out=vol)))
 
 
 def min_edge_density(g: WeightedGraph) -> tuple[Fraction, CutReport]:
     """Exact minimum over proper subsets of n * cut(S) / (|S| * |V-S|)."""
     n, scale = g.n, g.scale
-    _, blocks = _cut_tables(g)
     return _scan_minimum(
-        g, blocks, lambda cut, vol, size: (cut * n, size * (n - size) * scale)
+        g, _cut_tables(g, "size"), lambda cut, size: (cut * n, size * (n - size) * scale)
     )
 
 

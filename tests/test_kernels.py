@@ -58,7 +58,7 @@ from chd.cyclotomic import (
     reduce,
     reduction_table,
 )
-from chd.spectral import _char_poly, _cut_tables
+from chd.spectral import _char_poly, _cut_tables, cheeger_value_of
 
 ORDERS = range(1, 211)
 
@@ -731,16 +731,44 @@ def _same_minimum(g, kind):
 
 
 def _tables(g):
-    """The blocks of ``_cut_tables`` joined, checking that each block starts
-    at the mask after the last one."""
-    total, blocks = _cut_tables(g)
-    tables, end = ([], [], []), 0
-    for first, *block in blocks:
-        assert first == end
-        end += len(block[0])
-        for table, part in zip(tables, block):
-            table.extend(part.tolist())
-    return (*tables, total, g.scale)
+    """The cut, volume and size tables rebuilt from ``_cut_tables``, keyed
+    by volume and by size, which must give the same cuts.  Along the way
+    each table's low masks are checked to be sorted by key, ascending within
+    a key, with a run starting wherever the key changes, or at every mask
+    when runs are short; and its run minima to be the least cut of each
+    run, in chunks of about ``_BLOCK`` entries that each start at the high
+    mask after the last."""
+    cut, keys = [], {}
+    for key in ("volume", "size"):
+        t = _cut_tables(g, key)
+        width, k = len(t.order), len(t.order).bit_length() - 1
+        assert width == 1 << k
+        by_mask = dict(zip(t.order.tolist(), t.key_lo.tolist()))
+        assert t.order.tolist() == sorted(range(width), key=by_mask.__getitem__)
+        lo = t.key_lo.tolist()
+        runs = [j for j in range(width) if j == 0 or lo[j] != lo[j - 1]]
+        if len(runs) * spectral._MIN_RUN > width:  # short runs: one mask each
+            runs = list(range(width))
+        assert t.starts.tolist() == runs
+        masks = np.arange(len(t.left))[:, None] << k | t.order
+        sorted_cuts = (t.left @ t.right).astype(np.int64)
+        table = np.zeros(len(t.left) << k, dtype=np.int64)
+        table[masks] = sorted_cuts
+        end, rows = 0, max(1, spectral._BLOCK // width)
+        for first, minima in t.run_minima():
+            assert first == end and minima.dtype == t.left.dtype
+            end += len(minima)
+            # gathered to _BLOCK run minima, from products of `rows` rows
+            assert minima.size < spectral._BLOCK + rows * len(t.starts)
+            assert end == len(t.left) or minima.size >= spectral._BLOCK
+            runs = zip(t.starts, [*t.starts[1:], width])
+            want = [sorted_cuts[first:end, a:b].min(axis=1) for a, b in runs]
+            assert np.array_equal(minima, np.stack(want, axis=1))
+        assert end == len(t.left)
+        cut.append(table.tolist())
+        keys[key] = (t.key_hi[:, None] + t.key_lo).ravel()[np.argsort(masks, axis=None)].tolist()
+    assert cut[0] == cut[1]
+    return cut[0], keys["volume"], keys["size"], t.total, g.scale
 
 
 class TestCutTablesAgainstLoop:
@@ -783,6 +811,65 @@ class TestCutTablesAgainstLoop:
         _same_minimum(g, "density")
         if g.is_connected():
             _same_minimum(g, "cheeger")
+
+    @pytest.mark.parametrize("block", [1, 8, 1 << 15])
+    def test_distinct_low_volumes_make_one_mask_runs(self, monkeypatch, block):
+        # the low vertices 0-3 have degrees 1, 2, 4 and 8, so each low
+        # subset has a volume of its own
+        monkeypatch.setattr(spectral, "_BLOCK", block)
+        edges = [(u, 8, 1 << u) for u in range(4)] + [(u, u + 1, 16) for u in range(4, 8)]
+        g = WeightedGraph.from_edges(9, edges)
+        t = _cut_tables(g, "volume")
+        assert len(t.starts) == len(t.order) == 16
+        assert _tables(g) == oracles.subset_tables(g)
+        _same_minimum(g, "cheeger")
+        _same_minimum(g, "density")
+
+    @pytest.mark.parametrize(
+        "g, kind, runs_in_a_row",
+        [
+            (complete(8), "density", True),  # every subset of K8 ties
+            (cycle(12), "cheeger", False),
+            (cycle(12), "density", False),
+        ],
+        ids=["K8-density", "C12-cheeger", "C12-density"],
+    )
+    def test_minimum_in_several_runs_rows_and_blocks(self, monkeypatch, g, kind, runs_in_a_row):
+        k = (g.n - 1) // 2
+        monkeypatch.setattr(spectral, "_BLOCK", 2 << k)  # two high rows a block
+        cut, vol, size, total, scale = oracles.subset_tables(g)
+        value, _ = oracles.cut_minimum(g, kind)
+        if kind == "cheeger":
+            winners = [m for m in range(1, len(cut)) if value * min(vol[m], total - vol[m]) == cut[m]]
+        else:
+            winners = [
+                m for m in range(1, len(cut)) if value * size[m] * (g.n - size[m]) * scale == g.n * cut[m]
+            ]
+        key = vol if kind == "cheeger" else size
+        runs = {(m >> k, key[m % (1 << k)]) for m in winners}
+        assert len({m >> k + 1 for m in winners}) > 1  # blocks, so rows and runs
+        assert (len(runs) > len({m >> k for m in winners})) is runs_in_a_row
+        _same_minimum(g, kind)
+
+    def test_smallest_mask_in_a_later_run(self):
+        # in the first row at the minimum, low masks 1 (vertex 0, degree 4)
+        # and 2 (vertex 1, degree 2) both reach it: the run of volume 2
+        # comes first, the smallest mask, 21, lies in the run of volume 4
+        edges = [(0, 2), (0, 3), (0, 4), (0, 5), (1, 4), (1, 5), (2, 4), (3, 5)]
+        g = WeightedGraph.from_edges(6, edges)
+        value, report = cheeger(g)
+        assert (value, _mask(report.subset)) == oracles.cut_minimum(g, "cheeger")
+        assert _mask(report.subset) == 21 and cheeger_value_of(g, (1, 2, 4)) == value
+
+    def test_tie_on_the_int64_path(self):
+        # C8 with weight 2**50: n * sum(deg) = 2**57, and every arc of four
+        # vertices is a minimising subset
+        g = WeightedGraph.from_edges(8, [(u, (u + 1) % 8, 2**50) for u in range(8)])
+        assert _cut_tables(g, "volume").left.dtype == np.int64
+        cut, vol, _, total, _ = oracles.subset_tables(g)
+        assert sum(4 * c == min(v, total - v) for c, v in zip(cut, vol)) > 1
+        _same_minimum(g, "cheeger")
+        _same_minimum(g, "density")
 
     @pytest.mark.parametrize("below", [True, False])
     def test_either_side_of_the_float64_bound(self, monkeypatch, below):

@@ -271,17 +271,24 @@ class TestDensityBoundsConnectivity:
             assert lam2 <= float(density) + 1e-9
 
 
+def _traced_peak(search, g) -> int:
+    tracemalloc.start()
+    try:
+        search(g)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestCutSearchMemory:
     """The cut search holds a few blocks of its tables at a time, not the
     2**(n-1)-entry tables themselves (2**19 entries of each on C20)."""
 
     @pytest.mark.parametrize("search", [cheeger, min_edge_density])
     def test_traced_peak_on_c20(self, search):
-        g = cycle(20)
-        tracemalloc.start()
-        try:
-            search(g)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 4 * 2**20
+        assert _traced_peak(search, cycle(20)) < 4 * 2**20
+
+    @pytest.mark.parametrize("search", [cheeger, min_edge_density])
+    def test_traced_peak_on_c24(self, search):
+        # the 24-vertex cap, where README promises under 5 MiB traced
+        assert _traced_peak(search, cycle(24)) < 5 * 2**20
