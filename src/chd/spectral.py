@@ -43,9 +43,6 @@ __all__ = [
 _MAX_VERTICES = 24
 # entries of one block of cuts (256 KiB in float64 or int64)
 _BLOCK = 1 << 15
-# runs shorter than this on average are left whole: a grouped minimum over
-# them costs more than the division it saves
-_MIN_RUN = 4
 # n * (largest absolute row sum) below this keeps rounded eigvalsh exact
 _EIGVALSH_BOUND = 2**40
 
@@ -84,8 +81,7 @@ class _CutTables(NamedTuple):
     into a high mask h and a low mask order[j], and then
     cut(S) = left[h] @ right[:, j] and key(S) = key_hi[h] + key_lo[j].  The
     low masks are sorted by key, ascending within a key, so equal keys form
-    runs, which begin at ``starts``; when runs are shorter than _MIN_RUN on
-    average, every mask starts one."""
+    runs, which begin at ``starts``."""
 
     total: int  # the sum of the degrees
     left: np.ndarray
@@ -97,8 +93,8 @@ class _CutTables(NamedTuple):
 
     def run_minima(self):
         """(first high mask, the least cut of each run in each of the next
-        high masks), from products of about _BLOCK entries, gathered to
-        about _BLOCK run minima."""
+        high masks), from products of about _BLOCK entries, gathered while
+        the next product's run minima still fit in _BLOCK entries."""
         rows, parts, first = max(1, _BLOCK // len(self.order)), [], 0
         for a in range(0, len(self.left), rows):
             cut = self.left[a : a + rows] @ self.right
@@ -106,7 +102,7 @@ class _CutTables(NamedTuple):
                 cut = np.minimum.reduceat(cut, self.starts, axis=1)
             parts.append(cut)
             end = a + len(cut)
-            if (end - first) * len(self.starts) >= _BLOCK or end == len(self.left):
+            if (end - first + rows) * len(self.starts) > _BLOCK or end == len(self.left):
                 yield first, np.concatenate(parts) if len(parts) > 1 else parts[0]
                 parts, first = [], end
 
@@ -144,8 +140,6 @@ def _cut_tables(g: WeightedGraph, key: str) -> _CutTables:
     left = np.column_stack((x_hi, q_hi, np.ones_like(q_hi))).astype(dtype)
     right = np.vstack((-2 * mat[hi, lo] @ x_lo.T, np.ones_like(q_lo), q_lo)).astype(dtype)
     starts = np.flatnonzero(np.diff(key_lo, prepend=-1))
-    if len(starts) * _MIN_RUN > len(key_lo):
-        starts = np.arange(len(key_lo))
     return _CutTables(total, left, right, order, starts, x_hi @ weight[hi], key_lo)
 
 

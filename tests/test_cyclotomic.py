@@ -92,7 +92,14 @@ class TestRootOfUnity:
 class TestConstructor:
     @pytest.mark.parametrize(
         "coeffs",
-        [[1.6, 0, 0, True], [1, 0, 0, True], [1.0, 0, 0, 0], ["1", 0, 0, 0], [None, 0, 0, 0]],
+        [
+            [1.6, 0, 0, True],
+            [1, 0, 0, True],
+            [1.0, 0, 0, 0],
+            ["1", 0, 0, 0],
+            [None, 0, 0, 0],
+            *([1, 2, np.int64(3), bad] for bad in (True, 1.0, "1", np.float64(1))),
+        ],
     )
     def test_non_integer_coefficients_rejected(self, coeffs):
         # refused, not truncated to an integer or read as 1
@@ -103,17 +110,10 @@ class TestConstructor:
         x = CyclotomicInt(3, np.array([1, -2, 0]))
         assert [type(c) for c in x.coeffs] == [int] * 3
         assert repr(x) == "CyclotomicInt(r=3: 1 + -2*z1)"
-
-    def test_mixed_integer_types_are_stored_as_python_integers(self):
         # only a vector of Python ints alone is kept as given
         for coeffs in ([np.int64(1), -2, 0], [1, np.int8(-2), 0], [1, -2, np.uint64(0)]):
             x = CyclotomicInt(3, coeffs)
             assert [type(c) for c in x.coeffs] == [int] * 3 and x.coeffs == (1, -2, 0)
-
-    @pytest.mark.parametrize("bad", [True, 1.0, "1", np.float64(1)])
-    def test_one_non_integer_among_integers_rejected(self, bad):
-        with pytest.raises(ChdError, match="coefficients must be integers"):
-            CyclotomicInt(4, [1, 2, np.int64(3), bad])
 
     def test_wrong_length_rejected(self):
         with pytest.raises(ChdError, match="expected 4"):

@@ -734,10 +734,10 @@ def _tables(g):
     """The cut, volume and size tables rebuilt from ``_cut_tables``, keyed
     by volume and by size, which must give the same cuts.  Along the way
     each table's low masks are checked to be sorted by key, ascending within
-    a key, with a run starting wherever the key changes, or at every mask
-    when runs are short; and its run minima to be the least cut of each
-    run, in chunks of about ``_BLOCK`` entries that each start at the high
-    mask after the last."""
+    a key, with a run starting wherever the key changes; and its run minima
+    to be the least cut of each run, in chunks that each start at the high
+    mask after the last and hold at most ``_BLOCK`` entries, or one
+    product's, but not so few that the next product's would have fit."""
     cut, keys = [], {}
     for key in ("volume", "size"):
         t = _cut_tables(g, key)
@@ -747,8 +747,6 @@ def _tables(g):
         assert t.order.tolist() == sorted(range(width), key=by_mask.__getitem__)
         lo = t.key_lo.tolist()
         runs = [j for j in range(width) if j == 0 or lo[j] != lo[j - 1]]
-        if len(runs) * spectral._MIN_RUN > width:  # short runs: one mask each
-            runs = list(range(width))
         assert t.starts.tolist() == runs
         masks = np.arange(len(t.left))[:, None] << k | t.order
         sorted_cuts = (t.left @ t.right).astype(np.int64)
@@ -758,9 +756,10 @@ def _tables(g):
         for first, minima in t.run_minima():
             assert first == end and minima.dtype == t.left.dtype
             end += len(minima)
-            # gathered to _BLOCK run minima, from products of `rows` rows
-            assert minima.size < spectral._BLOCK + rows * len(t.starts)
-            assert end == len(t.left) or minima.size >= spectral._BLOCK
+            # products of `rows` rows, gathered while the next one fits
+            step = rows * len(t.starts)
+            assert minima.size <= max(spectral._BLOCK, step)
+            assert end == len(t.left) or minima.size + step > spectral._BLOCK
             runs = zip(t.starts, [*t.starts[1:], width])
             want = [sorted_cuts[first:end, a:b].min(axis=1) for a, b in runs]
             assert np.array_equal(minima, np.stack(want, axis=1))
