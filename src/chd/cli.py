@@ -46,11 +46,12 @@ def _load_hadamard(path: str) -> hadamard.ButsonMatrix:
     return hadamard.ButsonMatrix.from_json(_load_json(path))
 
 
-def _certified(args):
+def _certified(args, g=None):
     """The graph and matrix the command names, with the spectrum that
     ``certify`` assigns; a matrix that does not diagonalise the graph is an
-    error, and one that is not dephased is refused by ``certify``."""
-    g = _load_graph(args.graph)
+    error, and one that is not dephased is refused by ``certify``.  g is the
+    graph, when it is already loaded."""
+    g = _load_graph(args.graph) if g is None else g
     h = _load_hadamard(args.hadamard)
     spectrum = diagonalise.certify(g, h)
     if spectrum is None:
@@ -224,11 +225,9 @@ def _cmd_cheeger(args) -> dict:
     h_val, witness = spectral.cheeger(g)
     payload = {"h": str(h_val), "witness": witness.to_json()}
     if args.hadamard:
-        # cheeger refused any graph past 24 vertices, so reading it again is cheap
-        g, h, spectrum = _certified(args)
+        _, h, spectrum = _certified(args, g)
         d = diagonalise.regularity_check(g)
-        gamma2 = spectrum.second_smallest() / d
-        payload["gamma2"] = str(gamma2)
+        payload["gamma2"] = str(spectrum.second_smallest() / d)
         payload["tight"] = spectral.tightness_check(g, h, spectrum)
     return payload
 

@@ -26,7 +26,7 @@ from .errors import (
     ScaleError,
 )
 from . import graphs as graphmod
-from .graphs import WeightedGraph, complement
+from .graphs import WeightedGraph, blocks, complement
 from .hadamard import (
     ButsonMatrix,
     classify,
@@ -50,10 +50,6 @@ __all__ = [
     "catalogue",
     "CatalogueEntry",
 ]
-
-# entries of one block of certify's columns (256 KiB in float64)
-_BLOCK = 1 << 15
-
 
 @dataclass(frozen=True)
 class EigenvalueEntry:
@@ -154,8 +150,8 @@ def certify(
     M H(g), by ``cyclotomic.vanishes``: an entry of M h_j - lambda_j h_j has
     at most 2W in coefficients, W the largest row sum of |M|, so one split
     prime decides while 20 W < p (about 1.4M).  Closure, as in ``verify``,
-    is over the columns of H.  Beside blocks of ``_BLOCK`` entries it holds
-    one float64 copy of M, 128 MiB at n = 4096.
+    is over the columns of H.  Beside the blocks of ``graphs.blocks`` it
+    holds one float64 copy of M, 128 MiB at n = 4096.
     """
     if target not in ("laplacian", "adjacency"):
         raise ChdError(f"unknown target {target!r}")
@@ -189,10 +185,8 @@ def _residuals(mat: np.ndarray, bound: int, h: ButsonMatrix, p: int, powers: np.
     way every entry is below 4097 (p-1)**2 < 2**53 in size, so float64
     holds it exactly."""
     weights = (mat if bound < p else mat % p).astype(np.float64)
-    n = h.n
-    step = max(1, _BLOCK // n)
-    for lo in range(0, n, step):
-        hg = powers.take(h.exps[:, lo : lo + step])
+    for block in blocks(h.n, h.n):
+        hg = powers.take(h.exps[:, block])
         mh = weights @ hg
         hg *= mh[0] - p * np.rint(mh[0] / p)
         mh -= hg

@@ -50,6 +50,21 @@ __all__ = [
 # a dense int64 matrix at the cap takes 128 MiB; the largest graph in use
 # is the hypercube Q9 with 512 vertices
 MAX_VERTICES = 4096
+# entries of one block of verify, certify, the cut searches and the revival
+# cross-validation (256 KiB in float64)
+BLOCK = 1 << 15
+
+
+def blocks(count: int, width: int):
+    """Slices of range(count), BLOCK // width items each (at least one), so
+    that items ``width`` entries wide make blocks of about BLOCK entries.
+
+    >>> list(blocks(5, BLOCK // 2))
+    [slice(0, 2, None), slice(2, 4, None), slice(4, 5, None)]
+    """
+    step = max(1, BLOCK // width)
+    for lo in range(0, count, step):
+        yield slice(lo, min(lo + step, count))
 
 
 def _is_int(x) -> bool:

@@ -19,7 +19,7 @@ import numpy as np
 
 from .cyclotomic import all_integers, check_order, prime_factors, vanishes
 from .errors import ChdError, PreconditionError
-from .graphs import AbelianGroup, check_count
+from .graphs import AbelianGroup, blocks, check_count
 
 __all__ = [
     "ButsonMatrix",
@@ -37,10 +37,6 @@ __all__ = [
     "sylvester_hadamard",
     "instance_library",
 ]
-
-# entries of one block of rows of verify's Gram matrix (256 KiB in float64)
-_BLOCK = 1 << 15
-
 
 def _exponent_table(rows) -> np.ndarray:
     """An exponent table given as n rows of n integers, the rows lists or
@@ -137,9 +133,9 @@ def verify(h: ButsonMatrix) -> bool:
     tables and of ``double`` of a table are closed under e -> k e mod r, so
     g alone decides them.  Row and column phases scale an entry of H H*
     by a power of z, so closure is judged on the dephased rows: a monomial
-    transform of such a table is closed too.  Beside blocks of ``_BLOCK``
-    entries it holds H(g) and, for r > 2, H(g**-1), 128 MiB each at
-    n = 4096.
+    transform of such a table is closed too.  Beside the blocks of
+    ``graphs.blocks`` it holds H(g) and, for r > 2, H(g**-1), 128 MiB each
+    at n = 4096.
 
     Never raises on a non-Hadamard exponent table; it just returns False.
     """
@@ -154,14 +150,13 @@ def _gram_residues(h: ButsonMatrix, powers: np.ndarray):
     n = h.n
     left = powers.take(h.exps)
     right = left if h.r <= 2 else powers[::-1].take(h.exps)
-    step = max(1, _BLOCK // n)
-    for lo in range(0, n, step):
+    for block in blocks(n, n):
         # for r <= 2, g = g**-1 and the product is symmetric, so the columns
-        # from lo on suffice
-        first = lo if h.r <= 2 else 0
-        gram = left[lo : lo + step] @ right[first:].T
+        # from the block's first row on suffice
+        first = block.start if h.r <= 2 else 0
+        gram = left[block] @ right[first:].T
         rows = np.arange(len(gram))
-        gram[rows, rows + lo - first] -= n
+        gram[rows, rows + block.start - first] -= n
         yield gram
 
 

@@ -1,17 +1,18 @@
-"""Brute-force cut searches: Cheeger constant, edge density, tightness.
+"""Exact cut searches, for the Cheeger constant and the edge density, and
+the tightness check, which by Fiedler's bound needs no search.
 
-Everything is exact: weights are scaled to integers, and the cut weight of
-every subset of up to 24 vertices comes from one split product over a low
-and a high block of vertices (see ``_cut_tables``).  The low subsets are
-sorted by the key that fixes the ratio's denominator, volume for the
-Cheeger ratio and size for the density, so within one high subset a run of
-equal keys shares its denominator and only its least cut can be minimal.
-Each block of 2**15 products shrinks to its run minima by one grouped
-minimum, and only those are divided, so a search holds a few blocks, under
-5 MiB at 24 vertices, never the 2**(n-1)-entry tables.  The product runs on
-float64 BLAS while n * sum(deg) < 2**53 and in int64 above.  Keys and
-ratios are int64, used only while n * sum(deg) and n**2 * scale stay below
-2**62, which bounds every cut, numerator and denominator; beyond that a
+Weights are scaled to integers, and the cut weight of every subset of up
+to 24 vertices comes from one split product over a low and a high block of
+vertices (see ``_cut_tables``).  The low subsets are sorted by the key that
+fixes the ratio's denominator, volume for the Cheeger ratio and size for
+the density, so within one high subset a run of equal keys shares its
+denominator and only its least cut can be minimal.  The products come in
+``graphs.blocks``, each shrunk to its run minima by one grouped minimum,
+and only those are divided, so a search holds a few blocks, under 5 MiB at
+24 vertices, never the 2**(n-1)-entry tables.  The product runs on float64
+BLAS while n * sum(deg) < 2**53 and in int64 above.  Keys and ratios are
+int64, used only while n * sum(deg) and n**2 * scale stay below 2**62,
+which bounds every cut, numerator and denominator; beyond that a
 ScaleError is raised.  The minimum and its smallest subset are selected by
 exact comparison (floats only keep a running shortlist, with an exact pass
 over it).
@@ -25,9 +26,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .cyclotomic import FLOAT64_BOUND, INT64_BOUND
+from .cyclotomic import FLOAT64_BOUND, INT64_BOUND, all_integers
 from .diagonalise import SpectrumAssignment, bipartition_from_column, regularity_check
 from .errors import ChdError, ExactnessError, PreconditionError, ScaleError
+from . import graphs
 from .graphs import WeightedGraph
 from .hadamard import ButsonMatrix, classify
 
@@ -41,8 +43,6 @@ __all__ = [
 ]
 
 _MAX_VERTICES = 24
-# entries of one block of cuts (256 KiB in float64 or int64)
-_BLOCK = 1 << 15
 # n * (largest absolute row sum) below this keeps rounded eigvalsh exact
 _EIGVALSH_BOUND = 2**40
 
@@ -93,16 +93,16 @@ class _CutTables(NamedTuple):
 
     def run_minima(self):
         """(first high mask, the least cut of each run in each of the next
-        high masks), from products of about _BLOCK entries, gathered while
-        the next product's run minima still fit in _BLOCK entries."""
-        rows, parts, first = max(1, _BLOCK // len(self.order)), [], 0
-        for a in range(0, len(self.left), rows):
-            cut = self.left[a : a + rows] @ self.right
+        high masks), from products over ``graphs.blocks`` of high masks,
+        gathered while the next product's run minima fit in BLOCK entries."""
+        parts, first = [], 0
+        for rows in graphs.blocks(len(self.left), len(self.order)):
+            cut = self.left[rows] @ self.right
             if len(self.starts) < len(self.order):
                 cut = np.minimum.reduceat(cut, self.starts, axis=1)
             parts.append(cut)
-            end = a + len(cut)
-            if (end - first + rows) * len(self.starts) > _BLOCK or end == len(self.left):
+            end = rows.stop  # the next block is as long as this one, or there is none
+            if (end - first + len(cut)) * len(self.starts) > graphs.BLOCK or end == len(self.left):
                 yield first, np.concatenate(parts) if len(parts) > 1 else parts[0]
                 parts, first = [], end
 
@@ -227,47 +227,49 @@ def min_edge_density(g: WeightedGraph) -> tuple[Fraction, CutReport]:
 
 
 def cheeger_value_of(g: WeightedGraph, subset) -> Fraction:
-    """Exact Cheeger ratio of one given subset."""
+    """Exact Cheeger ratio of one given subset of the vertices 0..n-1, by
+    ``cheeger``'s rules: 0 when a side has no volume."""
     subset = set(subset)
     if not subset or len(subset) >= g.n:
         raise ChdError("subset must be nonempty and proper")
-    cut = Fraction(0)
-    for u, v, w in g.edges():
-        if (u in subset) != (v in subset):
-            cut += w
-    vol_s = sum((g.degree(u) for u in subset), Fraction(0))
-    vol_rest = sum(g.degrees(), Fraction(0)) - vol_s
-    return cut / min(vol_s, vol_rest)
+    if not (all_integers(subset) and 0 <= min(subset) and max(subset) < g.n):
+        raise ChdError(f"subset must hold vertices in 0..{g.n - 1}")
+    inside = np.zeros(g.n, dtype=bool)
+    inside[list(subset)] = True
+    # each row sum is below 2**62, the bound of the graph's int64 storage
+    cut = sum(g.matrix[np.ix_(inside, ~inside)].sum(axis=1).tolist())
+    return _report(g, sum(1 << int(u) for u in subset), cut).cheeger_value
 
 
 def tightness_check(
     g: WeightedGraph, h: ButsonMatrix, spectrum: SpectrumAssignment
 ) -> bool:
-    """Exact check that the Cheeger constant meets its spectral lower bound,
-    h = (lambda_2 / d) / 2, witnessed by the plus-cell of a second-eigenvalue
-    column.
+    """Exact check that the Cheeger constant h meets its spectral lower
+    bound gamma_2 / 2 = lambda_2 / 2d at the plus cell of a lambda_2 column,
+    given a real or Turyn diagonaliser, its certified Laplacian spectrum and
+    a connected unweighted graph.  No cut is searched, so any order is taken.
 
-    Requires a certified real or Turyn diagonaliser and a connected
-    unweighted graph.
+    Proof: x = 1_S - (|S|/n) 1 is orthogonal to 1, so cut(S) = x^T L x >=
+    lambda_2 |S| |V-S| / n (Fiedler, 1973); as min(|S|, |V-S|) <=
+    2 |S| |V-S| / n, every S of a d-regular graph has ratio at least
+    gamma_2 / 2.  So h >= gamma_2 / 2, and "h = gamma_2 / 2 = the plus
+    cell's ratio" holds iff the plus cell's ratio is gamma_2 / 2.
     """
     if classify(h).kind not in ("real", "turyn"):
         raise PreconditionError("tightness needs a real or turyn matrix")
+    if spectrum.target != "laplacian":
+        raise PreconditionError("tightness needs the laplacian spectrum")
     if not g.is_unweighted():
         raise PreconditionError("tightness is defined for unweighted graphs")
     if not g.is_connected():
         raise PreconditionError("tightness needs a connected graph")
     d = regularity_check(g)
     lam2 = spectrum.second_smallest()
-    gamma2 = lam2 / d
-    h_val, _ = cheeger(g)
-    if h_val != gamma2 / 2:
-        return False
-    # witness: the cell where a lambda_2 column is 1 or i
-    ks = [k for k, e in enumerate(spectrum.entries) if k > 0 and e.rational == lam2]
-    if not ks:
-        raise ChdError("no column carries the second smallest eigenvalue")
-    plus = bipartition_from_column(g, h, spectrum, ks[0]).cells[0]
-    return cheeger_value_of(g, plus) == h_val
+    # witness: the cell where a lambda_2 column is 1 or i; column 0, all
+    # ones, has eigenvalue 0, so lambda_2 is on another column too
+    k = next(k for k, e in enumerate(spectrum.entries) if k > 0 and e.rational == lam2)
+    plus = bipartition_from_column(g, h, spectrum, k).cells[0]
+    return cheeger_value_of(g, plus) == lam2 / d / 2
 
 
 def cheeger_inequality_audit(

@@ -27,7 +27,7 @@ import numpy as np
 from .cyclotomic import reduce
 from .diagonalise import SpectrumAssignment, _require_orders, certify, regularity_check
 from .errors import ChdError, ExactnessError, InternalCheckError, PreconditionError
-from .graphs import AbelianGroup, WeightedGraph, connection_set, merge
+from .graphs import AbelianGroup, WeightedGraph, blocks, connection_set, merge
 from .hadamard import ButsonMatrix, character_rows, double, verify
 
 __all__ = [
@@ -42,9 +42,6 @@ __all__ = [
     "double_cover_fr",
     "adjacency_walk_relation",
 ]
-
-_BLOCK = 256  # certificates per cross-validation product (n x 256 complex values)
-
 
 class RationalAngle:
     """An angle that is an exact rational multiple of 2*pi.
@@ -166,13 +163,12 @@ class FRCertificate:
         }
 
 
-def _unitary(h: ButsonMatrix, lam: np.ndarray, t: float) -> np.ndarray:
-    """(1/n) H diag(exp(-i t lam)) H*, the walk unitary in floats."""
+def _unitary(hc: np.ndarray, lam: np.ndarray, t: float, cols=slice(None)) -> np.ndarray:
+    """Columns ``cols`` of the float walk unitary (1/n) H diag(exp(-i t lam)) H*, hc = H."""
     if not math.isfinite(t):
         raise ChdError(f"walk time must be finite, got {t}")
-    hc = h.to_complex()
     phases = np.exp(-1j * t * lam)
-    return (hc * phases[None, :]) @ hc.conj().T / h.n
+    return (hc * phases[None, :]) @ hc[cols].conj().T / len(hc)
 
 
 def evolve(
@@ -184,7 +180,7 @@ def evolve(
     """The walk unitary exp(-i t M) computed spectrally as
     (1/n) H exp(-i t Lambda) H*."""
     _require_orders(g, h, spectrum)
-    return _unitary(h, np.array(spectrum.floats()), t)
+    return _unitary(h.to_complex(), np.array(spectrum.floats()), t)
 
 
 def _half_turn_residues(exps: np.ndarray, r: int) -> np.ndarray:
@@ -279,8 +275,8 @@ def find_fr(
 
     Pairs are rows equal modulo a half turn.  The (tau, gamma) list depends
     on the sign pattern alone and is computed once per pattern (Q7: 127 for
-    8128 pairs).  Each certificate is checked against the float walk to 1e-9
-    in blocks of 256 sharing tau (n x 256 complex arrays, 16 MiB at n = 4096).
+    8128 pairs).  Each certificate is checked to 1e-9 against its column of
+    ``_unitary``, in ``graphs.blocks`` of columns that share tau.
     """
     _require_orders(g, h, spectrum)
     lam = spectrum.integers()
@@ -324,19 +320,17 @@ def _half_of(angle: RationalAngle) -> RationalAngle:
 
 
 def _cross_validate(hc: np.ndarray, lam: np.ndarray, certs: list[FRCertificate]) -> None:
-    # column a of U(tau) = (1/n) H diag(phases) H* for each certificate
-    n, residual = len(hc), np.zeros(len(certs))
+    residual = np.zeros(len(certs))
     by_tau, weights = {}, {}  # tau -> certificate indices, gamma -> (alpha, beta)
     for i, cert in enumerate(certs):
         by_tau.setdefault(cert.tau, []).append(i)
         if cert.gamma not in weights:
             weights[cert.gamma] = cert.alpha, cert.beta
     for tau, idx in by_tau.items():
-        phases = np.exp(-1j * tau.to_float() * lam)[:, None] / n
-        for block in (idx[k : k + _BLOCK] for k in range(0, len(idx), _BLOCK)):
+        for block in (idx[part] for part in blocks(len(idx), len(hc))):
             a, cols = [certs[i].a for i in block], np.arange(len(block))
             alpha, beta = np.array([weights[certs[i].gamma] for i in block]).T
-            err = hc @ (phases * hc[a].conj().T)
+            err = _unitary(hc, lam, tau.to_float(), a)
             err[a, cols] -= alpha
             err[[certs[i].b for i in block], cols] -= beta
             residual[block] = np.abs(err).max(axis=0)
@@ -416,7 +410,7 @@ def adjacency_walk_relation(
         raise PreconditionError("the relation needs a regular graph")
     if spectrum.target != "laplacian":
         raise ChdError("supply the laplacian spectrum")
-    lam = np.array(spectrum.floats())
-    ua = _unitary(h, float(d) - lam, t)
-    rhs = cmath.exp(-1j * float(d) * t) * np.conj(_unitary(h, lam, t))
+    hc, lam = h.to_complex(), np.array(spectrum.floats())
+    ua = _unitary(hc, float(d) - lam, t)
+    rhs = cmath.exp(-1j * float(d) * t) * np.conj(_unitary(hc, lam, t))
     return bool(np.max(np.abs(ua - rhs)) <= 1e-9)

@@ -48,7 +48,7 @@ from chd import (
     verify,
     walks,
 )
-from chd import cyclotomic, diagonalise, graphs, hadamard, spectral
+from chd import cyclotomic, graphs, hadamard
 from chd.cyclotomic import (
     FLOAT64_BOUND,
     INT64_BOUND,
@@ -248,7 +248,7 @@ class TestBlocks:
     @pytest.mark.parametrize("pair", range(len(PAIRS)))
     def test_certify(self, monkeypatch, cols, pair):
         g, h = self.PAIRS[pair]
-        monkeypatch.setattr(diagonalise, "_BLOCK", cols * g.n)
+        monkeypatch.setattr(graphs, "BLOCK", cols * g.n)
         assert _same_certificate(g, h) is not None
         for target in ("laplacian", "adjacency"):
             bad = _corrupt_last_column(h)
@@ -259,7 +259,7 @@ class TestBlocks:
     @pytest.mark.parametrize("moduli", [(2,) * 5, (3, 3), (4, 2), (5,), (12,)])
     def test_verify(self, monkeypatch, rows, moduli):
         h = character_table(moduli)
-        monkeypatch.setattr(hadamard, "_BLOCK", rows * h.n)
+        monkeypatch.setattr(graphs, "BLOCK", rows * h.n)
         assert verify(ButsonMatrix(h.exps, h.r))
         for i, j in ((h.n - 1, h.n - 1), (h.n - 2, h.n - 1), (0, h.n - 1), (h.n - 1, None)):
             exps = h.exps.copy()
@@ -736,7 +736,7 @@ def _tables(g):
     each table's low masks are checked to be sorted by key, ascending within
     a key, with a run starting wherever the key changes; and its run minima
     to be the least cut of each run, in chunks that each start at the high
-    mask after the last and hold at most ``_BLOCK`` entries, or one
+    mask after the last and hold at most ``graphs.BLOCK`` entries, or one
     product's, but not so few that the next product's would have fit."""
     cut, keys = [], {}
     for key in ("volume", "size"):
@@ -752,14 +752,14 @@ def _tables(g):
         sorted_cuts = (t.left @ t.right).astype(np.int64)
         table = np.zeros(len(t.left) << k, dtype=np.int64)
         table[masks] = sorted_cuts
-        end, rows = 0, max(1, spectral._BLOCK // width)
+        end, rows = 0, max(1, graphs.BLOCK // width)
         for first, minima in t.run_minima():
             assert first == end and minima.dtype == t.left.dtype
             end += len(minima)
             # products of `rows` rows, gathered while the next one fits
             step = rows * len(t.starts)
-            assert minima.size <= max(spectral._BLOCK, step)
-            assert end == len(t.left) or minima.size + step > spectral._BLOCK
+            assert minima.size <= max(graphs.BLOCK, step)
+            assert end == len(t.left) or minima.size + step > graphs.BLOCK
             runs = zip(t.starts, [*t.starts[1:], width])
             want = [sorted_cuts[first:end, a:b].min(axis=1) for a, b in runs]
             assert np.array_equal(minima, np.stack(want, axis=1))
@@ -775,7 +775,7 @@ class TestCutTablesAgainstLoop:
     @given(cut_graphs(), st.sampled_from([1, 8, 1 << 15]))
     def test_tables(self, g, block):
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(spectral, "_BLOCK", block)
+            mp.setattr(graphs, "BLOCK", block)
             assert _tables(g) == oracles.subset_tables(g)
 
     @settings(max_examples=40, deadline=None)
@@ -783,14 +783,14 @@ class TestCutTablesAgainstLoop:
     def test_min_edge_density(self, g, block):
         # blocks of one row each, or of a few rows, against one pass
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(spectral, "_BLOCK", block)
+            mp.setattr(graphs, "BLOCK", block)
             _same_minimum(g, "density")
 
     @settings(max_examples=40, deadline=None)
     @given(cut_graphs(), st.sampled_from([1, 2, 8, 1 << 15]))
     def test_cheeger(self, g, block):
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(spectral, "_BLOCK", block)
+            mp.setattr(graphs, "BLOCK", block)
             if g.is_connected():
                 _same_minimum(g, "cheeger")
             else:
@@ -806,7 +806,7 @@ class TestCutTablesAgainstLoop:
     )
     def test_ties_break_to_the_smallest_mask(self, monkeypatch, g, block):
         # every subset of K_n has density n, and of the empty graph 0
-        monkeypatch.setattr(spectral, "_BLOCK", block)
+        monkeypatch.setattr(graphs, "BLOCK", block)
         _same_minimum(g, "density")
         if g.is_connected():
             _same_minimum(g, "cheeger")
@@ -815,7 +815,7 @@ class TestCutTablesAgainstLoop:
     def test_distinct_low_volumes_make_one_mask_runs(self, monkeypatch, block):
         # the low vertices 0-3 have degrees 1, 2, 4 and 8, so each low
         # subset has a volume of its own
-        monkeypatch.setattr(spectral, "_BLOCK", block)
+        monkeypatch.setattr(graphs, "BLOCK", block)
         edges = [(u, 8, 1 << u) for u in range(4)] + [(u, u + 1, 16) for u in range(4, 8)]
         g = WeightedGraph.from_edges(9, edges)
         t = _cut_tables(g, "volume")
@@ -835,7 +835,7 @@ class TestCutTablesAgainstLoop:
     )
     def test_minimum_in_several_runs_rows_and_blocks(self, monkeypatch, g, kind, runs_in_a_row):
         k = (g.n - 1) // 2
-        monkeypatch.setattr(spectral, "_BLOCK", 2 << k)  # two high rows a block
+        monkeypatch.setattr(graphs, "BLOCK", 2 << k)  # two high rows a block
         cut, vol, size, total, scale = oracles.subset_tables(g)
         value, _ = oracles.cut_minimum(g, kind)
         if kind == "cheeger":
@@ -875,7 +875,7 @@ class TestCutTablesAgainstLoop:
         # odd weights with n * sum(deg) just below 2**53; above it, weights
         # a * 2**50 + 1, a odd, whose cuts are 2 mod 4 and some past 2**54,
         # where float64 would round them
-        monkeypatch.setattr(spectral, "_BLOCK", 4)
+        monkeypatch.setattr(graphs, "BLOCK", 4)
         n = 7
         unit = FLOAT64_BOUND // (n * 14 * 17) if below else 2**50
         rng = random.Random(n)
@@ -1087,7 +1087,7 @@ class TestRevivalCrossValidation:
                 gamma = _shifted(gamma)
             return certificate(a, b, tau, gamma, sigma)
 
-        monkeypatch.setattr(walks, "_BLOCK", 4)
+        monkeypatch.setattr(graphs, "BLOCK", 4 * q5[0].n)
         monkeypatch.setattr(walks, "FRCertificate", make)
         with pytest.raises(InternalCheckError) as err:
             find_fr(*q5)
@@ -1097,7 +1097,7 @@ class TestRevivalCrossValidation:
 
     def test_blocks_of_four_give_the_same_list(self, q5, monkeypatch):
         certs = find_fr(*q5)
-        monkeypatch.setattr(walks, "_BLOCK", 4)
+        monkeypatch.setattr(graphs, "BLOCK", 4 * q5[0].n)
         assert find_fr(*q5) == certs
 
 

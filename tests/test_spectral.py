@@ -5,13 +5,19 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from chd import (
+    AbelianGroup,
     ChdError,
     ExactnessError,
     PreconditionError,
     ScaleError,
     WeightedGraph,
+    bipartition_from_column,
+    catalogue,
+    cayley,
     certify,
     character_table,
     cheeger,
@@ -19,10 +25,12 @@ from chd import (
     complete,
     complete_bipartite,
     cycle,
+    empty_graph,
     exact_rational_spectrum,
     graph_union,
     hypercube,
     min_edge_density,
+    regularity_check,
     sylvester_hadamard,
     tightness_check,
 )
@@ -105,6 +113,15 @@ class TestCheeger:
             assert h == naive_cheeger(g)
             assert cheeger_value_of(g, report.subset) == h
 
+    @pytest.mark.parametrize("subset", [[-1], [7]])
+    def test_ratio_of_a_subset_outside_the_vertices_is_refused(self, k4, subset):
+        with pytest.raises(ChdError):
+            cheeger_value_of(k4, subset)
+
+    def test_ratio_of_a_zero_volume_side_is_zero(self):
+        g = graph_union(complete(2), empty_graph(2))
+        assert cheeger_value_of(g, [2]) == 0
+
     def test_scale_guard(self):
         g = WeightedGraph([[Fraction(0)] * 25 for _ in range(25)])
         with pytest.raises(ScaleError):
@@ -156,7 +173,56 @@ class TestMinEdgeDensity:
             assert val == naive_min_density(g)
 
 
+def _tight_by_search(g, h, spec):
+    """Tightness as first defined: the Cheeger constant found by the cut
+    search is gamma_2 / 2, and the plus cell of the first lambda_2 column,
+    its ratio taken from the edge list, reaches it."""
+    lam2, d = spec.second_smallest(), regularity_check(g)
+    value, _ = cheeger(g)
+    k = next(k for k, e in enumerate(spec.entries) if k and e.rational == lam2)
+    plus = set(bipartition_from_column(g, h, spec, k).cells[0])
+    cut = sum(w for u, v, w in g.edges() if (u in plus) != (v in plus))
+    return value == lam2 / d / 2 and cut / (d * min(len(plus), g.n - len(plus))) == value
+
+
+@st.composite
+def connected_cayley(draw):
+    """A connected Cayley graph over Z_2^4, Z_4^2 or Z_4 x Z_2^2 and its
+    character table."""
+    moduli = draw(st.sampled_from([(2, 2, 2, 2), (4, 4), (4, 2, 2)]))
+    group = AbelianGroup(moduli)
+    orbits = sorted({tuple(sorted({el, group.neg(el)})) for el in group.elements()[1:]})
+    chosen = draw(st.lists(st.sampled_from(orbits), min_size=2, unique=True))
+    g = cayley(group, [el for orbit in chosen for el in orbit])
+    assume(g.is_connected())
+    return g, character_table(moduli)
+
+
 class TestTightness:
+    def test_agrees_with_the_cut_search_on_the_order_8_catalogue(self):
+        for entry in catalogue(8):
+            g, h = entry.graph, entry.hadamard
+            if g.is_connected():
+                spec = certify(g, h)
+                assert tightness_check(g, h, spec) == _tight_by_search(g, h, spec)
+
+    @settings(max_examples=200, deadline=None)
+    @given(connected_cayley())
+    def test_agrees_with_the_cut_search_on_cayley_graphs(self, pair):
+        g, h = pair
+        spec = certify(g, h)
+        assert tightness_check(g, h, spec) == _tight_by_search(g, h, spec)
+
+    @pytest.mark.parametrize("d", [4, 6])
+    def test_cubes_without_a_cut_search(self, monkeypatch, d):
+        # Q6 has 64 vertices, past the cut search's cap
+        def no_search(*args):
+            raise AssertionError("tightness_check searched the cuts")
+
+        monkeypatch.setattr(spectral, "_cut_tables", no_search)
+        g, h = hypercube(d), sylvester_hadamard(2**d)
+        assert tightness_check(g, h, certify(g, h))
+
     def test_cubes(self):
         for d in (2, 3, 4):
             g = hypercube(d)
