@@ -11,7 +11,7 @@ small-graph catalogue) consumes those exact certificates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -83,7 +83,6 @@ class SpectrumAssignment:
 
     entries: tuple[EigenvalueEntry, ...]
     target: str  # "laplacian" or "adjacency"
-    dephased: bool = True
 
     @property
     def n(self) -> int:
@@ -117,8 +116,9 @@ class SpectrumAssignment:
         return out
 
     def second_smallest(self) -> Fraction:
-        vals = sorted(self.rationals())
-        return vals[1]
+        if self.n < 2:
+            raise PreconditionError("a spectrum of one vertex has no second eigenvalue")
+        return sorted(self.rationals())[1]
 
 
 def regularity_check(g: WeightedGraph) -> Fraction | None:
@@ -317,14 +317,6 @@ class TheoremCheck:
     passed: bool | None
     detail: str
 
-    def to_json(self) -> dict:
-        return {
-            "name": self.name,
-            "applicable": self.applicable,
-            "passed": self.passed,
-            "detail": self.detail,
-        }
-
 
 @dataclass(frozen=True)
 class TheoremReport:
@@ -335,7 +327,7 @@ class TheoremReport:
         return all(c.passed for c in self.checks if c.applicable)
 
     def to_json(self) -> list:
-        return [c.to_json() for c in self.checks]
+        return [asdict(c) for c in self.checks]
 
 
 def theorem_checks(
@@ -352,69 +344,54 @@ def theorem_checks(
     - root order an odd prime p: every nonzero integer eigenvalue is
       divisible by p and has multiplicity at least p - 1.
     """
+    _require_orders(g, h, spectrum)
     cls = classify(h)
+    r = cls.root_order
     in_scope = g.scale == 1 and spectrum.target == "laplacian"
-    checks = []
+    odd = [e for e in spectrum.entries if not (e.is_integer and int(e.rational) % 2 == 0)]
+    return TheoremReport((
+        _check(
+            "even-spectrum-real-turyn",
+            in_scope and cls.kind in ("real", "turyn"),
+            f"matrix class is {cls}",
+            "all eigenvalues are even integers",
+            (str(e) for e in odd),
+        ),
+        _check(
+            "power-of-two-even-integers",
+            in_scope and r >= 1 and (r & (r - 1)) == 0,
+            f"minimal root order is {r}",
+            "all rational eigenvalues are even integers",
+            (str(e.rational) for e in odd if e.is_rational),
+        ),
+        _check(
+            "prime-divisibility-and-multiplicity",
+            in_scope and r > 2 and prime_factors(r) == [r],
+            f"minimal root order is {r}",
+            f"nonzero integer eigenvalues divisible by {r} with multiplicity >= {r - 1}",
+            _prime_violations(spectrum.entries, r),
+        ),
+    ))
 
-    applicable = in_scope and cls.kind in ("real", "turyn")
-    passed = None
-    detail = f"matrix class is {cls}"
-    if applicable:
-        bad = [
-            str(e)
-            for e in spectrum.entries
-            if not (e.is_integer and int(e.rational) % 2 == 0)
-        ]
-        passed = not bad
-        detail = "all eigenvalues are even integers" if passed else (
-            f"violations: {bad}"
-        )
-    checks.append(TheoremCheck("even-spectrum-real-turyn", applicable, passed, detail))
 
-    r_min = cls.root_order
-    applicable = in_scope and r_min >= 1 and (r_min & (r_min - 1)) == 0
-    passed = None
-    detail = f"minimal root order is {r_min}"
-    if applicable:
-        bad = [
-            str(e.rational)
-            for e in spectrum.entries
-            if e.is_rational and not (e.is_integer and int(e.rational) % 2 == 0)
-        ]
-        passed = not bad
-        detail = (
-            "all rational eigenvalues are even integers"
-            if passed
-            else f"violations: {bad}"
-        )
-    checks.append(
-        TheoremCheck("power-of-two-even-integers", applicable, passed, detail)
-    )
+def _check(name: str, applicable: bool, scope: str, holds: str, violations) -> TheoremCheck:
+    """Not applicable with the detail ``scope``, passed with ``holds``, or
+    failed with the ``violations``, an iterable read only if applicable."""
+    if not applicable:
+        return TheoremCheck(name, False, None, scope)
+    bad = list(violations)
+    return TheoremCheck(name, True, not bad, f"violations: {bad}" if bad else holds)
 
-    applicable = in_scope and r_min > 2 and prime_factors(r_min) == [r_min]
-    passed = None
-    detail = f"minimal root order is {r_min}"
-    if applicable:
-        p = r_min
-        ints = [e.rational for e in spectrum.entries if e.is_integer]
-        bad = []
-        for lam in {int(v) for v in ints if v != 0}:
-            mult = sum(1 for v in ints if v == lam)
-            if lam % p:
-                bad.append(f"{lam} not divisible by {p}")
-            if mult < p - 1:
-                bad.append(f"{lam} has multiplicity {mult} < {p - 1}")
-        passed = not bad
-        detail = (
-            f"nonzero integer eigenvalues divisible by {p} with multiplicity "
-            f">= {p - 1}"
-            if passed
-            else f"violations: {bad}"
-        )
-    checks.append(
-        TheoremCheck("prime-divisibility-and-multiplicity", applicable, passed, detail)
-    )
-    return TheoremReport(tuple(checks))
+
+def _prime_violations(entries, p: int):
+    """Nonzero integer eigenvalues not divisible by p or rarer than p - 1."""
+    ints = [e.rational for e in entries if e.is_integer]
+    for lam in {int(v) for v in ints if v != 0}:
+        if lam % p:
+            yield f"{lam} not divisible by {p}"
+        mult = ints.count(lam)
+        if mult < p - 1:
+            yield f"{lam} has multiplicity {mult} < {p - 1}"
 
 
 def odd_union_obstruction(g: WeightedGraph) -> bool:

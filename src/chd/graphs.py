@@ -335,12 +335,12 @@ class AbelianGroup:
     __slots__ = ("moduli", "_elements")
 
     def __init__(self, moduli) -> None:
-        moduli = tuple(int(m) for m in moduli)
-        if not moduli or any(m < 1 for m in moduli):
+        moduli = tuple(moduli)
+        if not (moduli and all_integers(moduli)) or any(m < 1 for m in moduli):
             raise ChdError(f"moduli must be positive integers, got {moduli}")
         check_group_order(moduli)
-        self.moduli = moduli
-        self._elements = tuple(iter_product(*(range(m) for m in moduli)))
+        self.moduli = tuple(map(int, moduli))
+        self._elements = tuple(iter_product(*map(range, self.moduli)))
 
     @property
     def order(self) -> int:
@@ -473,14 +473,14 @@ def neps(graphs, basis) -> WeightedGraph:
     of 0/1 tuples (the all-zero tuple is excluded; exponent 0 means identity).
     """
     graphs = list(graphs)
-    basis = [tuple(int(b) for b in beta) for beta in basis]
+    basis = [tuple(beta) for beta in basis]
     d = len(graphs)
     if not basis:
         raise ChdError("basis must be nonempty")
     for beta in basis:
         if len(beta) != d:
             raise ChdError(f"basis tuple {beta} has wrong arity {len(beta)} != {d}")
-        if any(b not in (0, 1) for b in beta):
+        if not all_integers(beta) or any(b not in (0, 1) for b in beta):
             raise ChdError(f"basis tuple {beta} is not 0/1")
         if not any(beta):
             raise SimplicityError("the all-zero basis tuple would add a diagonal term")
@@ -506,13 +506,15 @@ def weighted_tensor_sum(terms) -> WeightedGraph:
     parts = []
     for weight, factors in terms:
         weight = _as_fraction(weight)
-        dims = tuple(f.n if isinstance(f, WeightedGraph) else int(f) for f in factors)
+        dims = tuple(f.n if isinstance(f, WeightedGraph) else f for f in factors)
+        if not all_integers(dims):
+            raise ChdError(f"factor sizes must be integers, got {dims}")
         if sizes is None:
             sizes = dims
         elif dims != sizes:
             raise ChdError(f"inconsistent factor sizes {dims} vs {sizes}")
         mats = [
-            f.matrix if isinstance(f, WeightedGraph) else np.eye(int(f), dtype=np.int64)
+            f.matrix if isinstance(f, WeightedGraph) else np.eye(f, dtype=np.int64)
             for f in factors
         ]
         den = weight.denominator * math.prod(
@@ -583,9 +585,9 @@ def complete_bipartite(a: int, b: int) -> WeightedGraph:
 
 
 def complete_multipartite(parts) -> WeightedGraph:
-    parts = tuple(int(p) for p in parts)
-    if not parts or any(p < 1 for p in parts):
-        raise ChdError(f"part sizes must be positive, got {parts}")
+    parts = tuple(parts)
+    if not (parts and all_integers(parts)) or any(p < 1 for p in parts):
+        raise ChdError(f"part sizes must be positive integers, got {parts}")
     check_count(sum(parts))
     block = np.repeat(np.arange(len(parts)), parts)
     mat = (block[:, None] != block[None, :]).astype(np.int64)
@@ -593,31 +595,30 @@ def complete_multipartite(parts) -> WeightedGraph:
 
 
 def _check_size(n: int) -> None:
-    if n < 1:
-        raise ChdError(f"size must be at least 1, got {n}")
+    if not all_integers((n,)) or n < 1:
+        raise ChdError(f"size must be an integer of at least 1, got {n!r}")
 
 
 _FAMILIES = {
-    "complete": lambda args: complete(int(args[0])),
-    "cycle": lambda args: cycle(int(args[0])),
-    "hypercube": lambda args: hypercube(int(args[0])),
-    "cocktail": lambda args: cocktail_party(int(args[0])),
-    "complete-bipartite": lambda args: complete_bipartite(int(args[0]), int(args[1])),
-    "complete-multipartite": lambda args: complete_multipartite(
-        [int(a) for a in args]
-    ),
-    "empty": lambda args: empty_graph(int(args[0])),
+    "complete": lambda args: complete(args[0]),
+    "cycle": lambda args: cycle(args[0]),
+    "hypercube": lambda args: hypercube(args[0]),
+    "cocktail": lambda args: cocktail_party(args[0]),
+    "complete-bipartite": lambda args: complete_bipartite(args[0], args[1]),
+    "complete-multipartite": complete_multipartite,
+    "empty": lambda args: empty_graph(args[0]),
 }
 
 
 def named(family: str, *args) -> WeightedGraph:
-    """Dispatch a standard family by name; used by the command-line front end."""
+    """Dispatch a standard family by name; used by the command-line front
+    end, so a size may also be given as a string of digits."""
     key = family.replace("_", "-")
     if key not in _FAMILIES:
         raise ChdError(
             f"unknown family {family!r}; expected one of {sorted(_FAMILIES)}"
         )
     try:
-        return _FAMILIES[key](args)
+        return _FAMILIES[key]([int(a) if isinstance(a, str) else a for a in args])
     except (IndexError, ValueError):
         raise ChdError(f"family {family!r} needs integer sizes, got {list(args)}") from None

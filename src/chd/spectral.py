@@ -26,7 +26,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .cyclotomic import FLOAT64_BOUND, INT64_BOUND, all_integers
+from .cyclotomic import FLOAT64_BOUND, INT64_BOUND, all_integers, exact_dtype
 from .diagonalise import SpectrumAssignment, bipartition_from_column, regularity_check
 from .errors import ChdError, ExactnessError, PreconditionError, ScaleError
 from . import graphs
@@ -279,20 +279,25 @@ def cheeger_inequality_audit(
 
     The lower bound is compared in rationals; the upper bound is checked as
     h * h <= 2 * gamma_2 to avoid floating square roots.  gamma_2 comes from
-    a certified spectrum when one is supplied, otherwise from exact rational
-    root extraction of the characteristic polynomial.  The vertex cap of the
-    cut search is checked before anything else.
+    a supplied spectrum, once ``_is_spectrum`` confirms it is g's Laplacian
+    spectrum, otherwise from ``exact_rational_spectrum``.  The vertex cap of
+    the cut search is checked before anything else.
     """
     _require_cap(g)
+    if g.n < 2:
+        raise PreconditionError("the audit needs at least two vertices")
     if not g.is_connected():
         raise PreconditionError("the audit needs a connected graph")
     d = regularity_check(g)
     if d is None:
         raise PreconditionError("the audit needs a regular graph")
-    if spectrum is not None:
-        lam2 = spectrum.second_smallest()
-    else:
+    if spectrum is None:
         lam2 = sorted(exact_rational_spectrum(g))[1]
+    else:
+        ints, scale = g.integer_matrix("laplacian")
+        if not _is_spectrum(ints, [q * scale for q in spectrum.rationals()]):
+            raise PreconditionError("the spectrum is not the Laplacian spectrum of the graph")
+        lam2 = spectrum.second_smallest()
     gamma2 = lam2 / d
     h_val, witness = cheeger(g)
     lower_ok = gamma2 / 2 <= h_val
@@ -307,13 +312,13 @@ def cheeger_inequality_audit(
 
 
 def exact_rational_spectrum(g: WeightedGraph) -> list[Fraction]:
-    """All Laplacian eigenvalues as exact rationals, via the characteristic
-    polynomial; raises when the spectrum is not fully rational.
+    """All Laplacian eigenvalues as exact rationals; raises when the
+    spectrum is not fully rational.
 
     A rational eigenvalue of the scaled integer Laplacian M is an integer,
     being a root of the monic integer polynomial det(xI - M).  The
-    candidates are the eigenvalues of M from eigvalsh, rounded; each is
-    confirmed as a root exactly and deflated, so the result is exact
+    candidates are the eigenvalues of M from eigvalsh, rounded, and
+    ``_is_spectrum`` confirms them all at once, so the result is exact
     whatever the floats did.  The rounding misses no integer eigenvalue
     while n * R < 2**40, R the largest absolute row sum of M: R bounds
     ||M||_2, the integer entries convert exactly, and a backward error of
@@ -321,51 +326,39 @@ def exact_rational_spectrum(g: WeightedGraph) -> list[Fraction]:
     Beyond that bound a ScaleError is raised.
     """
     ints, scale = g.integer_matrix("laplacian")
-    mat = ints.tolist()
-    row_sum = max((sum(abs(x) for x in row) for row in mat), default=0)
+    row_sum = max((sum(abs(x) for x in row) for row in ints.tolist()), default=0)
     if g.n * row_sum >= _EIGVALSH_BOUND:
         raise ScaleError("weights this large exceed the rounding bound of the spectrum")
-    current = _char_poly(mat)  # monic, integer coefficients, constant first
     roots = sorted(int(x) for x in np.rint(np.linalg.eigvalsh(ints.astype(float))))
-    for root in roots:
-        if _poly_eval(current, root):
-            raise ExactnessError(
-                "the Laplacian spectrum is not fully rational; exact "
-                "extraction is unsupported"
-            )
-        current = _deflate(current, root)
+    if not _is_spectrum(ints, roots):
+        raise ExactnessError(
+            "the Laplacian spectrum is not fully rational; exact "
+            "extraction is unsupported"
+        )
     return [Fraction(root, scale) for root in roots]
 
 
-def _char_poly(mat) -> list[int]:
-    """Characteristic polynomial det(xI - M) of an integer matrix, constant
-    term first, by the Faddeev-LeVerrier recurrence on Python integers:
-    M_1 = M, c_k = -tr(M_k) / k, M_(k+1) = M (M_k + c_k I).  For an integer
-    matrix every c_k is an integer."""
-    m = np.array(mat, dtype=object)
-    eye = np.identity(len(m), dtype=object)
-    coeffs, acc = [1], eye
-    for k in range(1, len(m) + 1):
-        mk = m @ acc
-        tr = int(mk.trace())
-        if tr % k:
-            raise ExactnessError("characteristic polynomial is not integral")
-        coeffs.append(-tr // k)
-        acc = mk + coeffs[-1] * eye
-    return coeffs[::-1]
+def _is_spectrum(mat: np.ndarray, values) -> bool:
+    """Whether the integers or Fractions ``values`` are the eigenvalues of
+    the n x n integer matrix M, with multiplicity.  By Newton's identities
+    the power sums tr(M**k) = sum(v**k) for k = 1..n fix the characteristic
+    polynomial, so they decide exactly.  Every entry, partial sum and trace
+    of M**k is at most n * R**k in size, R the largest absolute row sum of
+    M, so the powers run in int64 while n * R**n < 2**62 and in Python
+    integers above; M**(n+1), which could wrap, is never formed.
 
-
-def _poly_eval(poly, x: int) -> int:
-    acc = 0
-    for c in reversed(poly):
-        acc = acc * x + c
-    return acc
-
-
-def _deflate(poly, root: int):
-    # synthetic division by (x - root); poly is constant-first
-    rev = list(reversed(poly))
-    out = [rev[0]]
-    for c in rev[1:-1]:
-        out.append(c + out[-1] * root)
-    return list(reversed(out))
+    >>> m = np.array([[1, -1], [-1, 1]])
+    >>> _is_spectrum(m, [0, 2]), _is_spectrum(m, [1, 1]), _is_spectrum(m, [2])
+    (True, False, False)
+    """
+    n = len(mat)
+    if len(values) != n:
+        return False
+    bound = max((sum(abs(x) for x in row) for row in mat.tolist()), default=0)
+    m = mat.astype(exact_dtype(n * bound**n))
+    power = np.identity(n, dtype=m.dtype)
+    for k in range(1, n + 1):
+        power = power @ m
+        if int(power.trace()) != sum(v**k for v in values):
+            return False
+    return True

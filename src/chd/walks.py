@@ -405,6 +405,7 @@ def adjacency_walk_relation(
 ) -> bool:
     """Float check that exp(-i t A) equals exp(-i d t) * conj(exp(-i t L))
     for a d-regular graph, both sides computed spectrally, to 1e-9."""
+    _require_orders(g, h, spectrum)
     d = regularity_check(g)
     if d is None:
         raise PreconditionError("the relation needs a regular graph")

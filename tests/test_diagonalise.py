@@ -120,6 +120,14 @@ class TestCertify:
         assert spec.entries[0].rational == 0
 
 
+class TestSpectrumAssignment:
+    def test_one_vertex_has_no_second_eigenvalue(self):
+        spec = certify(complete(1), character_table((1,)))
+        assert spec.rationals() == [0]
+        with pytest.raises(PreconditionError, match="no second eigenvalue"):
+            spec.second_smallest()
+
+
 class TestRegularity:
     def test_path_not_regular(self):
         assert regularity_check(complete_bipartite(1, 2)) is None
@@ -291,6 +299,11 @@ class TestTheoremChecks:
         assert sorted(int(e.rational) for e in spec.entries) == [0, 2, 2, 4]
         report = theorem_checks(g, t4, spec)
         assert report.all_passed
+
+    def test_order_mismatch_rejected(self, k4, f4):
+        k2_spectrum = certify(complete(2), sylvester_hadamard(2))
+        with pytest.raises(ChdError, match="orders must agree"):
+            theorem_checks(k4, f4, k2_spectrum)
 
     def test_rational_weights_are_out_of_scope(self):
         # weights 1/2 and 3/2 give odd integer eigenvalues under a Turyn

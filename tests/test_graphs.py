@@ -9,6 +9,7 @@ from chd import (
     SimplicityError,
     WeightedGraph,
     cayley,
+    character_table,
     cocktail_party,
     combine,
     complement,
@@ -281,6 +282,37 @@ class TestNamedFamilies:
         assert named("complete-bipartite", 2, 3) == complete_bipartite(2, 3)
         with pytest.raises(ChdError):
             named("petersen", 10)
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: AbelianGroup((4.7, True)),
+            lambda: AbelianGroup((np.float64(4),)),
+            lambda: character_table((4.5,)),
+            lambda: complete_multipartite((2.9, 2)),
+            lambda: complete_bipartite(2, True),
+            lambda: neps([complete(2)], [(1.2,)]),
+            lambda: neps([complete(2)], [(True,)]),
+            lambda: hypercube(2.5),
+            lambda: cocktail_party(2.0),
+            lambda: weighted_tensor_sum([(1, [complete(2), 2.5])]),
+            lambda: named("complete", 4.5),
+        ],
+        ids=[
+            "group", "group-float64", "character-table", "multipartite", "bipartite-bool",
+            "neps", "neps-bool", "hypercube", "cocktail", "tensor-sum", "named",
+        ],
+    )
+    def test_non_integer_sizes_refused(self, build):
+        # a float or bool size is refused, not truncated
+        with pytest.raises(ChdError):
+            build()
+
+    def test_numpy_integer_sizes_accepted(self):
+        assert AbelianGroup((np.int64(4), 2)).moduli == (4, 2)
+        assert complete_multipartite((np.int64(2), 2)) == complete_bipartite(2, 2)
+        assert hypercube(np.int64(2)) == hypercube(2)
+        assert named("complete-multipartite", "2", np.int64(2)) == complete_bipartite(2, 2)
 
     def test_vertex_transitive_degree(self):
         for g, d in [

@@ -5,8 +5,10 @@ rational spectrum extraction and revival search against the loop kernels
 kept in ``oracles``, and the four revival entry points against each
 other."""
 
+import itertools
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -48,7 +50,7 @@ from chd import (
     verify,
     walks,
 )
-from chd import cyclotomic, graphs, hadamard
+from chd import cyclotomic, graphs, hadamard, spectral
 from chd.cyclotomic import (
     FLOAT64_BOUND,
     INT64_BOUND,
@@ -58,7 +60,7 @@ from chd.cyclotomic import (
     reduce,
     reduction_table,
 )
-from chd.spectral import _char_poly, _cut_tables, cheeger_value_of
+from chd.spectral import _cut_tables, _is_spectrum, cheeger_value_of
 
 ORDERS = range(1, 211)
 
@@ -921,25 +923,6 @@ class TestCutTablesAgainstLoop:
             min_edge_density(g)
 
 
-class TestCharPolyAgainstFractions:
-    @settings(max_examples=60, deadline=None)
-    @given(
-        st.integers(1, 8).flatmap(
-            lambda n: st.lists(
-                st.lists(st.integers(-50, 50), min_size=n, max_size=n),
-                min_size=n,
-                max_size=n,
-            )
-        )
-    )
-    def test_integer_matrices(self, mat):
-        assert _char_poly(mat) == oracles.char_poly(mat)
-
-    def test_k444_laplacian(self):
-        mat = complete_multipartite((4, 4, 4)).integer_matrix("laplacian")[0].tolist()
-        assert _char_poly(mat) == oracles.char_poly(mat)
-
-
 @st.composite
 def integral_connections(draw):
     """A group Z_r^d (r in {2, 3, 4, 6, 8}, at most 64 elements) and a
@@ -1154,3 +1137,68 @@ class TestRationalSpectrumAgainstScan:
         assert oracles.rational_spectrum(_laplacian(cycle(8))) is None
         with pytest.raises(ExactnessError):
             exact_rational_spectrum(cycle(8))
+
+
+def _check_is_spectrum(mat, want):
+    """_is_spectrum accepts the exact spectrum want of mat and refuses it
+    with one root moved by -+1, or with two multiplicities swapped."""
+    assert _is_spectrum(mat, want)
+    for k in {0, len(want) - 1}:
+        for step in (-1, 1):
+            moved = list(want)
+            moved[k] += step
+            assert not _is_spectrum(mat, moved)
+    counts = Counter(want)
+    for a, b in itertools.combinations(counts, 2):
+        if counts[a] != counts[b]:
+            assert not _is_spectrum(mat, [b if v == a else a if v == b else v for v in want])
+            break
+
+
+class TestIsSpectrumAgainstFractions:
+    """The power-sum test against the roots of the characteristic
+    polynomial computed in Fractions (``oracles.rational_spectrum``)."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(small_weighted_graphs())
+    def test_integer_matrices(self, g):
+        mat = g.integer_matrix("laplacian")[0]
+        want = oracles.rational_spectrum(mat.tolist())
+        if want is None:
+            rounded = [int(x) for x in np.rint(np.linalg.eigvalsh(mat.astype(float)))]
+            assert not _is_spectrum(mat, rounded)
+        else:
+            _check_is_spectrum(mat, want)
+
+    def test_k444_laplacian(self):
+        mat = complete_multipartite((4, 4, 4)).integer_matrix("laplacian")[0]
+        want = oracles.rational_spectrum(mat.tolist())
+        assert want == [0] + [8] * 9 + [12] * 2
+        _check_is_spectrum(mat, want)
+
+    def test_only_the_last_power_sum_differs(self):
+        # 0, 3, 3 and 1, 1, 4 share the sums of their first and second
+        # powers; only k = n = 3 tells them apart
+        mat = complete(3).integer_matrix("laplacian")[0]
+        assert _is_spectrum(mat, [0, 3, 3])
+        assert not _is_spectrum(mat, [1, 1, 4])
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_same_answers_across_the_int64_bound(self, monkeypatch, n):
+        # the Laplacian of K_n with weight w: R = 2 (n - 1) w, and the
+        # spectrum is 0 and n w, n - 1 times
+        def bound(w):
+            return n * (2 * (n - 1) * w) ** n
+
+        lo, hi = 1, 2**62  # bound(lo) < 2**62 <= bound(hi)
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (mid, hi) if bound(mid) < INT64_BOUND else (lo, mid)
+        dtypes = []
+        monkeypatch.setattr(
+            spectral, "exact_dtype", lambda b: dtypes.append(cyclotomic.exact_dtype(b)) or dtypes[-1]
+        )
+        for w in (lo, hi):
+            _check_is_spectrum(w * (n * np.eye(n, dtype=np.int64) - 1), [0] + [n * w] * (n - 1))
+        half = len(dtypes) // 2
+        assert dtypes == [np.int64] * half + [object] * half

@@ -235,6 +235,11 @@ class TestTightness:
         h, _ = cheeger(k4)
         assert h == Fraction(2, 3)  # gamma_2 / 2 = (4/3)/2
 
+    def test_one_vertex(self):
+        g, h = complete(1), character_table((1,))
+        with pytest.raises(PreconditionError, match="no second eigenvalue"):
+            tightness_check(g, h, certify(g, h))
+
     def test_precondition_rejected_for_butson_matrix(self):
         g = complete(3)
         h = character_table((3,))
@@ -276,6 +281,33 @@ class TestCheegerInequality:
         audit = cheeger_inequality_audit(g)
         assert audit["gamma2"] == Fraction(5, 4)
         assert audit["lower_ok"] and audit["upper_ok"]
+
+    @pytest.mark.parametrize(
+        "other",
+        [
+            certify(complete(8), sylvester_hadamard(8)),  # the right order
+            certify(complete(4), sylvester_hadamard(4)),
+            certify(hypercube(3), sylvester_hadamard(8), "adjacency"),
+        ],
+        ids=["K8", "K4", "Q3-adjacency"],
+    )
+    def test_refuses_a_spectrum_of_another_graph(self, other):
+        # with K8's spectrum, gamma_2 would be 8/3 and the lower bound
+        # would be reported to fail
+        with pytest.raises(PreconditionError, match="not the Laplacian spectrum"):
+            cheeger_inequality_audit(hypercube(3), other)
+
+    def test_rational_weights_scale_the_supplied_spectrum(self):
+        g = WeightedGraph.from_edges(4, [(0, 1, "1/2"), (1, 2, "1/2"), (2, 3, "1/2"), (0, 3, "1/2")])
+        spec = certify(g, character_table((4,)))
+        assert cheeger_inequality_audit(g, spec)["gamma2"] == 1
+        assert cheeger_inequality_audit(g) == cheeger_inequality_audit(g, spec)
+
+    def test_one_vertex(self):
+        g, h = complete(1), character_table((1,))
+        for spec in (None, certify(g, h)):
+            with pytest.raises(PreconditionError, match="two vertices"):
+                cheeger_inequality_audit(g, spec)
 
     @pytest.mark.parametrize("d", [5, 6])
     def test_cap_checked_before_the_spectrum(self, d, monkeypatch):

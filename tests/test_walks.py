@@ -359,3 +359,11 @@ class TestAdjacencyWalkRelation:
         for _ in range(100):
             t = rng.uniform(0, 2 * math.pi)
             assert adjacency_walk_relation(q3, f8, q3_spectrum, t)
+
+    @pytest.mark.parametrize("order", [2, 4])
+    def test_order_mismatch_rejected(self, k4, order):
+        # the matrix of order 2 matched the spectrum, and that of order 4
+        # the graph; neither may pass
+        k2_spectrum = certify(complete(2), sylvester_hadamard(2))
+        with pytest.raises(ChdError, match="orders must agree"):
+            adjacency_walk_relation(k4, sylvester_hadamard(order), k2_spectrum, 0.3)
