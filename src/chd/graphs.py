@@ -413,6 +413,7 @@ def complement(g: WeightedGraph) -> WeightedGraph:
 
 def graph_union(g1: WeightedGraph, g2: WeightedGraph) -> WeightedGraph:
     """Disjoint union; vertices of g1 come first."""
+    check_count(g1.n + g2.n)
     scale = math.lcm(g1.scale, g2.scale)
     k1, k2 = scale // g1.scale, scale // g2.scale
     largest = max(k1 * _maxabs(g1.matrix), k2 * _maxabs(g2.matrix))
@@ -427,6 +428,7 @@ def graph_join(g1: WeightedGraph, g2: WeightedGraph) -> WeightedGraph:
     """Union plus all unit-weight cross edges; both inputs must be unweighted."""
     if not (g1.is_unweighted() and g2.is_unweighted()):
         raise ChdError("join is only defined for unweighted graphs")
+    check_count(g1.n + g2.n)
     cross = np.ones((g1.n, g2.n), dtype=np.int64)
     mat = np.block([[g1.matrix, cross], [cross.T, g2.matrix]])
     return WeightedGraph._from_matrix(mat)
@@ -511,6 +513,8 @@ def weighted_tensor_sum(terms) -> WeightedGraph:
             raise ChdError(f"factor sizes must be integers, got {dims}")
         if sizes is None:
             sizes = dims
+            for size in (*dims, math.prod(dims)):  # before any factor is built
+                check_count(size)
         elif dims != sizes:
             raise ChdError(f"inconsistent factor sizes {dims} vs {sizes}")
         mats = [

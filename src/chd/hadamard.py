@@ -85,7 +85,8 @@ class ButsonMatrix:
         return int(self.exps.shape[0])
 
     def to_complex(self) -> np.ndarray:
-        return np.exp(2j * math.pi * self.exps / self.r)
+        """The complex entries, read from a table of the r roots of unity."""
+        return np.exp(2j * math.pi * np.arange(self.r) / self.r)[self.exps]
 
     def column(self, k: int) -> np.ndarray:
         return self.exps[:, k]

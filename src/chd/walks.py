@@ -163,12 +163,19 @@ class FRCertificate:
         }
 
 
-def _unitary(hc: np.ndarray, lam: np.ndarray, t: float, cols=slice(None)) -> np.ndarray:
-    """Columns ``cols`` of the float walk unitary (1/n) H diag(exp(-i t lam)) H*, hc = H."""
+def _unitary(hc: np.ndarray, lam: np.ndarray, t: float) -> np.ndarray:
+    """The float walk unitary U(t) = (1/n) H diag(exp(-i t lam)) H*, hc = H.
+
+    It is formed here as (H diag(phases)) H*, the form of ``evolve`` and
+    ``adjacency_walk_relation``.  ``_cross_validate`` forms only columns,
+    U(t) e_a = H (phases * conj(H[a]))^T / n: the same sums in the other
+    association, which differ by about 1e-16 and need no n x n
+    H diag(phases).
+    """
     if not math.isfinite(t):
         raise ChdError(f"walk time must be finite, got {t}")
     phases = np.exp(-1j * t * lam)
-    return (hc * phases[None, :]) @ hc[cols].conj().T / len(hc)
+    return (hc * phases[None, :]) @ hc.conj().T / len(hc)
 
 
 def evolve(
@@ -196,12 +203,17 @@ def _require_dephased(h: ButsonMatrix, caller: str) -> None:
         raise PreconditionError(f"{caller} needs a dephased matrix")
 
 
+def _signs(row_a: np.ndarray, row_b: np.ndarray) -> tuple[int, ...]:
+    """+1 where two exponent rows agree, -1 where they differ."""
+    return tuple(np.where(row_a == row_b, 1, -1).tolist())
+
+
 def _sign_pattern(row_a: np.ndarray, row_b: np.ndarray, r: int) -> tuple[int, ...] | None:
     """+1 where two exponent rows agree, -1 where they differ by a half
     turn, and None if they differ otherwise anywhere."""
     if not np.array_equal(_half_turn_residues(row_a, r), _half_turn_residues(row_b, r)):
         return None
-    return tuple(np.where(row_a == row_b, 1, -1).tolist())
+    return _signs(row_a, row_b)
 
 
 def strongly_cospectral(h: ButsonMatrix, a: int, b: int) -> tuple[int, ...] | None:
@@ -273,45 +285,118 @@ def find_fr(
     divisors of 2*lcm(M), which still captures every perfect-state-transfer
     time: this is the search's completeness boundary.
 
-    Pairs are rows equal modulo a half turn.  The (tau, gamma) list depends
-    on the sign pattern alone and is computed once per pattern (Q7: 127 for
-    8128 pairs).  Each certificate is checked to 1e-9 against its column of
-    ``_unitary``, in ``graphs.blocks`` of columns that share tau.
+    The (tau, gamma) list depends on P and M alone, so pairs are keyed by
+    them (``_pair_keys``) and each distinct key is decided once (Q7: 3 keys
+    for 8128 pairs).  Sigma and the certificates are built only for pairs
+    whose key revives, and each certificate is checked to 1e-9 against its
+    float walk column (``_cross_validate``).
     """
     _require_orders(g, h, spectrum)
     lam = spectrum.integers()
     _require_dephased(h, "find_fr")
-    residues = _half_turn_residues(h.exps, h.r).astype(np.uint16)  # r <= 1024
-    classes: dict[bytes, list[int]] = {}
-    for v, row in enumerate(residues):
-        classes.setdefault(row.tobytes(), []).append(v)
-    times: dict[bytes, tuple] = {}  # minus-column mask -> (sigma, [(tau, gamma)])
-    out: list[FRCertificate] = []
-    for a, row in enumerate(residues):
-        peers = classes[row.tobytes()]
-        later = peers[peers.index(a) + 1 :]
-        for b, minus in zip(later, h.exps[later] != h.exps[a]):
-            if (key := minus.tobytes()) not in times:
-                times[key] = _revival_times(minus, lam)
-            sigma, found = times[key]
-            if found:
-                out.extend(FRCertificate(a, b, tau, gamma, sigma) for tau, gamma in found)
-    _cross_validate(h.to_complex(), np.array(spectrum.floats()), out)
+    out = list(_revivals(h.exps, h.r, lam))
+    _cross_validate(h.to_complex(), np.array(lam, dtype=float), out)
     return out
 
 
-def _revival_times(minus_cols: np.ndarray, lam: list[int]) -> tuple:
-    """A mask's sign pattern (None if it never revives) and (tau, gamma) list."""
-    signs = tuple(np.where(minus_cols, -1, 1).tolist())
-    plus, minus = _split(signs, lam)
+def _revivals(exps: np.ndarray, r: int, lam: list[int]):
+    """The certificates of ``find_fr`` in order, decided key by key over
+    the blocks of ``_pair_keys``; pairs with one sign pattern share sigma."""
+    decided: dict[tuple, list] = {}  # key -> [(tau, gamma)], from one pair
+    sigmas: dict[bytes, tuple] = {}  # minus columns -> sigma
+    for a, b, keys in _pair_keys(exps, r, lam):
+        found, which = [], np.full(len(a), -1)  # a pair's entry in found
+        for key in map(tuple, _distinct_rows(keys).tolist()):
+            if decided.get(key) == []:
+                continue
+            hit = np.flatnonzero((keys == key).all(axis=1))
+            if key not in decided:
+                first = _signs(exps[a[hit[0]]], exps[b[hit[0]]])
+                decided[key] = _revival_times(*_split(first, lam))
+            if decided[key]:
+                which[hit] = len(found)
+                found.append(decided[key])
+        revive = which >= 0
+        for x, y, times in zip(a[revive].tolist(), b[revive].tolist(), which[revive].tolist()):
+            minus = (exps[x] != exps[y]).tobytes()
+            if minus not in sigmas:
+                sigmas[minus] = _signs(exps[x], exps[y])
+            for tau, gamma in found[times]:
+                yield FRCertificate(x, y, tau, gamma, sigmas[minus])
+
+
+def _distinct_rows(keys: np.ndarray) -> np.ndarray:
+    """The distinct rows of a 2-D array, sorted.  Not ``np.unique``, whose
+    first call imports ``numpy.ma`` and so adds about 0.5 MB to the
+    resident set of each ``chd fr-search`` process."""
+    rows = np.sort(keys, axis=0) if keys.shape[1] == 1 else keys[np.lexsort(keys.T[::-1])]
+    new = np.ones(len(rows), dtype=bool)
+    new[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+    return rows[new]
+
+
+# eigenvalue classes per key digit: a digit is a balanced-ternary number of
+# at most (3**34 - 1) / 2 < 2**53 in size, so float64 holds it exactly
+_DIGIT_CLASSES = 34
+
+
+def _pair_keys(exps: np.ndarray, r: int, lam: list[int]):
+    """Blocks of the strongly cospectral pairs a < b in (a, b) order, as
+    (a, b, keys): a pair's key says, for each distinct eigenvalue, whether
+    its columns carry only +1, both signs or only -1 in sigma, so it fixes
+    the plus- and minus-eigenvalue sets and nothing more.
+
+    Rows with equal ``_half_turn_residues`` differ at column j exactly when
+    their half bits differ, so with S = (-1)^[exps >= r/2] (all +1 for odd
+    r) a pair has (|e| - (S_e S_e^T)[a, b]) / 2 minus columns among the
+    columns e of one eigenvalue.  The Gram products S_e S_e^T run in
+    float64, exactly: every entry and partial sum is at most n <= 4096
+    < 2**53 in size.  They run over row blocks of ``graphs.blocks``, and
+    each block's keys take ``_DIGIT_CLASSES`` eigenvalues per float digit.
+    """
+    n = len(exps)
+    half = r // 2 if r % 2 == 0 else r
+    index: dict[bytes, int] = {}  # residue row -> class
+    residues = _half_turn_residues(exps, r).astype(np.uint16)  # r <= 1024
+    same = np.array([index.setdefault(row.tobytes(), len(index)) for row in residues])
+    values = {l: e for e, l in enumerate(sorted(set(lam)))}
+    cls = np.array([values[l] for l in lam], dtype=np.intp)
+    order = np.argsort(cls, kind="stable")
+    signs = np.where((exps >= half)[:, order], -1.0, 1.0)
+    ends = np.searchsorted(cls[order], np.arange(len(values) + 1)).tolist()
+    bounds = list(zip(ends, ends[1:]))  # the columns of each eigenvalue
+    digits = [bounds[i : i + _DIGIT_CLASSES] for i in range(0, len(bounds), _DIGIT_CLASSES)]
+    for rows in blocks(n, n * len(digits)):
+        lo = rows.start
+        pairs = np.triu(same[rows, None] == same[None, lo:], 1)  # b > a
+        a, b = np.nonzero(pairs)
+        if not a.size:
+            continue
+        keys = np.empty((a.size, len(digits)))
+        code, gram = np.empty(pairs.shape), np.empty(pairs.shape)
+        for i, digit in enumerate(digits):
+            code.fill(0)
+            for s0, s1 in digit:
+                np.matmul(signs[rows, s0:s1], signs[lo:, s0:s1].T, out=gram)
+                code *= 3
+                code += gram < s1 - s0  # some -1
+                code -= gram > s0 - s1  # some +1
+            keys[:, i] = code[pairs]
+        a += lo
+        b += lo
+        yield a, b, keys
+
+
+def _revival_times(plus: set[int], minus: set[int]) -> list:
+    """(tau, gamma) for every time at which a pair with these plus- and
+    minus-eigenvalues revives, in (q, s) order."""
     top = math.gcd(*plus) if plus - {0} else 2 * math.lcm(*minus)
-    found = [
+    return [
         (RationalAngle.of_turn(s, q), _half_of(two))
         for q in range(1, top + 1) if top % q == 0
         for s in range(1, q)
         if math.gcd(s, q) == 1 and (two := _revival_phase(plus, minus, s, q)) is not None
     ]
-    return (signs if found else None), found
 
 
 def _half_of(angle: RationalAngle) -> RationalAngle:
@@ -320,24 +405,35 @@ def _half_of(angle: RationalAngle) -> RationalAngle:
 
 
 def _cross_validate(hc: np.ndarray, lam: np.ndarray, certs: list[FRCertificate]) -> None:
-    residual = np.zeros(len(certs))
-    by_tau, weights = {}, {}  # tau -> certificate indices, gamma -> (alpha, beta)
-    for i, cert in enumerate(certs):
-        by_tau.setdefault(cert.tau, []).append(i)
+    """Check each certificate's column U(tau) e_a of ``_unitary`` against
+    alpha e_a + beta e_b to 1e-9, raising on the first that fails: one
+    product per ``graphs.blocks`` block of certificates, whatever their
+    taus, each taking its phase row from one table of the distinct taus."""
+    n = len(hc)
+    taus, weights, row = {}, {}, []  # tau -> table row, gamma -> (alpha, beta)
+    for cert in certs:
+        row.append(taus.setdefault(cert.tau, len(taus)))
         if cert.gamma not in weights:
             weights[cert.gamma] = cert.alpha, cert.beta
-    for tau, idx in by_tau.items():
-        for block in (idx[part] for part in blocks(len(idx), len(hc))):
-            a, cols = [certs[i].a for i in block], np.arange(len(block))
-            alpha, beta = np.array([weights[certs[i].gamma] for i in block]).T
-            err = _unitary(hc, lam, tau.to_float(), a)
-            err[a, cols] -= alpha
-            err[[certs[i].b for i in block], cols] -= beta
-            residual[block] = np.abs(err).max(axis=0)
-    for i in np.flatnonzero(~(residual <= 1e-9))[:1]:  # the first failure; NaN fails
-        raise InternalCheckError(
-            f"certificate {certs[i]} failed float validation (residual {residual[i]:.2e})"
-        )
+    # rows exp(+i tau Lambda): each vector exp(-i tau Lambda) * conj(H[a]) is
+    # formed in place as the conjugate of its row times H[a]
+    conj_phases = np.exp(1j * np.array([tau.to_float() for tau in taus])[:, None] * lam)
+    row = np.array(row, dtype=np.intp)
+    for block in blocks(len(certs), n):
+        part = certs[block]
+        a, cols = [c.a for c in part], np.arange(len(part))
+        alpha, beta = np.array([weights[c.gamma] for c in part]).T
+        vec = conj_phases[row[block]]
+        vec *= hc[a]
+        err = hc @ np.conjugate(vec, out=vec).T
+        err /= n
+        err[a, cols] -= alpha
+        err[[c.b for c in part], cols] -= beta
+        residual = np.abs(err).max(axis=0)
+        for i in np.flatnonzero(~(residual <= 1e-9))[:1]:  # the first failure; NaN fails
+            raise InternalCheckError(
+                f"certificate {part[i]} failed float validation (residual {residual[i]:.2e})"
+            )
 
 
 def cayley_fr_conditions(

@@ -6,6 +6,7 @@ import pytest
 from chd import (
     AbelianGroup,
     ChdError,
+    ScaleError,
     SimplicityError,
     WeightedGraph,
     cayley,
@@ -29,6 +30,7 @@ from chd import (
 )
 
 
+from chd import graphs
 from chd.graphs import connection_set
 
 
@@ -254,6 +256,34 @@ class TestWeightedTensorSum:
     def test_diagonal_rejected(self):
         with pytest.raises(SimplicityError):
             weighted_tensor_sum([(1, [2, 2])])
+
+
+class TestCapBeforeBuilding:
+    """Products, merges, NEPS, unions and joins refuse a result past the
+    vertex cap before they allocate any of it."""
+
+    @pytest.fixture(autouse=True)
+    def small_cap(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("built before the cap was checked")
+
+        monkeypatch.setattr(graphs, "MAX_VERTICES", 16)
+        for name in ("kron", "eye", "zeros", "ones", "block"):
+            monkeypatch.setattr(np, name, refuse)
+
+    @pytest.mark.parametrize("build", [
+        lambda: product(complete(4), complete(5), "direct"),
+        lambda: product(complete(4), complete(5), "cartesian"),
+        lambda: merge(complete(9), complete(9), 1, 1),
+        lambda: neps([complete(3), complete(3), complete(2)], [(1, 0, 0), (0, 1, 1)]),
+        lambda: weighted_tensor_sum([(1, [complete(2), 100])]),
+        lambda: weighted_tensor_sum([(1, [0, 100])]),
+        lambda: graph_union(complete(9), complete(8)),
+        lambda: graph_join(complete(9), complete(8)),
+    ])
+    def test_refused_before_any_matrix(self, build):
+        with pytest.raises(ScaleError):
+            build()
 
 
 class TestNamedFamilies:

@@ -62,6 +62,15 @@ class TestVerify:
             m = h.to_complex()
             assert np.max(np.abs(m @ m.conj().T - h.n * np.eye(h.n))) < 1e-9
 
+    def test_to_complex_equals_one_exp_per_entry(self, t4, h6, f8):
+        # the root table holds exactly the values of the entrywise formula
+        rng = np.random.default_rng(0)
+        tables = [ButsonMatrix(rng.integers(0, r, (9, 9)), r) for r in range(1, 65)]
+        tables += [t4, h6, f8, double(t4), character_table((2, 8)), character_table((4, 4, 4))]
+        tables += [h for entries in instance_library().values() for _, h in entries]
+        for h in tables:
+            assert np.array_equal(h.to_complex(), np.exp(2j * np.pi * h.exps / h.r))
+
 
 class TestDephase:
     def test_idempotent(self, f8, t4, h6):

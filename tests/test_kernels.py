@@ -46,6 +46,7 @@ from chd import (
     hypercube,
     merge,
     min_edge_density,
+    product,
     strongly_cospectral,
     verify,
     walks,
@@ -950,6 +951,16 @@ def _same_revivals(g, h):
     return got
 
 
+def _odd_weight_cube():
+    """Q6 with edge weights 1, 3, ..., 11 by direction: 35 distinct
+    eigenvalues, each twice a sum of distinct odd weights."""
+    g = None
+    for w in range(1, 12, 2):
+        k2 = WeightedGraph.from_edges(2, [[0, 1, w]])
+        g = k2 if g is None else product(g, k2, "cartesian")
+    return g, character_table((2,) * 6)
+
+
 class TestFindFrAgainstLoop:
     @pytest.mark.parametrize("d", [3, 4, 5, 6])
     def test_hypercubes(self, d):
@@ -964,6 +975,36 @@ class TestFindFrAgainstLoop:
         group = AbelianGroup((3, 3))
         g = cayley(group, [(1, 0), (2, 0), (0, 1), (0, 2)])
         assert _same_revivals(g, character_table((3, 3))) == []
+
+    def test_odd_root_order_z5_gives_nothing(self):
+        assert _same_revivals(complete(5), character_table((5,))) == []
+
+    def test_merged_covers_under_a_doubled_table(self):
+        # double(H) is dephased but, with its rows in [H, H; H, -H] order,
+        # not the character table that character_table builds
+        cp, h = cocktail_party(4), double(character_table((2, 4)))
+        assert len(_same_revivals(merge(cp, complement(cp), 1, 1), h)) == 16
+        assert _same_revivals(merge(complement(cp), cp, 1, 1), h) == []
+
+    def test_more_eigenvalues_than_one_key_digit(self):
+        g, h = _odd_weight_cube()
+        assert len(set(certify(g, h).integers())) == 35 > walks._DIGIT_CLASSES
+        assert len(_same_revivals(g, h)) == 64  # PST between antipodes
+
+    @pytest.mark.parametrize("case", ["CP8", "Cay(Z4^3)", "odd-weight Q6"])
+    def test_small_blocks(self, case, monkeypatch):
+        g, h = {
+            "CP8": lambda: (cocktail_party(8), character_table((2, 8))),
+            "Cay(Z4^3)": lambda: (
+                cayley(AbelianGroup((4, 4, 4)), [(1, 0, 0), (3, 0, 0), (2, 2, 0), (0, 1, 1), (0, 3, 3)]),
+                character_table((4, 4, 4)),
+            ),
+            "odd-weight Q6": _odd_weight_cube,
+        }[case]()
+        # pair keys in blocks of two rows (one row with two key digits) and
+        # certificates checked two at a time
+        monkeypatch.setattr(graphs, "BLOCK", 2 * g.n)
+        assert len(_same_revivals(g, h)) > 4
 
     @settings(max_examples=40, deadline=None)
     @given(integral_cayley())
@@ -1030,6 +1071,26 @@ def _shifted(gamma):
     return RationalAngle(8 * gamma.num + gamma.den, 8 * gamma.den)
 
 
+def _wrong_phase_is_named(args, certs, target, monkeypatch):
+    """find_fr, in blocks of four certificates, with the gamma of
+    certificate ``target`` shifted, names that certificate when it fails."""
+    made, certificate = [], walks.FRCertificate
+
+    def make(a, b, tau, gamma, sigma):
+        made.append(a)
+        if len(made) == target + 1:
+            gamma = _shifted(gamma)
+        return certificate(a, b, tau, gamma, sigma)
+
+    monkeypatch.setattr(graphs, "BLOCK", 4 * args[0].n)
+    monkeypatch.setattr(walks, "FRCertificate", make)
+    with pytest.raises(InternalCheckError) as err:
+        find_fr(*args)
+    bad = certs[target]
+    assert f"a={bad.a}, b={bad.b}, tau={bad.tau!r}" in str(err.value)
+    assert repr(_shifted(bad.gamma)) in str(err.value)
+
+
 class TestRevivalCrossValidation:
     """The float check covers every certificate, not only the first of each
     tau block."""
@@ -1040,9 +1101,10 @@ class TestRevivalCrossValidation:
         return g, h, certify(g, h)
 
     def test_wrong_phase_from_half_of_is_caught(self, q5, monkeypatch):
-        # all certificates that share tau share their sign pattern and phase
+        # all certificates that share tau share their pair key and phase
         # (sigma_j = +1 exactly where tau * lambda_j = 0), so the one call per
-        # (pattern, tau) corrupts a whole tau block; here the second, at 3/4
+        # (key, tau) corrupts every certificate at that tau; here the second,
+        # at 3/4
         certs = find_fr(*q5)
         half_of, calls = walks._half_of, []
 
@@ -1061,22 +1123,16 @@ class TestRevivalCrossValidation:
         certs = find_fr(*q5)
         batch = [i for i, c in enumerate(certs) if c.tau == certs[0].tau]
         assert len(batch) == 16
-        target = batch[5]  # blocks of 4: the second place of the second block
-        made, certificate = [], walks.FRCertificate
+        target = batch[5]  # taus alternate; blocks of 4: the third place of the third block
+        _wrong_phase_is_named(q5, certs, target, monkeypatch)
 
-        def make(a, b, tau, gamma, sigma):
-            made.append(a)
-            if len(made) == target + 1:
-                gamma = _shifted(gamma)
-            return certificate(a, b, tau, gamma, sigma)
-
-        monkeypatch.setattr(graphs, "BLOCK", 4 * q5[0].n)
-        monkeypatch.setattr(walks, "FRCertificate", make)
-        with pytest.raises(InternalCheckError) as err:
-            find_fr(*q5)
-        bad = certs[target]
-        assert f"a={bad.a}, b={bad.b}, tau={bad.tau!r}" in str(err.value)
-        assert repr(_shifted(bad.gamma)) in str(err.value)
+    def test_wrong_phase_in_a_block_of_several_taus_is_caught(self, monkeypatch):
+        g, h = cocktail_party(8), character_table((2, 8))
+        args = g, h, certify(g, h)
+        certs = find_fr(*args)
+        target = 6  # blocks of 4: the third place of the second block
+        assert len({c.tau for c in certs[4:8]}) == 4
+        _wrong_phase_is_named(args, certs, target, monkeypatch)
 
     def test_blocks_of_four_give_the_same_list(self, q5, monkeypatch):
         certs = find_fr(*q5)
