@@ -1,11 +1,14 @@
 """The complete catalogue of small graphs with real or Turyn diagonalisers.
 
-The catalogue reads each graph off the built-in real and Turyn matrices:
-each matrix is dephased at each column, and every neighbour set of vertex
-0 gives exact eigenvalues and then a candidate Laplacian, kept when it is
-the Laplacian of a simple graph.  Candidates are deduplicated by their
-exact spectrum and then up to isomorphism, and each class is certified
-against its witness.  No graph is enumerated and no float is used.
+The catalogue reads each graph off the built-in real and Turyn matrices,
+each read once as built and dephased: every neighbour set of vertex 0
+gives exact eigenvalues and then a candidate Laplacian, kept when it is
+the Laplacian of a simple graph.  Dephasing at another column would add
+nothing: for a character table it only permutes the columns, and the
+order-6 conference lift gives only K_6 and its complement, which every
+dephased matrix of order 6 diagonalises.  Candidates are deduplicated by
+their exact spectrum and then up to isomorphism, and each class is
+certified against its witness.  No graph is enumerated and no float is used.
 
 Note the order-8 result: the well-known nine entries plus 4K_2, which
 passes every filter (1-regular, spectrum {0,0,0,0,2,2,2,2}, certified by

@@ -27,14 +27,7 @@ from .errors import (
 )
 from . import graphs as graphmod
 from .graphs import WeightedGraph, blocks, complement
-from .hadamard import (
-    ButsonMatrix,
-    classify,
-    dephase,
-    instance_library,
-    monomial_transform,
-    verify,
-)
+from .hadamard import ButsonMatrix, classify, instance_library, verify
 
 __all__ = [
     "EigenvalueEntry",
@@ -513,14 +506,6 @@ def _named_targets(n: int) -> tuple[tuple[str, int, tuple[int, ...]], ...]:
     return tuple((name, int(regularity_check(x)), _graph_masks(x)) for name, x in named)
 
 
-def _dephased_at(h: ButsonMatrix, j: int) -> ButsonMatrix:
-    """h dephased at column j: column j moved first, then rows and columns
-    rescaled so that the first row and the first column are all ones."""
-    n = h.n
-    cols = [j] + [k for k in range(n) if k != j]
-    return dephase(monomial_transform(h, range(n), cols, [0] * n, [0] * n))
-
-
 def _laplacians_of(h: ButsonMatrix) -> tuple[np.ndarray, np.ndarray]:
     """Every simple graph whose Laplacian the dephased h diagonalises with
     integer eigenvalues, as (eigenvalues, adjacency matrices).
@@ -560,8 +545,15 @@ def catalogue(max_n: int) -> list[CatalogueEntry]:
     all-ones kernel vector makes D a multiple of conj(H[:, j]), which may
     be +-i for a Turyn matrix.  So every connected graph diagonalised by a
     matrix equivalent to H is, up to labelling, diagonalised by H dephased
-    at some column j, and ``_laplacians_of`` lists all of those.  The list
-    is closed under complement, as L(G^c) = nI - J - L(G) is diagonalised
+    at some column j.  Each library matrix is dephased as built and read
+    once, as every j gives the same labelled graphs.  The character tables
+    (Sylvester-2/4/8 of Z_2^k, Z_4, Z_4 x Z_2) dephased at column j have
+    row g times conj(chi_j(g)), so column chi_i becomes chi_i chi_j^-1: the
+    columns are only permuted.  The conference-6 lift gives K_6 and its
+    complement, which every dephased order-6 matrix diagonalises, and the
+    enumeration oracle finds no other order-6 graph that passes the
+    necessary conditions.  The list is
+    closed under complement, as L(G^c) = nI - J - L(G) is diagonalised
     by the same dephased matrix.  A disconnected graph all of whose
     diagonalisers need different row phases on different components is
     not reached this way.  Completeness over every real or Turyn matrix at n <= 8 is
@@ -587,26 +579,21 @@ def catalogue(max_n: int) -> list[CatalogueEntry]:
         for name, h in lib[n]:
             if classify(h).kind not in ("real", "turyn"):
                 continue
-            for j in range(n):
-                hj = _dephased_at(h, j)
-                lams, adjs = _laplacians_of(hj)
-                packed = (adjs @ (1 << np.arange(n))).tolist()
-                for lam, masks, adj in zip(lams, map(tuple, packed), adjs):
-                    if masks in seen:
-                        continue
-                    seen.add(masks)
-                    reps = classes.setdefault(tuple(sorted(lam.tolist())), [])
-                    if any(_isomorphic_masks(masks, m) for m in reps):
-                        continue
-                    reps.append(masks)
-                    graph = WeightedGraph._from_matrix(adj)
-                    spectrum = certify(graph, hj)
-                    if spectrum is None:
-                        raise InternalCheckError(
-                            f"a graph read off {name} fails its certificate"
-                        )
-                    hname = name if j == 0 else f"{name}-dephased-at-{j}"
-                    entries.append(_make_entry(n, graph, masks, hname, hj, spectrum, targets))
+            lams, adjs = _laplacians_of(h)
+            packed = (adjs @ (1 << np.arange(n))).tolist()
+            for lam, masks, adj in zip(lams, map(tuple, packed), adjs):
+                if masks in seen:
+                    continue
+                seen.add(masks)
+                reps = classes.setdefault(tuple(sorted(lam.tolist())), [])
+                if any(_isomorphic_masks(masks, m) for m in reps):
+                    continue
+                reps.append(masks)
+                graph = WeightedGraph._from_matrix(adj)
+                spectrum = certify(graph, h)
+                if spectrum is None:
+                    raise InternalCheckError(f"a graph read off {name} fails its certificate")
+                entries.append(_make_entry(n, graph, masks, name, h, spectrum, targets))
     entries.sort(key=lambda e: (e.order, e.degree, e.name))
     return entries
 

@@ -72,7 +72,9 @@ class ButsonMatrix:
         if exps.ndim != 2 or exps.shape[0] != exps.shape[1]:
             raise ChdError(f"exponent table must be square, got shape {exps.shape}")
         check_count(exps.shape[0], "matrix rows")
-        if exps.dtype == object or exps.size and not 0 <= exps.min() <= exps.max() < r:
+        if not exps.size:
+            raise ChdError("a Hadamard matrix needs at least one row")
+        if exps.dtype == object or not 0 <= exps.min() <= exps.max() < r:
             exps = exps % r
         arr = exps.astype(np.int64)
         arr.setflags(write=False)

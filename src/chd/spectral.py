@@ -254,6 +254,11 @@ def tightness_check(
     2 |S| |V-S| / n, every S of a d-regular graph has ratio at least
     gamma_2 / 2.  So h >= gamma_2 / 2, and "h = gamma_2 / 2 = the plus
     cell's ratio" holds iff the plus cell's ratio is gamma_2 / 2.
+
+    Under these preconditions it returns True or raises: ``_equitable``,
+    through ``bipartition_from_column``, already makes every plus vertex
+    send lambda_2 / 2 into the other cell, so the plus cell's cut is
+    n lambda_2 / 4; the final comparison recomputes that independently.
     """
     if classify(h).kind not in ("real", "turyn"):
         raise PreconditionError("tightness needs a real or turyn matrix")

@@ -55,9 +55,9 @@ class RationalAngle:
     def __init__(self, num: int, den: int) -> None:
         if den == 0:
             raise ChdError("angle denominator must be nonzero")
-        f = Fraction(num, den) % 1
-        self.num = f.numerator
-        self.den = f.denominator
+        g = math.gcd(num, den) * (1 if den > 0 else -1)
+        self.num = int(num // g % (den // g))
+        self.den = int(den // g)
 
     @classmethod
     def of_turn(cls, num: int, den: int) -> "RationalAngle":

@@ -17,7 +17,9 @@ certificate with its own walk column, and the catalogue oracle keeps, up
 to isomorphism, every labelled regular graph that passes the necessary
 conditions for a real or Turyn diagonaliser.  Sum, product and
 conjugation in Z[x]/(x**r - 1) live only here, to test that
-``chd.cyclotomic.reduce`` is a ring map onto Z[z].
+``chd.cyclotomic.reduce`` is a ring map onto Z[z].  The dephasing at any
+column, which the catalogue once scanned, stays here as a test helper
+built on ``chd.dephase``.
 """
 
 from __future__ import annotations
@@ -29,7 +31,15 @@ from itertools import combinations
 
 import numpy as np
 
-from chd import ChdError, ScaleError, SimplicityError, WeightedGraph
+from chd import (
+    ButsonMatrix,
+    ChdError,
+    ScaleError,
+    SimplicityError,
+    WeightedGraph,
+    dephase,
+    monomial_transform,
+)
 from chd.graphs import check_count
 from chd.walks import FRCertificate, RationalAngle
 
@@ -318,6 +328,14 @@ def find_fr(g, h, spectrum) -> list:
                     assert np.max(np.abs(column)) <= 1e-9, cert
                     out.append(cert)
     return out
+
+
+def _dephased_at(h: ButsonMatrix, j: int) -> ButsonMatrix:
+    """h dephased at column j: column j moved first, then rows and columns
+    rescaled so that the first row and the first column are all ones."""
+    n = h.n
+    cols = [j] + [k for k in range(n) if k != j]
+    return dephase(monomial_transform(h, range(n), cols, [0] * n, [0] * n))
 
 
 def _regular_masks(n: int, d: int):

@@ -45,8 +45,8 @@ from chd import (
 )
 from chd import diagonalise
 from chd.cli import main
-from chd.diagonalise import _dephased_at, _graph_masks, _laplacians_of
-from oracles import enumerate_regular_graphs
+from chd.diagonalise import _graph_masks, _laplacians_of
+from oracles import _dephased_at, enumerate_regular_graphs
 
 
 class TestCertify:
@@ -551,7 +551,8 @@ class TestCatalogue:
         assert digest == "51bd64f0c19feec48da46f5481d569a9f9fefb060e3634a34745c567572683ff"
 
     def test_isomorphism_tests_only_for_new_labellings(self, monkeypatch):
-        # 1344 labelled candidates at orders 2-8 (1280 at order 8) hold 140
+        # each of the 6 real or Turyn library matrices is read once; its 176
+        # labelled candidates at orders 2-8 (160 at order 8) hold 140
         # distinct labellings; only those meet the isomorphism test, and only
         # the 18 representatives are named
         calls = []
@@ -559,8 +560,14 @@ class TestCatalogue:
         monkeypatch.setattr(
             diagonalise, "_isomorphic_masks", lambda a, b: calls.append(1) or test(a, b)
         )
+        reads = []
+        scan = diagonalise._laplacians_of
+        monkeypatch.setattr(
+            diagonalise, "_laplacians_of", lambda h: reads.append(1) or scan(h)
+        )
         assert len(catalogue(8)) == 18
         assert len(calls) == 142
+        assert len(reads) == 6
 
     def test_no_float_eigensolver(self, monkeypatch):
         def refuse(*args, **kwargs):
@@ -623,6 +630,22 @@ class TestLaplaciansOf:
                 for values, a in zip(lam, adj):
                     g = WeightedGraph._from_matrix(a)
                     assert certify(g, hj).integers() == values.tolist()
+
+    def test_library_matrices_need_one_column(self):
+        # the catalogue reads each real or Turyn library matrix as built:
+        # it must be dephased, and dephasing it at any column must give the
+        # same labelled graphs
+        def labelled(h):
+            return {a.tobytes() for a in _laplacians_of(h)[1].astype(np.int64)}
+
+        for n, matrices in instance_library().items():
+            for name, h in matrices:
+                if classify(h).kind not in ("real", "turyn"):
+                    continue
+                assert h.is_dephased(), name
+                graphs = labelled(h)
+                for j in range(n):
+                    assert labelled(_dephased_at(h, j)) == graphs, f"{name} column {j}"
 
     def test_non_integral_laplacians_are_dropped(self):
         # a Paley type-I matrix of order 12 (q = 11): every neighbour set

@@ -57,6 +57,12 @@ class TestVerify:
         with pytest.raises(ScaleError):
             double(ButsonMatrix(np.zeros((MAX_VERTICES // 2 + 1,) * 2, dtype=np.int64), 2))
 
+    def test_order_zero_refused(self):
+        # by either path, so no later call meets an empty first row
+        for exps in ([], np.zeros((0, 0), dtype=np.int64), np.zeros((0, 0), dtype=np.uint8)):
+            with pytest.raises(ChdError):
+                ButsonMatrix(exps, 2)
+
     def test_float_oracle(self, t4, h6):
         for h in (t4, h6):
             m = h.to_complex()

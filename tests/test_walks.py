@@ -44,6 +44,16 @@ class TestRationalAngle:
         assert (a.num, a.den) == (5, 6)
         assert RationalAngle(7, 3) == RationalAngle(1, 3)
 
+    def test_canonical_form_agrees_with_fraction(self):
+        # 81 numerators by 50 denominators of either sign, as Python and as
+        # numpy integers; the parts are Python ints, so JSON takes them
+        for num in range(-40, 41):
+            for den in [d for d in range(-25, 26) if d]:
+                f = Fraction(num, den) % 1
+                for a in (RationalAngle(num, den), RationalAngle(np.int64(num), np.int32(den))):
+                    assert (a.num, a.den) == (f.numerator, f.denominator)
+                    assert type(a.num) is int and type(a.den) is int
+
     def test_pi_constructor(self):
         assert RationalAngle.of_pi(1, 2) == RationalAngle.of_turn(1, 4)
 
