@@ -12,8 +12,11 @@ are, and ``tensor`` checks the order of its product before building it.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import chain
+from types import MappingProxyType
 
 import numpy as np
 
@@ -89,9 +92,6 @@ class ButsonMatrix:
     def to_complex(self) -> np.ndarray:
         """The complex entries, read from a table of the r roots of unity."""
         return np.exp(2j * math.pi * np.arange(self.r) / self.r)[self.exps]
-
-    def column(self, k: int) -> np.ndarray:
-        return self.exps[:, k]
 
     def is_dephased(self) -> bool:
         return not self.exps[0].any() and not self.exps[:, 0].any()
@@ -240,15 +240,11 @@ class HadamardClass:
 def classify(h: ButsonMatrix) -> HadamardClass:
     """Entry classification: real (+-1), turyn (+-1, +-i) or butson(r').
 
-    r' is the smallest root order containing every entry.
+    r' is the smallest root order containing every entry: the order of the
+    group that the z**e generate, r / gcd(r, every e).
     """
     _require_verified(h, "classify")
-    r = h.r
-    r_min = 1
-    for e in np.unique(h.exps):
-        e = int(e)
-        order = r // math.gcd(e, r) if e else 1
-        r_min = math.lcm(r_min, order)
+    r_min = h.r // int(np.gcd.reduce(h.exps.ravel(), initial=h.r))
     if r_min <= 2:
         return HadamardClass("real", r_min)
     if r_min == 4:
@@ -289,22 +285,20 @@ def conference_lift(c) -> ButsonMatrix:
 def paley_conference(q: int) -> np.ndarray:
     """Symmetric conference matrix of order q + 1 from quadratic residues mod q.
 
-    q must be a prime with q = 1 (mod 4).
+    q must be a prime with q = 1 (mod 4), and q + 1 within the matrix cap.
     """
-    if q < 5 or prime_factors(q) != [q] or q % 4 != 1:
+    if not all_integers([q]) or q < 5 or q % 4 != 1:
         raise ChdError(f"need a prime q = 1 (mod 4), got {q}")
-    residues = {(x * x) % q for x in range(1, q)}
-    chi = [0] * q
-    for a in range(1, q):
-        chi[a] = 1 if a in residues else -1
-    n = q + 1
-    c = np.zeros((n, n), dtype=np.int64)
-    c[0, 1:] = 1
-    c[1:, 0] = 1
-    for i in range(q):
-        for j in range(q):
-            if i != j:
-                c[1 + i, 1 + j] = chi[(j - i) % q]
+    check_count(q + 1, "matrix rows")
+    if prime_factors(q) != [q]:
+        raise ChdError(f"need a prime q = 1 (mod 4), got {q}")
+    chi = np.full(q, -1, dtype=np.int64)
+    chi[0] = 0
+    chi[np.arange(1, q) ** 2 % q] = 1
+    c = np.ones((q + 1, q + 1), dtype=np.int64)
+    c[0, 0] = 0
+    i = np.arange(q)
+    c[1:, 1:] = chi[(i[None, :] - i[:, None]) % q]
     return c
 
 
@@ -334,49 +328,50 @@ def monomial_transform(
     ):
         if len(seq) != n:
             raise ChdError(f"{name} has length {len(seq)}, expected {n}")
+        if not all_integers(seq):
+            raise ChdError(f"{name} has an entry that is not an integer")
     for name, perm in (("row_perm", row_perm), ("col_perm", col_perm)):
         if sorted(perm) != list(range(n)):
             raise ChdError(f"{name} is not a permutation of 0..{n - 1}")
     exps = h.exps[np.ix_(row_perm, col_perm)]
-    exps = exps + np.array(row_phases, dtype=np.int64)[:, None]
-    exps = exps + np.array(col_phases, dtype=np.int64)[None, :]
+    # phases reduced mod r first, so that no sum leaves int64
+    exps = exps + np.array([p % r for p in row_phases], dtype=np.int64)[:, None]
+    exps = exps + np.array([p % r for p in col_phases], dtype=np.int64)[None, :]
     out = ButsonMatrix(exps % r, r)
     out._verified = True
     return out
 
 
 def sylvester_hadamard(order: int) -> ButsonMatrix:
-    """Real Hadamard matrix of power-of-two order as a tensor power of
-    [[1, 1], [1, -1]]."""
+    """Real Hadamard matrix of power-of-two order 2**k: the character table
+    of Z_2^k, which is the k-th tensor power of [[1, 1], [1, -1]], as
+    ``tensor`` stacks each new factor as the leading row-major digit."""
+    check_count(order, "matrix rows")
     if order < 1 or order & (order - 1):
         raise ChdError(f"order must be a power of two, got {order}")
-    h = character_table((1,))
-    while h.n < order:
-        h = double(h)
-    return h
+    return character_table((2,) * (int(order).bit_length() - 1) or (1,))
 
 
-def instance_library() -> dict[int, list[tuple[str, ButsonMatrix]]]:
-    """Built-in verified matrices at orders 2, 4, 6 and 8.
+@lru_cache(maxsize=None)
+def instance_library() -> Mapping[int, tuple[tuple[str, ButsonMatrix], ...]]:
+    """Built-in verified matrices at orders 2, 4, 6 and 8, built once: every
+    call returns the same read-only mapping of tuples, so the same matrices.
 
     The real and Turyn entries (Sylvester matrices, the character tables of
     Z_4 and Z_4 x Z_2, and the lift of the Paley conference matrix of order
     6) are the matrices the small-graph catalogue reads its graphs off; the
     character tables of Z_6 and Z_8 are Butson examples, which it skips.
     """
-    f2 = sylvester_hadamard(2)
-    t4 = character_table((4,))
-    lib = {
-        2: [("sylvester-2", f2)],
-        4: [("sylvester-4", sylvester_hadamard(4)), ("z4-characters", t4)],
-        6: [
+    return MappingProxyType({
+        2: (("sylvester-2", sylvester_hadamard(2)),),
+        4: (("sylvester-4", sylvester_hadamard(4)), ("z4-characters", character_table((4,)))),
+        6: (
             ("conference-6", conference_lift(paley_conference(5))),
             ("z6-characters", character_table((6,))),
-        ],
-        8: [
+        ),
+        8: (
             ("sylvester-8", sylvester_hadamard(8)),
             ("z4xz2-characters", character_table((4, 2))),
             ("z8-characters", character_table((8,))),
-        ],
-    }
-    return lib
+        ),
+    })

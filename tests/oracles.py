@@ -19,7 +19,10 @@ conditions for a real or Turyn diagonaliser.  Sum, product and
 conjugation in Z[x]/(x**r - 1) live only here, to test that
 ``chd.cyclotomic.reduce`` is a ring map onto Z[z].  The dephasing at any
 column, which the catalogue once scanned, stays here as a test helper
-built on ``chd.dephase``.
+built on ``chd.dephase``.  The Sylvester matrices by repeated ``double``
+and the Hadamard class by an lcm over the distinct entries, which the
+character-table constructor and the one-gcd class replaced, stay as
+references.
 """
 
 from __future__ import annotations
@@ -37,7 +40,9 @@ from chd import (
     ScaleError,
     SimplicityError,
     WeightedGraph,
+    character_table,
     dephase,
+    double,
     monomial_transform,
 )
 from chd.graphs import check_count
@@ -336,6 +341,25 @@ def _dephased_at(h: ButsonMatrix, j: int) -> ButsonMatrix:
     n = h.n
     cols = [j] + [k for k in range(n) if k != j]
     return dephase(monomial_transform(h, range(n), cols, [0] * n, [0] * n))
+
+
+def sylvester_hadamard(order: int) -> ButsonMatrix:
+    """[[1, 1], [1, -1]] doubled from the 1 x 1 table up to ``order``, every
+    intermediate matrix verified by ``double``."""
+    h = character_table((1,))
+    while h.n < order:
+        h = double(h)
+    return h
+
+
+def classify_root_order(h: ButsonMatrix) -> int:
+    """The smallest root order holding every entry: the lcm of the orders
+    of the distinct entries z**e."""
+    r_min = 1
+    for e in np.unique(h.exps):
+        e = int(e)
+        r_min = math.lcm(r_min, h.r // math.gcd(e, h.r) if e else 1)
+    return r_min
 
 
 def _regular_masks(n: int, d: int):

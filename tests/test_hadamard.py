@@ -1,10 +1,12 @@
 import random
+from types import MappingProxyType
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import oracles
 from chd import (
     AbelianGroup,
     ButsonMatrix,
@@ -23,6 +25,7 @@ from chd import (
     tensor,
     verify,
 )
+from chd import graphs
 from chd.graphs import MAX_VERTICES
 from chd.hadamard import character_rows
 
@@ -173,6 +176,27 @@ class TestTensorAndDouble:
         assert verify(h)
 
 
+class TestSylvester:
+    def test_character_table_of_z2k_is_the_doubled_matrix(self):
+        for k in range(13):
+            h, want = sylvester_hadamard(2**k), oracles.sylvester_hadamard(2**k)
+            assert (h.r, h.exps.dtype) == (want.r, want.exps.dtype)
+            assert np.array_equal(h.exps, want.exps)
+
+    def test_orders_that_are_not_integers_refused(self):
+        for order in (4.0, True, 2.5, "4"):
+            with pytest.raises(ChdError):
+                sylvester_hadamard(order)
+        assert sylvester_hadamard(np.int64(8)) == sylvester_hadamard(8)
+
+    def test_orders_that_are_not_powers_of_two_refused(self):
+        for order in (0, -4, 6, 12):
+            with pytest.raises(ChdError):
+                sylvester_hadamard(order)
+        with pytest.raises(ScaleError):
+            sylvester_hadamard(2 * MAX_VERTICES)
+
+
 class TestClassify:
     def test_real(self, f2):
         assert classify(f2).kind == "real"
@@ -188,6 +212,32 @@ class TestClassify:
         # F2 written over the fourth roots of unity still classifies as real
         f2 = sylvester_hadamard(2)
         assert classify(ButsonMatrix(f2.exps * 2, 4)).kind == "real"
+
+    def test_equals_lcm_oracle_on_library_transforms_and_tensors(self, t4, h6):
+        rng = random.Random(20)
+        tables = [h for entries in instance_library().values() for _, h in entries]
+        tables += [character_table((1,)), ButsonMatrix(t4.exps * 3, 12), ButsonMatrix(h6.exps * 2, 8)]
+        tables += [tensor(a, b) for a in tables[:8] for b in (t4, h6, character_table((3,)))]
+        for h in tables[:8] + [character_table((6,)), ButsonMatrix(t4.exps * 2, 8)]:
+            n = h.n
+            for phases in ([0] * n, [rng.randrange(h.r) for _ in range(n)], [h.r // 2] * n):
+                tables.append(monomial_transform(h, rng.sample(range(n), n), range(n), phases, [0] * n))
+        for h in tables:
+            c = classify(h)
+            assert type(c.root_order) is int
+            assert c.root_order == oracles.classify_root_order(h)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.integers(1, 8), min_size=1, max_size=3), st.integers(1, 8), st.data())
+    def test_equals_lcm_oracle_on_drawn_tables(self, moduli, scale, data):
+        t = character_table(moduli)
+        assume(t.r * scale <= 64 and t.n <= 64)
+        h = ButsonMatrix(t.exps * scale, t.r * scale)
+        n = h.n
+        phases = st.lists(st.integers(0, h.r - 1), min_size=n, max_size=n)
+        perm = st.permutations(range(n))
+        h = monomial_transform(h, data.draw(perm), data.draw(perm), data.draw(phases), data.draw(phases))
+        assert classify(h).root_order == oracles.classify_root_order(h)
 
 
 class TestConferenceLift:
@@ -207,9 +257,25 @@ class TestConferenceLift:
             conference_lift(bad)
 
     def test_paley_matrix_is_symmetric_conference(self):
-        c = paley_conference(5)
-        assert np.array_equal(c, c.T)
-        assert np.array_equal(c.T @ c, 5 * np.eye(6, dtype=np.int64))
+        for q in (5, 13, 17, 29, 37, 41, 53, 61, 73, 89, 97, 101, 109, 113):
+            c = paley_conference(q)
+            assert np.array_equal(c, c.T)
+            assert np.array_equal(c.T @ c, q * np.eye(q + 1, dtype=np.int64))
+            # the core is the quadratic character of j - i, by Euler's criterion
+            legendre = [0] + [1 if pow(a, (q - 1) // 2, q) == 1 else -1 for a in range(1, q)]
+            assert all(c[1 + i, 1 + j] == legendre[(j - i) % q] for i in range(q) for j in range(q))
+            assert c[0, 1:].tolist() == c[1:, 0].tolist() == [1] * q and c[0, 0] == 0
+
+    def test_paley_orders_refused(self):
+        for q in (5.0, True, 3, 7, 9, 21, -3):
+            with pytest.raises(ChdError):
+                paley_conference(q)
+        assert np.array_equal(paley_conference(np.int64(13)), paley_conference(13))
+
+    def test_paley_cap_checked_before_building(self, monkeypatch):
+        monkeypatch.setattr(graphs, "MAX_VERTICES", 4)
+        with pytest.raises(ScaleError):
+            paley_conference(5)
 
 
 class TestMonomialTransform:
@@ -245,6 +311,26 @@ class TestMonomialTransform:
         with pytest.raises(ChdError):
             monomial_transform(t4, [0, 1], range(4), [0] * 4, [0] * 4)
 
+    def test_entries_that_are_not_integers_refused(self, t4):
+        # a float phase was truncated and True taken as phase 1; a float
+        # permutation entry ended in a bare IndexError
+        ident, zeros = [0, 1, 2, 3], [0] * 4
+        for bad in ([0.5, 0, 0, 0], [1.7, 0, 0, 0], [True, 0, 0, 0]):
+            for args in ((ident, ident, bad, zeros), (ident, ident, zeros, bad)):
+                with pytest.raises(ChdError):
+                    monomial_transform(t4, *args)
+        for bad in ([0.0, 1, 2, 3], [0, True, 2, 3]):
+            for args in ((bad, ident, zeros, zeros), (ident, bad, zeros, zeros)):
+                with pytest.raises(ChdError):
+                    monomial_transform(t4, *args)
+
+    def test_phases_taken_mod_r(self):
+        # 2**62 + 2**62 used to wrap in int64; 2**70 overflowed it
+        t3 = character_table((3,))
+        for big in (2**62, 2**70, np.int64(2**62)):
+            want = monomial_transform(t3, range(3), range(3), [int(big) % 3] * 3, [int(big) % 3] * 3)
+            assert monomial_transform(t3, range(3), range(3), [big] * 3, [big] * 3) == want
+
 
 class TestStructureTheorems:
     def test_real_orders_in_library(self):
@@ -253,6 +339,17 @@ class TestStructureTheorems:
             h = sylvester_hadamard(order)
             assert classify(h).kind == "real"
             assert order == 2 or order % 4 == 0
+
+    def test_library_is_built_once_and_read_only(self):
+        # one mapping, so the same matrix objects on every call
+        lib = instance_library()
+        assert instance_library() is lib and isinstance(lib, MappingProxyType)
+        for items in lib.values():
+            assert type(items) is tuple and all(type(item) is tuple for item in items)
+        with pytest.raises(TypeError):
+            lib[2] = ()
+        with pytest.raises(AttributeError):
+            lib[2].append(("x", sylvester_hadamard(2)))
 
     def test_turyn_implies_even_order(self):
         lib = instance_library()
