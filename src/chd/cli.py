@@ -209,7 +209,7 @@ def _cmd_certify(args) -> dict:
     spectrum = diagonalise.certify(g, h, target)
     payload: dict = {"diagonalisable": spectrum is not None, "target": target}
     if spectrum is not None:
-        payload["eigenvalues"] = [_eigenvalue_json(e) for e in spectrum.entries]
+        payload["eigenvalues"] = spectrum.expand([_eigenvalue_json(e) for e in spectrum.values])
         payload["theorem_checks"] = diagonalise.theorem_checks(
             g, h, spectrum
         ).to_json()

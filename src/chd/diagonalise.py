@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -72,41 +72,48 @@ class EigenvalueEntry:
 
 @dataclass(frozen=True)
 class SpectrumAssignment:
-    """Per-column eigenvalues certifying M h_j = lambda_j h_j exactly."""
+    """Per-column eigenvalues certifying M h_j = lambda_j h_j exactly: one
+    entry in ``values`` per distinct coefficient row of lambda (two may be
+    one value), in first-column order, and column j's is values[index[j]]."""
 
-    entries: tuple[EigenvalueEntry, ...]
+    values: tuple[EigenvalueEntry, ...]
+    index: tuple[int, ...]
     target: str  # "laplacian" or "adjacency"
+
+    @cached_property
+    def entries(self) -> tuple[EigenvalueEntry, ...]:
+        return tuple(map(self.values.__getitem__, self.index))
 
     @property
     def n(self) -> int:
-        return len(self.entries)
+        return len(self.index)
+
+    def expand(self, per_value: list) -> list:
+        """One item per column from one item per entry of ``values``."""
+        return list(map(per_value.__getitem__, self.index))
 
     def floats(self) -> list[float]:
-        return [e.to_complex().real for e in self.entries]
+        return self.expand([e.to_complex().real for e in self.values])
 
     def rationals(self) -> list[Fraction]:
         """All eigenvalues as exact rationals; raises if any is irrational."""
-        out = []
-        for e in self.entries:
-            if e.rational is None:
-                raise ExactnessError(
-                    "spectrum contains an irrational eigenvalue; "
-                    "exact rational processing is unsupported here"
-                )
-            out.append(e.rational)
-        return out
+        if any(e.rational is None for e in self.values):
+            raise ExactnessError(
+                "spectrum contains an irrational eigenvalue; "
+                "exact rational processing is unsupported here"
+            )
+        return self.expand([e.rational for e in self.values])
 
     def integers(self) -> list[int]:
         """All eigenvalues as exact integers; raises if any is not."""
-        out = []
-        for q in self.rationals():
-            if q.denominator != 1:
+        self.rationals()  # raises on an irrational entry
+        for e in self.values:
+            if e.rational.denominator != 1:
                 raise ExactnessError(
-                    f"eigenvalue {q} is not an integer; exact congruence "
+                    f"eigenvalue {e.rational} is not an integer; exact congruence "
                     "arithmetic is unsupported here"
                 )
-            out.append(int(q))
-        return out
+        return self.expand([int(e.rational) for e in self.values])
 
     def second_smallest(self) -> Fraction:
         if self.n < 2:
@@ -145,6 +152,9 @@ def certify(
     prime decides while 20 W < p (about 1.4M).  Closure, as in ``verify``,
     is over the columns of H.  Beside the blocks of ``graphs.blocks`` it
     holds one float64 copy of M, 128 MiB at n = 4096.
+
+    Columns of one coefficient row of lambda share one entry, reduced and
+    built once (Q8: 9 entries for 256 columns).
     """
     if target not in ("laplacian", "adjacency"):
         raise ChdError(f"unknown target {target!r}")
@@ -164,11 +174,17 @@ def certify(
     lam = np.zeros((n, r), dtype=mat.dtype)
     nz = np.flatnonzero(mat[0])
     np.add.at(lam, (np.arange(n), h.exps[nz]), mat[0, nz][:, None])
+    keys = (list(map(tuple, lam.tolist())) if lam.dtype == object
+            else lam.view((np.void, 8 * r)).ravel().tolist())
+    place = {key: i for i, key in enumerate(dict.fromkeys(keys))}  # numbered in first-column order
+    index = list(map(place.__getitem__, keys))
+    rows = np.empty((len(place), r), dtype=lam.dtype)
+    rows[index] = lam  # the columns of one row agree, so any may write it
     entries = []
-    for coeffs, rem in zip(lam.tolist(), reduce(lam, r).tolist()):
+    for coeffs, rem in zip(rows.tolist(), reduce(rows, r).tolist()):
         rational = None if any(rem[1:]) else Fraction(rem[0], scale)
         entries.append(EigenvalueEntry(CyclotomicInt(r, coeffs), scale, rational))
-    return SpectrumAssignment(tuple(entries), target)
+    return SpectrumAssignment(tuple(entries), tuple(index), target)
 
 
 def _residuals(mat: np.ndarray, bound: int, h: ButsonMatrix, p: int, powers: np.ndarray):
@@ -341,7 +357,8 @@ def theorem_checks(
     cls = classify(h)
     r = cls.root_order
     in_scope = g.scale == 1 and spectrum.target == "laplacian"
-    odd = [e for e in spectrum.entries if not (e.is_integer and int(e.rational) % 2 == 0)]
+    bad = {i for i, e in enumerate(spectrum.values) if not (e.is_integer and e.rational % 2 == 0)}
+    odd = [spectrum.values[i] for i in spectrum.index if i in bad]  # one per column
     return TheoremReport((
         _check(
             "even-spectrum-real-turyn",
@@ -362,7 +379,7 @@ def theorem_checks(
             in_scope and r > 2 and prime_factors(r) == [r],
             f"minimal root order is {r}",
             f"nonzero integer eigenvalues divisible by {r} with multiplicity >= {r - 1}",
-            _prime_violations(spectrum.entries, r),
+            _prime_violations(spectrum, r),
         ),
     ))
 
@@ -376,10 +393,10 @@ def _check(name: str, applicable: bool, scope: str, holds: str, violations) -> T
     return TheoremCheck(name, True, not bad, f"violations: {bad}" if bad else holds)
 
 
-def _prime_violations(entries, p: int):
+def _prime_violations(spectrum: SpectrumAssignment, p: int):
     """Nonzero integer eigenvalues not divisible by p or rarer than p - 1."""
-    ints = [e.rational for e in entries if e.is_integer]
-    for lam in {int(v) for v in ints if v != 0}:
+    ints = spectrum.expand([int(e.rational) if e.is_integer else 0 for e in spectrum.values])
+    for lam in {v for v in ints if v}:
         if lam % p:
             yield f"{lam} not divisible by {p}"
         mult = ints.count(lam)
@@ -461,7 +478,7 @@ class CatalogueEntry:
             "name": self.name,
             "graph": self.graph.to_json(),
             "hadamard": dict(self.hadamard.to_json(), name=self.hadamard_name),
-            "eigenvalues": sorted(str(e) for e in self.spectrum.entries),
+            "eigenvalues": sorted(self.spectrum.expand([str(e) for e in self.spectrum.values])),
         }
 
 

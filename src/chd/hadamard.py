@@ -68,18 +68,18 @@ class ButsonMatrix:
 
     __slots__ = ("exps", "r", "_verified")
 
-    def __init__(self, exps, r: int) -> None:
+    def __init__(self, exps, r: int, _fresh: bool = False) -> None:
         r = check_order(r)
         if not (isinstance(exps, np.ndarray) and exps.dtype.kind in "iu"):
-            exps = _exponent_table(exps)
+            exps, _fresh = _exponent_table(exps), True
         if exps.ndim != 2 or exps.shape[0] != exps.shape[1]:
             raise ChdError(f"exponent table must be square, got shape {exps.shape}")
         check_count(exps.shape[0], "matrix rows")
         if not exps.size:
             raise ChdError("a Hadamard matrix needs at least one row")
         if exps.dtype == object or not 0 <= exps.min() <= exps.max() < r:
-            exps = exps % r
-        arr = exps.astype(np.int64)
+            exps, _fresh = exps % r, True
+        arr = exps.astype(np.int64, copy=not _fresh)  # never alias a caller's array
         arr.setflags(write=False)
         self.exps = arr
         self.r = r
@@ -177,7 +177,7 @@ def dephase(h: ButsonMatrix) -> ButsonMatrix:
     _require_verified(h, "dephase")
     exps = (h.exps - h.exps[0][None, :]) % h.r
     exps = (exps - exps[:, 0][:, None]) % h.r
-    out = ButsonMatrix(exps, h.r)
+    out = ButsonMatrix(exps, h.r, _fresh=True)
     out._verified = True
     return out
 
@@ -190,7 +190,8 @@ def character_rows(group: AbelianGroup, elements) -> tuple[np.ndarray, int]:
     r = math.lcm(*group.moduli)
     weights = np.array([r // m for m in group.moduli], dtype=np.int64)
     rows = np.array(elements, dtype=np.int64) * weights
-    return rows @ np.array(group.elements(), dtype=np.int64).T % r, r
+    table = rows @ np.array(group.elements(), dtype=np.int64).T
+    return np.remainder(table, r, out=table), r
 
 
 def character_table(moduli) -> ButsonMatrix:
@@ -202,7 +203,7 @@ def character_table(moduli) -> ButsonMatrix:
     and verified.
     """
     group = AbelianGroup(moduli)
-    return ButsonMatrix(*character_rows(group, group.elements()))
+    return ButsonMatrix(*character_rows(group, group.elements()), _fresh=True)
 
 
 def tensor(h1: ButsonMatrix, h2: ButsonMatrix) -> ButsonMatrix:
@@ -218,7 +219,7 @@ def tensor(h1: ButsonMatrix, h2: ButsonMatrix) -> ButsonMatrix:
     a = h1.exps * (r // h1.r)
     b = h2.exps * (r // h2.r)
     exps = (a[:, None, :, None] + b[None, :, None, :]).reshape(n, n) % r
-    return ButsonMatrix(exps, r)
+    return ButsonMatrix(exps, r, _fresh=True)
 
 
 def double(h: ButsonMatrix) -> ButsonMatrix:
@@ -276,7 +277,7 @@ def conference_lift(c) -> ButsonMatrix:
     if not np.array_equal(c.T @ c, (n - 1) * np.eye(n, dtype=np.int64)):
         raise PreconditionError("matrix does not satisfy C^T C = (n-1) I")
     exps = np.where(c == 1, 1, np.where(c == -1, 3, 0))
-    lifted = ButsonMatrix(exps, 4)
+    lifted = ButsonMatrix(exps, 4, _fresh=True)
     if not verify(lifted):
         raise PreconditionError("lifted matrix failed the Hadamard check")
     return dephase(lifted)
@@ -337,7 +338,7 @@ def monomial_transform(
     # phases reduced mod r first, so that no sum leaves int64
     exps = exps + np.array([p % r for p in row_phases], dtype=np.int64)[:, None]
     exps = exps + np.array([p % r for p in col_phases], dtype=np.int64)[None, :]
-    out = ButsonMatrix(exps % r, r)
+    out = ButsonMatrix(exps % r, r, _fresh=True)
     out._verified = True
     return out
 

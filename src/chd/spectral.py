@@ -272,7 +272,8 @@ def tightness_check(
     lam2 = spectrum.second_smallest()
     # witness: the cell where a lambda_2 column is 1 or i; column 0, all
     # ones, has eigenvalue 0, so lambda_2 is on another column too
-    k = next(k for k, e in enumerate(spectrum.entries) if k > 0 and e.rational == lam2)
+    rows = {i for i, e in enumerate(spectrum.values) if e.rational == lam2}
+    k = next(k for k, i in enumerate(spectrum.index) if k > 0 and i in rows)
     plus = bipartition_from_column(g, h, spectrum, k).cells[0]
     return cheeger_value_of(g, plus) == lam2 / d / 2
 
@@ -349,8 +350,8 @@ def _is_spectrum(mat: np.ndarray, values) -> bool:
     the power sums tr(M**k) = sum(v**k) for k = 1..n fix the characteristic
     polynomial, so they decide exactly.  Every entry, partial sum and trace
     of M**k is at most n * R**k in size, R the largest absolute row sum of
-    M, so the powers run in int64 while n * R**n < 2**62 and in Python
-    integers above; M**(n+1), which could wrap, is never formed.
+    M, so M**k is formed in int64 while n * R**k < 2**62 and on Python
+    integers from the first k past that; M**(n+1) is never formed.
 
     >>> m = np.array([[1, -1], [-1, 1]])
     >>> _is_spectrum(m, [0, 2]), _is_spectrum(m, [1, 1]), _is_spectrum(m, [2])
@@ -360,10 +361,10 @@ def _is_spectrum(mat: np.ndarray, values) -> bool:
     if len(values) != n:
         return False
     bound = max((sum(abs(x) for x in row) for row in mat.tolist()), default=0)
-    m = mat.astype(exact_dtype(n * bound**n))
-    power = np.identity(n, dtype=m.dtype)
+    power = np.identity(n, dtype=np.int64)
     for k in range(1, n + 1):
-        power = power @ m
+        dtype = exact_dtype(n * bound**k)
+        power = power.astype(dtype, copy=False) @ mat.astype(dtype, copy=False)
         if int(power.trace()) != sum(v**k for v in values):
             return False
     return True

@@ -294,35 +294,42 @@ def find_fr(
     _require_orders(g, h, spectrum)
     lam = spectrum.integers()
     _require_dephased(h, "find_fr")
-    out = list(_revivals(h.exps, h.r, lam))
-    _cross_validate(h.to_complex(), np.array(lam, dtype=float), out)
+    classes: dict[int, int] = {}  # one per distinct integer eigenvalue
+    cls = [classes.setdefault(int(e.rational), len(classes)) for e in spectrum.values]
+    out, times, rows = _revivals(h.exps, h.r, lam, np.take(cls, spectrum.index))
+    _cross_validate(h.to_complex(), np.array(lam, dtype=float), out, times, rows)
     return out
 
 
-def _revivals(exps: np.ndarray, r: int, lam: list[int]):
+def _revivals(exps: np.ndarray, r: int, lam: list[int], cls: np.ndarray):
     """The certificates of ``find_fr`` in order, decided key by key over
-    the blocks of ``_pair_keys``; pairs with one sign pattern share sigma."""
-    decided: dict[tuple, list] = {}  # key -> [(tau, gamma)], from one pair
+    the blocks of ``_pair_keys``; pairs with one sign pattern share sigma.
+    Also returns ``times``, the (tau, gamma) of every decided key in turn,
+    and the entry of ``times`` that each certificate carries."""
+    decided: dict[tuple, range] = {}  # key -> its entries of times, from one pair
     sigmas: dict[bytes, tuple] = {}  # minus columns -> sigma
-    for a, b, keys in _pair_keys(exps, r, lam):
+    certs, times, rows = [], [], []
+    for a, b, keys in _pair_keys(exps, r, cls):
         found, which = [], np.full(len(a), -1)  # a pair's entry in found
         for key in map(tuple, _distinct_rows(keys).tolist()):
-            if decided.get(key) == []:
+            if not decided.get(key, True):
                 continue
             hit = np.flatnonzero((keys == key).all(axis=1))
             if key not in decided:
-                first = _signs(exps[a[hit[0]]], exps[b[hit[0]]])
-                decided[key] = _revival_times(*_split(first, lam))
+                start, first = len(times), _signs(exps[a[hit[0]]], exps[b[hit[0]]])
+                times += _revival_times(*_split(first, lam))
+                decided[key] = range(start, len(times))
             if decided[key]:
                 which[hit] = len(found)
                 found.append(decided[key])
         revive = which >= 0
-        for x, y, times in zip(a[revive].tolist(), b[revive].tolist(), which[revive].tolist()):
+        for x, y, k in zip(a[revive].tolist(), b[revive].tolist(), which[revive].tolist()):
             minus = (exps[x] != exps[y]).tobytes()
             if minus not in sigmas:
                 sigmas[minus] = _signs(exps[x], exps[y])
-            for tau, gamma in found[times]:
-                yield FRCertificate(x, y, tau, gamma, sigmas[minus])
+            certs += [FRCertificate(x, y, *times[t], sigmas[minus]) for t in found[k]]
+            rows += found[k]
+    return certs, times, rows
 
 
 def _distinct_rows(keys: np.ndarray) -> np.ndarray:
@@ -340,11 +347,12 @@ def _distinct_rows(keys: np.ndarray) -> np.ndarray:
 _DIGIT_CLASSES = 34
 
 
-def _pair_keys(exps: np.ndarray, r: int, lam: list[int]):
+def _pair_keys(exps: np.ndarray, r: int, cls: np.ndarray):
     """Blocks of the strongly cospectral pairs a < b in (a, b) order, as
-    (a, b, keys): a pair's key says, for each distinct eigenvalue, whether
-    its columns carry only +1, both signs or only -1 in sigma, so it fixes
-    the plus- and minus-eigenvalue sets and nothing more.
+    (a, b, keys): a pair's key says, for each distinct eigenvalue (class
+    cls[j] of column j, 0, 1, ...), whether its columns carry only +1, both
+    signs or only -1 in sigma, so it fixes the plus- and minus-eigenvalue
+    sets and nothing more.
 
     Rows with equal ``_half_turn_residues`` differ at column j exactly when
     their half bits differ, so with S = (-1)^[exps >= r/2] (all +1 for odd
@@ -359,11 +367,9 @@ def _pair_keys(exps: np.ndarray, r: int, lam: list[int]):
     index: dict[bytes, int] = {}  # residue row -> class
     residues = _half_turn_residues(exps, r).astype(np.uint16)  # r <= 1024
     same = np.array([index.setdefault(row.tobytes(), len(index)) for row in residues])
-    values = {l: e for e, l in enumerate(sorted(set(lam)))}
-    cls = np.array([values[l] for l in lam], dtype=np.intp)
     order = np.argsort(cls, kind="stable")
     signs = np.where((exps >= half)[:, order], -1.0, 1.0)
-    ends = np.searchsorted(cls[order], np.arange(len(values) + 1)).tolist()
+    ends = np.searchsorted(cls[order], np.arange(cls.max() + 2)).tolist()
     bounds = list(zip(ends, ends[1:]))  # the columns of each eigenvalue
     digits = [bounds[i : i + _DIGIT_CLASSES] for i in range(0, len(bounds), _DIGIT_CLASSES)]
     for rows in blocks(n, n * len(digits)):
@@ -404,26 +410,26 @@ def _half_of(angle: RationalAngle) -> RationalAngle:
     return RationalAngle(angle.num, 2 * angle.den)
 
 
-def _cross_validate(hc: np.ndarray, lam: np.ndarray, certs: list[FRCertificate]) -> None:
+def _cross_validate(hc: np.ndarray, lam: np.ndarray, certs: list, times: list, rows: list) -> None:
     """Check each certificate's column U(tau) e_a of ``_unitary`` against
     alpha e_a + beta e_b to 1e-9, raising on the first that fails: one
     product per ``graphs.blocks`` block of certificates, whatever their
-    taus, each taking its phase row from one table of the distinct taus."""
+    taus.  Certificate i carries entry rows[i] of ``times``, whose phase
+    row and (alpha, beta) are formed once; one that does not fails first."""
     n = len(hc)
-    taus, weights, row = {}, {}, []  # tau -> table row, gamma -> (alpha, beta)
-    for cert in certs:
-        row.append(taus.setdefault(cert.tau, len(taus)))
-        if cert.gamma not in weights:
-            weights[cert.gamma] = cert.alpha, cert.beta
+    for stray in (c for c, t in zip(certs, rows) if (c.tau, c.gamma) != times[t]):
+        raise InternalCheckError(f"certificate {stray} is not the (tau, gamma) of its pair key")
     # rows exp(+i tau Lambda): each vector exp(-i tau Lambda) * conj(H[a]) is
     # formed in place as the conjugate of its row times H[a]
-    conj_phases = np.exp(1j * np.array([tau.to_float() for tau in taus])[:, None] * lam)
-    row = np.array(row, dtype=np.intp)
+    conj_phases = np.exp(1j * np.array([tau.to_float() for tau, _ in times])[:, None] * lam)
+    some = dict(zip(rows, certs))  # a certificate of each entry, as all carry it
+    weights = np.array([(some[t].alpha, some[t].beta) for t in range(len(times))])
+    rows = np.array(rows, dtype=np.intp)
     for block in blocks(len(certs), n):
         part = certs[block]
         a, cols = [c.a for c in part], np.arange(len(part))
-        alpha, beta = np.array([weights[c.gamma] for c in part]).T
-        vec = conj_phases[row[block]]
+        alpha, beta = weights[rows[block]].T
+        vec = conj_phases[rows[block]]
         vec *= hc[a]
         err = hc @ np.conjugate(vec, out=vec).T
         err /= n

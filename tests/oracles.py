@@ -1,8 +1,9 @@
 """Reference kernels kept as test oracles: the per-edge graph loader and
 the object-array exponent table that the bulk loaders replaced, the loop
-forms of cyclotomic reduction, Hadamard verification, certification, cut
-enumeration, the characteristic polynomial, rational root extraction and
-revival search that the table-driven kernels in ``chd`` replaced, and the
+forms of cyclotomic reduction, Hadamard verification, certification with
+its eigenvalue entries built one column at a time, cut enumeration, the
+characteristic polynomial, rational root extraction and revival search
+that the table-driven kernels in ``chd`` replaced, and the
 labelled regular-graph enumeration that the small-graph catalogue
 replaced.  They share no code with those kernels: the graph loader checks
 and stores one edge at a time and builds the graph from its dense
@@ -190,10 +191,9 @@ def integer_matrix(g, target: str = "laplacian") -> tuple[list[list[int]], int]:
 def certify(g, h, target: str = "laplacian"):
     """None, or per column (coeffs, scale, rational) of M h_j = lambda_j h_j,
     checked entry by entry with long-division reduction."""
-    mat, scale = integer_matrix(g, target)
+    mat, _ = integer_matrix(g, target)
     n, r = g.n, h.r
     exps = h.exps.tolist()
-    entries = []
     for j in range(n):
         col = [exps[s][j] for s in range(n)]
         lam = [0] * r
@@ -207,9 +207,21 @@ def certify(g, h, target: str = "laplacian"):
                 vec[(t + col[u]) % r] -= lam[t]
             if any(reduce(vec, r)):
                 return None
-        rem = reduce(lam, r)
-        rational = None if any(rem[1:]) else Fraction(rem[0], scale)
-        entries.append((tuple(lam), scale, rational))
+    return column_entries(g, h, target)
+
+
+def column_entries(g, h, target: str = "laplacian") -> list:
+    """(coeffs, scale, rational) of the eigenvalue of each column, built
+    column by column: lambda_j = sum_s M[0, s] z**H[s, j], reduced by long
+    division."""
+    mat, scale = integer_matrix(g, target)
+    entries = []
+    for col in zip(*h.exps.tolist()):
+        lam = [0] * h.r
+        for w, e in zip(mat[0], col):
+            lam[e] += w
+        rem = reduce(lam, h.r)
+        entries.append((tuple(lam), scale, None if any(rem[1:]) else Fraction(rem[0], scale)))
     return entries
 
 

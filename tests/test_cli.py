@@ -169,6 +169,41 @@ class TestCertifyCommand:
         assert digest == "319a17b914cf368453ebe3f04ea037562781993c1ab70b50eae10d13b28ee49f"
 
 
+class TestPinnedOutputs:
+    """Digests of outputs taken before spectra were held as distinct
+    entries and a column index."""
+
+    @pytest.mark.parametrize(
+        "command, graph, moduli, digest",
+        [
+            (
+                "theorems",
+                ["cayley", "--moduli", "5,5", "--connection", "1,0;4,0;0,1;0,4"],
+                "5,5",
+                "9592adda959da989184b7ac6983e2f2115adcd73625657087d9bce0681e762fc",
+            ),
+            (
+                "fr-search",
+                ["cocktail", "4"],
+                "8",
+                "980f91dde3d83e53c7e7c5a2606db6b8063705d6260d752d5dd2455a0782b04c",
+            ),
+            (
+                "certify",
+                ["hypercube", "4"],
+                "2,2,2,2",
+                "a8765a3396e396d496c978b26ce2f1084bf0df635df00e2222c0313e652d3f9a",
+            ),
+        ],
+    )
+    def test_digest(self, run, tmp_path, command, graph, moduli, digest):
+        g, h = tmp_path / "g.json", tmp_path / "h.json"
+        g.write_text(run("graph", "make", *graph))
+        h.write_text(run("hadamard", "character-table", "--moduli", moduli))
+        out = run(command, "--graph", str(g), "--hadamard", str(h))
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 class TestAnalysisCommands:
     def test_catalogue(self, run):
         out = json.loads(run("catalogue", "--max-n", "4"))

@@ -11,6 +11,7 @@ from chd import (
     AbelianGroup,
     ButsonMatrix,
     ChdError,
+    CyclotomicInt,
     InternalCheckError,
     PreconditionError,
     ScaleError,
@@ -45,7 +46,7 @@ from chd import (
 )
 from chd import diagonalise
 from chd.cli import main
-from chd.diagonalise import _graph_masks, _laplacians_of
+from chd.diagonalise import EigenvalueEntry, SpectrumAssignment, _graph_masks, _laplacians_of
 from oracles import _dephased_at, enumerate_regular_graphs
 
 
@@ -121,6 +122,44 @@ class TestCertify:
 
 
 class TestSpectrumAssignment:
+    @staticmethod
+    def _hand_built(values, index):
+        """A spectrum of integer entries, one per value, and a column index."""
+        entries = tuple(EigenvalueEntry(CyclotomicInt(1, (q,)), 1, Fraction(q)) for q in values)
+        return SpectrumAssignment(entries, tuple(index), "laplacian")
+
+    @pytest.mark.parametrize(
+        "make, moduli, distinct",
+        [(lambda: hypercube(8), (2,) * 8, 9), (lambda: cycle(128), (128,), 65), (lambda: cycle(5), (5,), 3)],
+    )
+    def test_certify_builds_one_entry_per_distinct_row(self, monkeypatch, make, moduli, distinct):
+        # Q8: one row per degree 0..8; C128: z**j and z**-j give one row
+        made, entry = [], diagonalise.EigenvalueEntry
+        monkeypatch.setattr(diagonalise, "EigenvalueEntry", lambda *a: made.append(a) or entry(*a))
+        spec = certify(make(), character_table(moduli))
+        assert len(made) == len(spec.values) == distinct
+        assert spec.n == len(spec.entries) == math.prod(moduli)
+
+    def test_repeated_odd_eigenvalues_are_named_per_column(self):
+        spec = self._hand_built([0, 3, 1], [0, 1, 2, 1])
+        checks = theorem_checks(complete(4), sylvester_hadamard(4), spec).checks
+        assert [c.detail for c in checks[:2]] == ["violations: ['3', '1', '3']"] * 2
+        spec = self._hand_built([0, 5, 3], [0, 1, 2, 2, 1])
+        check = theorem_checks(complete(5), character_table((5,)), spec).checks[2]
+        assert check.detail == (
+            "violations: ['3 not divisible by 5', '3 has multiplicity 2 < 4', "
+            "'5 has multiplicity 2 < 4']"
+        )
+
+    def test_values_expand_through_the_index(self):
+        spec = self._hand_built([0, 4, 2, 2], [0, 1, 2, 3, 1])
+        assert spec.entries == tuple(spec.values[i] for i in (0, 1, 2, 3, 1))
+        assert spec.rationals() == [0, 4, 2, 2, 4]
+        assert [e.rational for e in spec.values] == [0, 4, 2, 2]
+        assert spec.second_smallest() == 2  # two entries of one value
+        assert self._hand_built([0, 4], [0, 1, 0]).second_smallest() == 0
+        assert self._hand_built([0, 4], [0, 1, 1]).second_smallest() == 4
+
     def test_one_vertex_has_no_second_eigenvalue(self):
         spec = certify(complete(1), character_table((1,)))
         assert spec.rationals() == [0]

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from types import MappingProxyType
 
 import numpy as np
@@ -136,6 +137,27 @@ class TestCharacterTable:
         rows, r = character_rows(group, [group.elements()[i] for i in picks])
         table = character_table(moduli)
         assert r == table.r and np.array_equal(rows, table.exps[picks])
+
+
+class TestTableStorage:
+    def test_character_table_peak_is_about_its_table(self):
+        # the matmul result is reduced in place and kept without a copy
+        tracemalloc.start()
+        try:
+            h = character_table((2,) * 10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert h.exps.nbytes == 8 << 20
+        assert peak <= 1.25 * h.exps.nbytes
+
+    @pytest.mark.parametrize("exps", [np.array([[0, 0], [0, 1]]), np.array([[0, 0], [0, 3]])])
+    def test_a_callers_array_is_never_aliased(self, exps):
+        # in range and kept as given, or reduced mod r
+        h = ButsonMatrix(exps, 2)
+        exps[1, 1] = 0
+        assert h.exps.tolist() == [[0, 0], [0, 1]]
+        assert not h.exps.flags.writeable
 
 
 class TestTensorAndDouble:

@@ -44,8 +44,10 @@ from chd import (
     exact_rational_spectrum,
     find_fr,
     hypercube,
+    instance_library,
     merge,
     min_edge_density,
+    neps,
     product,
     strongly_cospectral,
     verify,
@@ -61,6 +63,7 @@ from chd.cyclotomic import (
     reduce,
     reduction_table,
 )
+from chd.diagonalise import _laplacians_of
 from chd.spectral import _cut_tables, _is_spectrum, cheeger_value_of
 
 ORDERS = range(1, 211)
@@ -225,6 +228,76 @@ class TestCertifyAgainstLoop:
         assert spec is not None
         assert WeightedGraph.from_json(g.to_json()) == g
         assert hash(WeightedGraph.from_json(g.to_json())) == hash(g)
+
+
+def _shuffled_columns(rng, h):
+    """h with columns 1.. in a random order; it stays dephased."""
+    cols = [0] + rng.sample(range(1, h.n), h.n - 1)
+    return ButsonMatrix(h.exps[:, cols], h.r)
+
+
+def _symmetric_connection(rng, group, pairs, involutions=0):
+    els = group.elements()[1:]
+    twos = sorted({min(el, group.neg(el)) for el in els if el != group.neg(el)})
+    conn = {el for x in rng.sample(twos, pairs) for el in (x, group.neg(x))}
+    return sorted(conn | set(rng.sample([el for el in els if el == group.neg(el)], involutions)))
+
+
+def _ladder_pairs(rng):
+    """The graph, matrix and target families of the certify-ladder benchmark."""
+    ct = character_table
+    pairs = [(hypercube(d), ct((2,) * d), "laplacian") for d in (5, 6, 7, 8)]
+    pairs += [(cycle(n), ct((n,)), "laplacian") for n in (32, 64, 128)]
+    for moduli in ((3,) * 4, (4,) * 3, (5,) * 3, (6, 6)):
+        group = AbelianGroup(moduli)
+        pairs.append((cayley(group, _symmetric_connection(rng, group, 4)), ct(moduli), "laplacian"))
+    c8 = cycle(8)
+    basis = rng.choice([[(1, 0), (0, 1)], [(1, 1)], [(1, 0), (1, 1)]])
+    pairs.append((neps([c8, c8], basis), hadamard.tensor(ct((8,)), ct((8,))), "laplacian"))
+    z44, z88 = AbelianGroup((4, 4)), AbelianGroup((8, 8))
+    g1, g2 = (cayley(z44, _symmetric_connection(rng, z44, 3)) for _ in range(2))
+    pairs.append((merge(g1, g2, Fraction(5, 2), Fraction(1, 4)), double(ct((4, 4))), "laplacian"))
+    pairs.append((cayley(z88, _symmetric_connection(rng, z88, 4, 1)), ct((8, 8)), "adjacency"))
+    return pairs
+
+
+def _library_pairs():
+    """Every library table with the graphs it diagonalises with integer
+    eigenvalues, under both targets, and K_n."""
+    for tables in instance_library().values():
+        for _, h in tables:
+            adjs = _laplacians_of(h)[1]
+            for g in [complete(h.n)] + [WeightedGraph._from_matrix(adj) for adj in adjs]:
+                yield g, h, "laplacian"
+                yield g, h, "adjacency"
+
+
+class TestEntriesAgainstColumns:
+    """certify builds one entry per distinct coefficient row; expanded
+    through the index, each column's entry is the one built from that
+    column alone."""
+
+    @staticmethod
+    def _same_entries(g, h, target):
+        spec = certify(g, h, target)
+        assert spec is not None
+        got = [(e.cyclo.coeffs, e.scale, e.rational) for e in spec.entries]
+        assert got == oracles.column_entries(g, h, target)
+        rows = [e.cyclo.coeffs for e in spec.values]
+        assert len(set(rows)) == len(rows)  # one entry per distinct row
+        assert spec.index[0] == 0 and max(spec.index) == len(rows) - 1
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_library_tables_with_shuffled_columns(self, seed):
+        rng = random.Random(seed)
+        for g, h, target in _library_pairs():
+            self._same_entries(g, _shuffled_columns(rng, h), target)
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_certify_ladder_families_with_shuffled_columns(self, seed):
+        rng = random.Random(seed)
+        for g, h, target in _ladder_pairs(rng):
+            self._same_entries(g, _shuffled_columns(rng, h), target)
 
 
 def _corrupt_last_column(h):
@@ -1250,11 +1323,14 @@ class TestIsSpectrumAgainstFractions:
         while hi - lo > 1:
             mid = (lo + hi) // 2
             lo, hi = (mid, hi) if bound(mid) < INT64_BOUND else (lo, mid)
-        dtypes = []
+        dtypes = {}  # n R**k -> the dtype of M**k
         monkeypatch.setattr(
-            spectral, "exact_dtype", lambda b: dtypes.append(cyclotomic.exact_dtype(b)) or dtypes[-1]
+            spectral, "exact_dtype", lambda b: dtypes.setdefault(b, cyclotomic.exact_dtype(b))
         )
         for w in (lo, hi):
             _check_is_spectrum(w * (n * np.eye(n, dtype=np.int64) - 1), [0] + [n * w] * (n - 1))
-        half = len(dtypes) // 2
-        assert dtypes == [np.int64] * half + [object] * half
+        # below the bound every power is int64; past it M**1 still is, and
+        # only the powers past n R**k >= 2**62 run on Python integers
+        r_lo, r_hi = 2 * (n - 1) * lo, 2 * (n - 1) * hi
+        assert [dtypes[n * r_lo**k] for k in range(1, n + 1)] == [np.int64] * n
+        assert (dtypes[n * r_hi], dtypes[n * r_hi**n]) == (np.int64, object)
