@@ -25,7 +25,6 @@ from .graphs import (
     WeightedGraph,
     cayley,
     cocktail_party,
-    combine,
     complement,
     complete,
     complete_bipartite,

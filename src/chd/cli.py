@@ -199,7 +199,9 @@ def _cmd_graph_make(args) -> dict:
         return graphs.merge(g1, g2, args.w1, args.w2).to_json()
     if kind == "product":
         return graphs.product(g1, g2, args.product_kind).to_json()
-    return graphs.combine(g1, g2, kind).to_json()
+    if kind == "union":
+        return graphs.graph_union(g1, g2).to_json()
+    return graphs.graph_join(g1, g2).to_json()
 
 
 def _cmd_certify(args) -> dict:

@@ -45,7 +45,7 @@ FLOAT64_BOUND = 1 << 53
 
 def check_order(r) -> int:
     """r as an int, if it is a root order in 1..MAX_ORDER."""
-    if isinstance(r, bool) or not isinstance(r, (int, np.integer)) or r < 1:
+    if not all_integers((r,)) or r < 1:
         raise ChdError(f"root order must be a positive integer, got {r!r}")
     if r > MAX_ORDER:
         raise ScaleError(f"root order {r} exceeds the cap of {MAX_ORDER}")

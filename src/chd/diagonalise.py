@@ -17,7 +17,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .cyclotomic import CyclotomicInt, prime_factors, reduce, vanishes
+from .cyclotomic import CyclotomicInt, all_integers, prime_factors, reduce, vanishes
 from .errors import (
     ChdError,
     ExactnessError,
@@ -27,7 +27,7 @@ from .errors import (
 )
 from . import graphs as graphmod
 from .graphs import WeightedGraph, blocks, complement
-from .hadamard import ButsonMatrix, classify, instance_library, verify
+from .hadamard import ButsonMatrix, _require_dephased, classify, instance_library
 
 __all__ = [
     "EigenvalueEntry",
@@ -79,6 +79,13 @@ class SpectrumAssignment:
     values: tuple[EigenvalueEntry, ...]
     index: tuple[int, ...]
     target: str  # "laplacian" or "adjacency"
+
+    def __post_init__(self) -> None:
+        if self.target not in ("laplacian", "adjacency"):
+            raise ChdError(f"unknown target {self.target!r}")
+        index, m = self.index, len(self.values)
+        if index and not (all_integers(index) and 0 <= min(index) and max(index) < m):
+            raise ChdError(f"spectrum index entries must be integers in 0..{m - 1}")
 
     @cached_property
     def entries(self) -> tuple[EigenvalueEntry, ...]:
@@ -160,10 +167,7 @@ def certify(
         raise ChdError(f"unknown target {target!r}")
     if g.n != h.n:
         raise ChdError(f"order mismatch: graph has {g.n} vertices, matrix {h.n}")
-    if not verify(h):
-        raise PreconditionError("certify requires a verified Hadamard matrix")
-    if not h.is_dephased():
-        raise PreconditionError("certify requires a dephased matrix; dephase first")
+    _require_dephased(h, "certify")
     mat, scale = g.integer_matrix(target)
     n, r = g.n, h.r
     w = int(np.abs(mat).sum(axis=1).max(initial=0))
@@ -212,10 +216,6 @@ class EquitablePartition:
     cells: tuple[tuple[int, ...], ...]
     quotient: tuple[tuple[Fraction, ...], ...]
 
-    @property
-    def size(self) -> int:
-        return len(self.cells)
-
 
 def _fractions(row, scale: int) -> tuple[Fraction, ...]:
     return tuple(Fraction(int(x), scale) for x in row)
@@ -224,8 +224,8 @@ def _fractions(row, scale: int) -> tuple[Fraction, ...]:
 def _column_cells(h: ButsonMatrix, k: int, m: int) -> np.ndarray:
     """For each vertex u, the i with H[u, k] = z**(i r / m): the place of
     the entry among the m-th roots of unity."""
-    if not 0 < k < h.n:
-        raise PreconditionError(f"column {k} is not in 1..{h.n - 1}; column 0 is all ones")
+    if not (all_integers((k,)) and 0 < k < h.n):
+        raise PreconditionError(f"column {k!r} is not in 1..{h.n - 1}; column 0 is all ones")
     scaled = m * h.exps[:, k]
     if (scaled % h.r).any():
         raise PreconditionError(
@@ -302,8 +302,8 @@ def p_partition_from_column(
     has off-diagonal entries l/p and diagonal d - (p-1) l/p.
     """
     _require_orders(g, h, spectrum)
-    if prime_factors(p) != [p]:
-        raise PreconditionError(f"{p} is not prime")
+    if not all_integers((p,)) or prime_factors(p) != [p]:
+        raise PreconditionError(f"{p!r} is not prime")
     index = _column_cells(h, k, p)
     entry = spectrum.entries[k]
     if not entry.is_integer or entry.rational == 0:
@@ -330,10 +330,6 @@ class TheoremCheck:
 @dataclass(frozen=True)
 class TheoremReport:
     checks: tuple[TheoremCheck, ...]
-
-    @property
-    def all_passed(self) -> bool:
-        return all(c.passed for c in self.checks if c.applicable)
 
     def to_json(self) -> list:
         return [asdict(c) for c in self.checks]
@@ -583,7 +579,7 @@ def catalogue(max_n: int) -> list[CatalogueEntry]:
     order is dropped before any graph is built; the rest are keyed by exact
     spectrum before the isomorphism test, and each class is certified once.
     """
-    if max_n not in (2, 4, 6, 8):
+    if not all_integers((max_n,)) or max_n not in (2, 4, 6, 8):
         raise ScaleError(
             f"catalogue supports even orders up to 8, got max_n={max_n}"
         )

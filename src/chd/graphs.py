@@ -6,12 +6,12 @@ the lcm of the weight denominators, so the stored form is canonical.  The
 matrix is int64 when n times its largest entry stays below 2**62, which
 keeps every row sum and Laplacian entry exact, and an array of Python
 integers otherwise.  Fractions appear only at the boundary: ``from_edges``,
-JSON, ``edges()``, ``weight()`` and ``degrees()``.  An edge list is
-validated in one bulk pass, by column and by distinct weight, not edge by
-edge; a pair given twice is refused, and when the list fails, the first
-offending edge in its order is the one reported.  Vertices of
-product-style constructions are numbered in row-major mixed-radix order so
-that they line up with the rows of tensor-product Hadamard matrices.
+JSON, ``edges()`` and ``degrees()``.  An edge list is validated in one bulk
+pass, by column and by distinct weight, not edge by edge; a pair given
+twice is refused, and when the list fails, the first offending edge in its
+order is the one reported.  Vertices of product-style constructions are
+numbered in row-major mixed-radix order so that they line up with the rows
+of tensor-product Hadamard matrices.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ __all__ = [
     "AbelianGroup",
     "cayley",
     "complement",
-    "combine",
     "graph_union",
     "graph_join",
     "merge",
@@ -67,14 +66,10 @@ def blocks(count: int, width: int):
         yield slice(lo, min(lo + step, count))
 
 
-def _is_int(x) -> bool:
-    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
-
-
 def _as_fraction(x) -> Fraction:
     if isinstance(x, Fraction):
         return x
-    if _is_int(x):
+    if all_integers((x,)):
         return Fraction(int(x))
     if isinstance(x, str):
         try:
@@ -96,7 +91,7 @@ def _edge_fault(item, n: int, seen: set) -> ChdError | None:
             _as_fraction(item[2])
         except ChdError as err:
             return err
-    if not (_is_int(u) and _is_int(v)):
+    if not all_integers((u, v)):
         return ChdError(f"edge ({u!r}, {v!r}) has a vertex that is not an integer")
     if not (0 <= u < n and 0 <= v < n):
         return ChdError(f"edge ({u}, {v}) out of range for n={n}")
@@ -149,7 +144,7 @@ def check_count(n, noun: str = "vertices") -> None:
     """Refuse a count of graph vertices, group elements or matrix rows that
     is not an integer in 0..MAX_VERTICES, before anything of that size is
     built."""
-    if not _is_int(n) or n < 0:
+    if not all_integers((n,)) or n < 0:
         raise ChdError(f"the number of {noun} must be a nonnegative integer, got {n!r}")
     if n > MAX_VERTICES:
         raise ScaleError(f"{noun} are capped at {MAX_VERTICES}, got {n}")
@@ -204,7 +199,7 @@ class WeightedGraph:
             u, v = np.argwhere(np.triu(neg))[0].tolist()
             raise SimplicityError(f"negative weight on edge ({u}, {v})")
         if scale != 1:
-            common = math.gcd(scale, *np.unique(mat).tolist())
+            common = math.gcd(scale, int(np.gcd.reduce(mat, axis=None)))
             mat, scale = mat // common, scale // common
         mat = mat.astype(exact_dtype(n * _maxabs(mat)))
         mat.setflags(write=False)
@@ -237,12 +232,6 @@ class WeightedGraph:
 
     # -- matrices -------------------------------------------------------
 
-    def weight(self, u: int, v: int) -> Fraction:
-        return Fraction(int(self.matrix[u, v]), self.scale)
-
-    def degree(self, u: int) -> Fraction:
-        return Fraction(int(self.matrix[u].sum()), self.scale)
-
     def degrees(self) -> tuple[Fraction, ...]:
         return tuple(Fraction(int(d), self.scale) for d in self.matrix.sum(axis=1))
 
@@ -269,9 +258,6 @@ class WeightedGraph:
     def is_unweighted(self) -> bool:
         return self.scale == 1 and _maxabs(self.matrix) <= 1
 
-    def neighbors(self, u: int):
-        return np.flatnonzero(self.matrix[u]).tolist()
-
     def components(self) -> list[list[int]]:
         seen = [False] * self.n
         comps = []
@@ -283,7 +269,7 @@ class WeightedGraph:
             while stack:
                 u = stack.pop()
                 comp.append(u)
-                for v in self.neighbors(u):
+                for v in np.flatnonzero(self.matrix[u]).tolist():
                     if not seen[v]:
                         seen[v] = True
                         stack.append(v)
@@ -352,9 +338,6 @@ class AbelianGroup:
 
     def elements(self) -> tuple[tuple[int, ...], ...]:
         return self._elements
-
-    def normalise(self, el) -> tuple[int, ...]:
-        return tuple(self.normalise_all([el])[0].tolist())
 
     def normalise_all(self, els) -> np.ndarray:
         """The elements as rows of an int64 array, each entry reduced mod
@@ -432,14 +415,6 @@ def graph_join(g1: WeightedGraph, g2: WeightedGraph) -> WeightedGraph:
     cross = np.ones((g1.n, g2.n), dtype=np.int64)
     mat = np.block([[g1.matrix, cross], [cross.T, g2.matrix]])
     return WeightedGraph._from_matrix(mat)
-
-
-def combine(g1: WeightedGraph, g2: WeightedGraph, kind: str) -> WeightedGraph:
-    if kind == "union":
-        return graph_union(g1, g2)
-    if kind == "join":
-        return graph_join(g1, g2)
-    raise ChdError(f"unknown combination {kind!r}; expected 'union' or 'join'")
 
 
 def merge(g1: WeightedGraph, g2: WeightedGraph, w1, w2) -> WeightedGraph:

@@ -107,7 +107,7 @@ class ButsonMatrix:
             if field not in data:
                 raise ChdError(f"hadamard JSON is missing the field {field!r}")
         n = data["n"]
-        if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+        if not all_integers((n,)):
             raise ChdError(f"the hadamard field 'n' must be an integer, got {n!r}")
         h = cls(data["exps"], data["r"])
         if h.n != n:
@@ -163,9 +163,15 @@ def _gram_residues(h: ButsonMatrix, powers: np.ndarray):
         yield gram
 
 
-def _require_verified(h: ButsonMatrix, what: str) -> None:
+def _require_verified(h: ButsonMatrix, caller: str) -> None:
     if not verify(h):
-        raise PreconditionError(f"{what} requires a verified complex Hadamard matrix")
+        raise PreconditionError(f"{caller} requires a verified Hadamard matrix")
+
+
+def _require_dephased(h: ButsonMatrix, caller: str) -> None:
+    _require_verified(h, caller)
+    if not h.is_dephased():
+        raise PreconditionError(f"{caller} requires a dephased matrix; dephase first")
 
 
 def dephase(h: ButsonMatrix) -> ButsonMatrix:

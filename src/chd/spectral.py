@@ -147,8 +147,9 @@ def _report(g: WeightedGraph, mask: int, cut_scaled: int) -> CutReport:
     n = g.n
     subset = tuple(u for u in range(n) if mask >> u & 1)
     cut = Fraction(cut_scaled, g.scale)
-    vol_s = sum((g.degree(u) for u in subset), Fraction(0))
-    vol_rest = sum(g.degrees(), Fraction(0)) - vol_s
+    degs = g.degrees()
+    vol_s = sum((degs[u] for u in subset), Fraction(0))
+    vol_rest = sum(degs, Fraction(0)) - vol_s
     k = len(subset)
     smaller = min(vol_s, vol_rest)
     # a zero-volume side only happens with isolated vertices, where the cut

@@ -24,11 +24,11 @@ from fractions import Fraction
 
 import numpy as np
 
-from .cyclotomic import reduce
+from .cyclotomic import all_integers, reduce
 from .diagonalise import SpectrumAssignment, _require_orders, certify, regularity_check
 from .errors import ChdError, ExactnessError, InternalCheckError, PreconditionError
 from .graphs import AbelianGroup, WeightedGraph, blocks, connection_set, merge
-from .hadamard import ButsonMatrix, character_rows, double, verify
+from .hadamard import ButsonMatrix, _require_dephased, character_rows, double
 
 __all__ = [
     "RationalAngle",
@@ -53,6 +53,8 @@ class RationalAngle:
     __slots__ = ("num", "den")
 
     def __init__(self, num: int, den: int) -> None:
+        if not all_integers((num, den)):
+            raise ChdError(f"angle parts must be integers, got {num!r}/{den!r}")
         if den == 0:
             raise ChdError("angle denominator must be nonzero")
         g = math.gcd(num, den) * (1 if den > 0 else -1)
@@ -69,21 +71,11 @@ class RationalAngle:
         """The angle pi * num/den."""
         return cls(num, 2 * den)
 
-    @classmethod
-    def zero(cls) -> "RationalAngle":
-        return cls(0, 1)
-
     def turns(self) -> Fraction:
         return Fraction(self.num, self.den)
 
     def times(self, k: int) -> "RationalAngle":
         return RationalAngle(self.num * k, self.den)
-
-    def is_zero(self) -> bool:
-        return self.num == 0
-
-    def is_zero_mod_pi(self) -> bool:
-        return self.times(2).is_zero()
 
     def equals_mod_pi(self, other: "RationalAngle") -> bool:
         return self.times(2) == other.times(2)
@@ -196,13 +188,6 @@ def _half_turn_residues(exps: np.ndarray, r: int) -> np.ndarray:
     return exps % (r // 2 if r % 2 == 0 else r)
 
 
-def _require_dephased(h: ButsonMatrix, caller: str) -> None:
-    if not verify(h):
-        raise PreconditionError(f"{caller} needs a verified matrix")
-    if not h.is_dephased():
-        raise PreconditionError(f"{caller} needs a dephased matrix")
-
-
 def _signs(row_a: np.ndarray, row_b: np.ndarray) -> tuple[int, ...]:
     """+1 where two exponent rows agree, -1 where they differ."""
     return tuple(np.where(row_a == row_b, 1, -1).tolist())
@@ -221,8 +206,8 @@ def strongly_cospectral(h: ButsonMatrix, a: int, b: int) -> tuple[int, ...] | No
     decided exactly on the exponents (a half turn needs even root order)."""
     _require_dephased(h, "strongly_cospectral")
     for vertex in (a, b):
-        if not 0 <= vertex < h.n:
-            raise ChdError(f"vertex {vertex} is out of range for n={h.n}")
+        if not (all_integers((vertex,)) and 0 <= vertex < h.n):
+            raise ChdError(f"a vertex must be an integer in 0..{h.n - 1}, got {vertex!r}")
     return _sign_pattern(h.exps[a], h.exps[b], h.r)
 
 
@@ -475,8 +460,8 @@ def double_cover_fr(
     lambda_j + mu_j and -1 on [H; -H] with lambda_j + 2 d2 - mu_j.  A found
     phase is re-checked through ``check_fr`` on the built cover."""
     spec1, spec2 = spectra
-    if g1.n != g2.n or spec1.n != g1.n or spec2.n != g2.n:
-        raise ChdError("double cover needs equal orders and matching spectra")
+    _require_orders(g1, h, spec1)
+    _require_orders(g2, h, spec2)
     lam, mu = spec1.integers(), spec2.integers()
     d2 = regularity_check(g2)
     if d2 is None or d2.denominator != 1:

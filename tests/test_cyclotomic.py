@@ -13,8 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from chd import ChdError, CyclotomicInt
-from chd.cyclotomic import cyclotomic_polynomial, reduce
+from chd import ChdError, CyclotomicInt, graphs
+from chd.cyclotomic import MAX_ORDER, cyclotomic_polynomial, reduce, split_prime
 
 add, mul, conj = oracles.ring_add, oracles.ring_multiply, oracles.ring_conjugate
 
@@ -272,3 +272,12 @@ class TestRingLaws:
         x, y, _ = triple
         assert value(conj(lift(mul(x, y)))) == value(mul(conj(x), conj(lift(y))))
         assert value(conj(lift(add(x, y)))) == value(add(conj(lift(x)), conj(y)))
+
+
+def test_caps_keep_the_exactness_bounds():
+    # verify and certify are exact in float64 only while
+    # (MAX_VERTICES + 1) (p - 1)**2 < 2**53 for their split primes p, and
+    # exponent rows are compared as uint16 only while MAX_ORDER < 2**16
+    for r in (1, 2, 3, 4, 128, 935, 1021, 1024):
+        assert (graphs.MAX_VERTICES + 1) * (split_prime(r)[0] - 1) ** 2 < 2**53
+    assert MAX_ORDER < 2**16

@@ -160,6 +160,22 @@ class TestSpectrumAssignment:
         assert self._hand_built([0, 4], [0, 1, 0]).second_smallest() == 0
         assert self._hand_built([0, 4], [0, 1, 1]).second_smallest() == 4
 
+    @pytest.mark.parametrize(
+        "index, target, message",
+        [
+            ((0, -1, 1), "laplacian", "index entries"),  # read values[-1]
+            ((0, 99, 1), "laplacian", "index entries"),  # ended in IndexError
+            ((0, 1.0, 1), "laplacian", "index entries"),
+            ((0, True, 1), "laplacian", "index entries"),
+            ((0, 1, 1), "foo", "unknown target"),
+        ],
+        ids=["negative", "past-the-end", "float", "bool", "target"],
+    )
+    def test_malformed_fields_refused(self, index, target, message):
+        values = self._hand_built([0, 2], [0, 1]).values
+        with pytest.raises(ChdError, match=message):
+            SpectrumAssignment(values, index, target)
+
     def test_one_vertex_has_no_second_eigenvalue(self):
         spec = certify(complete(1), character_table((1,)))
         assert spec.rationals() == [0]
@@ -336,8 +352,8 @@ class TestTheoremChecks:
         g = cayley(AbelianGroup((4,)), [(1,), (3,)])
         spec = certify(g, t4)
         assert sorted(int(e.rational) for e in spec.entries) == [0, 2, 2, 4]
-        report = theorem_checks(g, t4, spec)
-        assert report.all_passed
+        checks = theorem_checks(g, t4, spec).checks
+        assert all(c.passed for c in checks if c.applicable)
 
     def test_order_mismatch_rejected(self, k4, f4):
         k2_spectrum = certify(complete(2), sylvester_hadamard(2))
@@ -372,7 +388,8 @@ class TestTheoremChecks:
         assert any(e.is_integer and int(e.rational) % 2 for e in spec.entries)
         checks = theorem_checks(g, h, spec).checks
         assert [c.applicable for c in checks] == [False] * 3
-        assert theorem_checks(g, h, certify(g, h)).all_passed
+        checks = theorem_checks(g, h, certify(g, h)).checks
+        assert all(c.passed for c in checks if c.applicable)
 
     def test_complement_certifies_with_shifted_spectrum(self, q3, f8, q3_spectrum):
         comp = complement(q3)

@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,7 +16,6 @@ from chd import (
     cayley,
     character_table,
     cocktail_party,
-    combine,
     complement,
     complete,
     complete_bipartite,
@@ -106,7 +109,7 @@ class TestCayley:
             connection_set(group, [(1, 0), (3, 0), (4, 2)])
         with pytest.raises(SimplicityError, match=r"not closed under negation at \(1, 1\)"):
             connection_set(group, [(2, 0), (1, 1), (1, 0), (3, 0)])
-        assert group.neg((1, 1)) == (3, 1) and group.normalise((-1, 3)) == (3, 1)
+        assert group.neg((1, 1)) == (3, 1) and group.normalise_all([(-1, 3)]).tolist() == [[3, 1]]
 
     def test_constant_degree(self):
         group = AbelianGroup((3, 3))
@@ -156,8 +159,10 @@ class TestCombine:
         assert spec == [0.0, 4.0, 4.0, 6.0, 6.0, 6.0, 6.0, 8.0]
 
     def test_bad_kind(self):
-        with pytest.raises(ChdError):
-            combine(complete(2), complete(2), "smash")
+        # the command line builds union and join itself and sends any other
+        # kind to named(), which refuses it
+        with pytest.raises(ChdError, match="unknown family 'smash'"):
+            named("smash", 2)
 
 
 class TestMerge:
@@ -177,7 +182,7 @@ class TestMerge:
         # bipartite double cover of K_n: n-1 regular bipartite on 2n vertices
         assert set(g.degrees()) == {Fraction(n - 1)}
         for u in range(n):
-            assert g.weight(u, n + u) == 0  # no edge to the mirrored vertex
+            assert g.matrix[u, n + u] == 0  # no edge to the mirrored vertex
 
     def test_order_mismatch(self):
         with pytest.raises(ChdError):
@@ -185,8 +190,26 @@ class TestMerge:
 
     def test_weights_applied(self):
         g = merge(complete(2), complete(2), "1/2", "1/3")
-        assert g.weight(0, 1) == Fraction(1, 2)
-        assert g.weight(0, 3) == Fraction(1, 3)
+        assert g.scale == 6 and (g.matrix[0, 1], g.matrix[0, 3]) == (3, 2)
+
+    def test_scaled_graph_leaves_numpy_ma_unimported(self):
+        # np.unique imports numpy.ma on its first call, about 1 MB resident;
+        # the common factor of a scaled matrix is taken without it
+        code = (
+            "import sys, chd\n"
+            "chd.merge(chd.complete(4), chd.cycle(4), '1/2', 1)\n"
+            "print('numpy.ma' in sys.modules)"
+        )
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=src),
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr[-500:]
+        assert proc.stdout.strip() == "False"
 
 
 class TestProducts:

@@ -41,7 +41,8 @@ from chd.spectral import cheeger_value_of
 def naive_cheeger(g):
     """Independent oracle: full enumeration of all nonempty proper subsets."""
     best = None
-    total = sum(g.degrees(), Fraction(0))
+    degs = g.degrees()
+    total = sum(degs, Fraction(0))
     for size in range(1, g.n):
         for subset in combinations(range(g.n), size):
             sset = set(subset)
@@ -49,7 +50,7 @@ def naive_cheeger(g):
             for u, v, w in g.edges():
                 if (u in sset) != (v in sset):
                     cut += w
-            vol = sum((g.degree(u) for u in subset), Fraction(0))
+            vol = sum((degs[u] for u in subset), Fraction(0))
             denom = min(vol, total - vol)
             if denom == 0:
                 continue

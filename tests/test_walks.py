@@ -8,10 +8,14 @@ import pytest
 
 from chd import (
     AbelianGroup,
+    ButsonMatrix,
     ChdError,
     ExactnessError,
+    PreconditionError,
     RationalAngle,
     adjacency_walk_relation,
+    bipartition_from_column,
+    catalogue,
     cayley,
     cayley_fr_conditions,
     certify,
@@ -29,6 +33,8 @@ from chd import (
     find_fr,
     hypercube,
     merge,
+    monomial_transform,
+    p_partition_from_column,
     strongly_cospectral,
     sylvester_hadamard,
 )
@@ -59,8 +65,8 @@ class TestRationalAngle:
 
     def test_times_and_mod_pi(self):
         a = RationalAngle.of_turn(1, 6)
-        assert a.times(6).is_zero()
-        assert a.times(3).is_zero_mod_pi()
+        assert a.times(6) == RationalAngle(0, 1)
+        assert a.times(3).equals_mod_pi(RationalAngle(0, 1))
         assert RationalAngle.of_pi(-1, 3).equals_mod_pi(RationalAngle.of_pi(2, 3))
 
     def test_signed_window(self):
@@ -152,6 +158,49 @@ class TestStronglyCospectral:
         assert pairs == [(0, 3), (1, 4), (2, 5)]
 
 
+class TestArgumentChecks:
+    """Each entry point refuses a float or bool where an integer belongs,
+    with a ChdError, rather than truncating it, reading it as a numpy mask
+    or ending in a bare exception."""
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda q3, f8, s: strongly_cospectral(f8, 1.0, 7),  # ended in IndexError
+            lambda q3, f8, s: strongly_cospectral(f8, True, 7),  # a numpy mask: None
+            lambda q3, f8, s: check_fr(q3, f8, s, 1.0, 7, pi_over(2), pi_over(2)),
+            lambda q3, f8, s: check_pst(q3, f8, s, 0, 7.0, pi_over(2)),
+            lambda q3, f8, s: bipartition_from_column(q3, f8, s, 1.0),
+            lambda q3, f8, s: bipartition_from_column(q3, f8, s, True),
+            lambda q3, f8, s: p_partition_from_column(q3, f8, s, 1, 2.0),
+            lambda q3, f8, s: catalogue(8.0),
+            lambda q3, f8, s: RationalAngle(1.5, 4),
+            lambda q3, f8, s: RationalAngle(True, 4),  # was taken as 1/4
+        ],
+        ids=[
+            "cospectral-float", "cospectral-bool", "check-fr", "check-pst", "bipartition-float",
+            "bipartition-bool", "p-partition", "catalogue", "angle-float", "angle-bool",
+        ],
+    )
+    def test_refused(self, q3, f8, q3_spectrum, call):
+        with pytest.raises(ChdError):
+            call(q3, f8, q3_spectrum)
+
+    @pytest.mark.parametrize("caller", ["certify", "strongly_cospectral", "find_fr"])
+    def test_one_wording_for_the_matrix_precondition(self, q3, f8, q3_spectrum, caller):
+        call = {
+            "certify": lambda h: certify(q3, h),
+            "strongly_cospectral": lambda h: strongly_cospectral(h, 0, 7),
+            "find_fr": lambda h: find_fr(q3, h, q3_spectrum),
+        }[caller]
+        skew = monomial_transform(f8, range(8), range(8), [1] + [0] * 7, [0] * 8)
+        with pytest.raises(PreconditionError, match=f"^{caller} requires a dephased matrix; dephase first$"):
+            call(skew)
+        flat = ButsonMatrix([[0] * 8] * 8, 2)
+        with pytest.raises(PreconditionError, match=f"^{caller} requires a verified Hadamard matrix$"):
+            call(flat)
+
+
 class TestCheckFr:
     def test_cocktail_true_phase(self):
         # at time pi/n the revival phase is +pi/n (verified against the
@@ -173,7 +222,7 @@ class TestCheckFr:
             assert check_fr(g, h, spec, 0, n, tau, gamma)
 
     def test_tau_zero_is_never_fr(self, q3, f8, q3_spectrum):
-        zero = RationalAngle.zero()
+        zero = RationalAngle(0, 1)
         for gamma in (pi_over(2), pi_over(3)):
             assert not check_fr(q3, f8, q3_spectrum, 0, 7, zero, gamma)
 
@@ -303,6 +352,14 @@ class TestMismatchedOrders:
     def test_find_fr_with_a_smaller_graph(self, f8, q3_spectrum):
         with pytest.raises(ChdError, match="orders must agree"):
             find_fr(complete(2), f8, q3_spectrum)
+
+    def test_double_cover_with_a_larger_matrix(self, f8):
+        # the layers and spectra agree, but H is not theirs; tau = 1/3 of a
+        # turn passes no congruence, so no check on the built cover runs
+        g1, g2, h = empty_graph(4), complete(4), character_table((4,))
+        spectra = (certify(g1, h), certify(g2, h))
+        with pytest.raises(ChdError, match="orders must agree"):
+            double_cover_fr(g1, g2, f8, spectra, RationalAngle.of_turn(1, 3))
 
 
 class TestCayleyFrConditions:
