@@ -602,7 +602,7 @@ def catalogue(max_n: int) -> list[CatalogueEntry]:
                 if any(_isomorphic_masks(masks, m) for m in reps):
                     continue
                 reps.append(masks)
-                graph = WeightedGraph._from_matrix(adj)
+                graph = WeightedGraph(adj)
                 spectrum = certify(graph, h)
                 if spectrum is None:
                     raise InternalCheckError(f"a graph read off {name} fails its certificate")

@@ -8,22 +8,23 @@ keeps every row sum and Laplacian entry exact, and an array of Python
 integers otherwise.  Fractions appear only at the boundary: ``from_edges``,
 JSON, ``edges()`` and ``degrees()``.  An edge list is validated in one bulk
 pass, by column and by distinct weight, not edge by edge; a pair given
-twice is refused, and when the list fails, the first offending edge in its
-order is the one reported.  Vertices of product-style constructions are
-numbered in row-major mixed-radix order so that they line up with the rows
-of tensor-product Hadamard matrices.
+twice is refused.  When the list fails, a binary search finds its shortest
+failing prefix, whose last edge is the first offender, and reports that
+edge.  Vertices of product-style constructions are numbered in row-major
+mixed-radix order, matching the rows of tensor-product Hadamard matrices.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from fractions import Fraction
 from itertools import chain, product as iter_product, repeat
 
 import numpy as np
 
 from .cyclotomic import all_integers, exact_dtype
-from .errors import ChdError, InternalCheckError, ScaleError, SimplicityError
+from .errors import ChdError, ScaleError, SimplicityError
 
 __all__ = [
     "WeightedGraph",
@@ -79,61 +80,49 @@ def _as_fraction(x) -> Fraction:
     raise ChdError(f"cannot interpret {x!r} as an exact rational weight")
 
 
-def _edge_fault(item, n: int, seen: set) -> ChdError | None:
-    """What is wrong with one edge, by the rules in their order: shape,
-    weight, vertex type, range, loop, and a pair in ``seen``, the pairs of
-    the edges before it."""
-    if not isinstance(item, (list, tuple)) or len(item) not in (2, 3):
-        return ChdError(f"edge {item!r} is not [u, v] or [u, v, weight]")
-    u, v = item[:2]
-    if len(item) == 3:
-        try:
-            _as_fraction(item[2])
-        except ChdError as err:
-            return err
-    if not all_integers((u, v)):
-        return ChdError(f"edge ({u!r}, {v!r}) has a vertex that is not an integer")
-    if not (0 <= u < n and 0 <= v < n):
-        return ChdError(f"edge ({u}, {v}) out of range for n={n}")
-    if u == v:
-        return SimplicityError(f"loop at vertex {u}")
-    if (min(u, v), max(u, v)) in seen:
-        return SimplicityError(f"duplicate edge ({u}, {v})")
-    seen.add((min(u, v), max(u, v)))
-    return None
-
-
 def _edge_columns(edges: list, n: int):
-    """(us, vs, keys, weights) of an edge list that breaks no rule of
-    ``_edge_fault``, else None, checked once per column or distinct value:
-    the vertex columns as int64 arrays, each edge's weight key, and the
-    weight of each key.  A key is a weight's type and value, so that True
-    is never taken for 1."""
-    if not all(issubclass(t, (list, tuple)) for t in set(map(type, edges))):
-        return None
-    lengths = set(map(len, edges))
-    if not lengths <= {2, 3}:
-        return None
-    us, vs, *ws = zip(*edges) if edges else ((), ())
+    """(us, vs, keys, weights) of an edge list, checked once per column or
+    distinct value: int64 vertex columns, each edge's weight key (its type
+    and value, so that True is never taken for 1) and each key's weight.
+    The rules run in order (shape, weight, vertex type, range, loop,
+    repeated pair), and the first that fails is raised, worded for the
+    last edge: the one at fault when the edges before it break none."""
+    if not edges:
+        return np.zeros(0, np.int64), np.zeros(0, np.int64), [], {}
+    shaped = all(issubclass(t, (list, tuple)) for t in set(map(type, edges)))
+    if not (shaped and (lengths := set(map(len, edges))) <= {2, 3}):
+        raise ChdError(f"edge {edges[-1]!r} is not [u, v] or [u, v, weight]")
+    us, vs, *ws = zip(*edges)
     ws = ws[0] if lengths == {3} else [item[2] if len(item) == 3 else 1 for item in edges]
     keys = list(zip(map(type, ws), ws))
     try:
         weights = {k: _as_fraction(k[1]) for k in set(keys)}
-    except (ChdError, TypeError):  # TypeError: an unhashable weight
-        return None
+    except TypeError:  # an unhashable weight, which no rule accepts
+        raise ChdError(f"cannot interpret {ws[-1]!r} as an exact rational weight") from None
+    u, v = edges[-1][:2]
     if not all_integers(us + vs):
-        return None
+        raise ChdError(f"edge ({u!r}, {v!r}) has a vertex that is not an integer")
     try:
         us, vs = np.array(us, dtype=np.int64), np.array(vs, dtype=np.int64)
     except OverflowError:  # a vertex past int64, so out of range
-        return None
+        raise ChdError(f"edge ({u}, {v}) out of range for n={n}") from None
     lo, hi = np.minimum(us, vs), np.maximum(us, vs)
-    if (lo < 0).any() or (hi >= n).any() or (lo == hi).any():
-        return None
+    if (lo < 0).any() or (hi >= n).any():
+        raise ChdError(f"edge ({u}, {v}) out of range for n={n}")
+    if (lo == hi).any():
+        raise SimplicityError(f"loop at vertex {u}")
     # a repeated pair, in either orientation, is a repeated key lo * n + hi
     if (np.diff(np.sort(lo * n + hi)) == 0).any():
-        return None
+        raise SimplicityError(f"duplicate edge ({u}, {v})")
     return us, vs, keys, weights
+
+
+def _fails(edges: list, n: int) -> bool:
+    try:
+        _edge_columns(edges, n)
+    except ChdError:
+        return True
+    return False
 
 
 def _maxabs(a: np.ndarray) -> int:
@@ -166,27 +155,21 @@ class WeightedGraph:
 
     __slots__ = ("n", "matrix", "scale")
 
-    def __init__(self, rows) -> None:
-        rows = [[_as_fraction(w) for w in row] for row in rows]
-        n = len(rows)
-        if any(len(row) != n for row in rows):
+    def __init__(self, matrix, scale: int = 1) -> None:
+        """Weights matrix / scale, from a copy of a square integer array."""
+        try:
+            mat = np.asarray(matrix)
+        except ValueError:  # rows of unequal lengths
+            raise ChdError("weight matrix must be square") from None
+        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise ChdError("weight matrix must be square")
-        scale = math.lcm(1, *(w.denominator for row in rows for w in row))
-        ints = [[w.numerator * (scale // w.denominator) for w in row] for row in rows]
-        self._store(np.array(ints, dtype=object).reshape(n, n), scale)
-
-    @classmethod
-    def _from_matrix(cls, matrix: np.ndarray, scale: int = 1) -> "WeightedGraph":
-        """The graph with weights matrix / scale, from a square integer array."""
-        g = cls.__new__(cls)
-        g._store(matrix, scale)
-        return g
-
-    def _store(self, mat: np.ndarray, scale: int) -> None:
         n = mat.shape[0]
-        if mat.ndim != 2 or mat.shape[1] != n:
-            raise ChdError("weight matrix must be square")
         check_count(n)
+        python_ints = mat.dtype == object and set(map(type, mat.flat)) <= {int}
+        if not (mat.dtype.kind in "iu" or python_ints):
+            raise ChdError(f"weight matrix entries must be integers, got dtype {mat.dtype}")
+        if not all_integers((scale,)) or scale < 1:
+            raise ChdError(f"scale must be a positive integer, got {scale!r}")
         loops = np.flatnonzero(np.diagonal(mat))
         if loops.size:
             raise SimplicityError(f"vertex {loops[0]} carries a loop")
@@ -212,23 +195,21 @@ class WeightedGraph:
         """The graph on n vertices with these edges, each [u, v] (weight 1)
         or [u, v, weight]; a pair given twice, in either orientation, is
         refused whatever its weights.  The list is checked in one bulk pass;
-        if it fails, the first edge in the list's order that breaks a rule
-        is named by ``_edge_fault``."""
+        if it fails, a binary search finds its shortest failing prefix, and
+        the fault of that prefix's last edge, the first offender, is raised."""
         check_count(n)
         edges = list(edges)
-        columns = _edge_columns(edges, n)
-        if columns is None:
-            seen = set()
-            for item in edges:
-                if fault := _edge_fault(item, n, seen):
-                    raise fault
-            raise InternalCheckError("the bulk edge check refused edges that break no rule")
-        us, vs, keys, weights = columns
+        try:
+            us, vs, keys, weights = _edge_columns(edges, n)
+        except ChdError:
+            end = bisect_left(range(len(edges)), True, key=lambda i: _fails(edges[: i + 1], n))
+            _edge_columns(edges[: end + 1], n)
+            raise
         scale = math.lcm(1, *(w.denominator for w in weights.values()))
         ints = {k: w.numerator * (scale // w.denominator) for k, w in weights.items()}
         mat = np.zeros((n, n), dtype=exact_dtype(n * max(map(abs, ints.values()), default=0)))
         mat[us, vs] = mat[vs, us] = [ints[k] for k in keys]
-        return cls._from_matrix(mat, scale)
+        return cls(mat, scale)
 
     # -- matrices -------------------------------------------------------
 
@@ -240,8 +221,10 @@ class WeightedGraph:
 
         Returns (matrix, scale) with matrix == scale * target entrywise.
         """
-        if target != "laplacian":
+        if target == "adjacency":
             return self.matrix, self.scale
+        if target != "laplacian":
+            raise ChdError(f"unknown target {target!r}; expected 'laplacian' or 'adjacency'")
         return np.diag(self.matrix.sum(axis=1)) - self.matrix, self.scale
 
     def laplacian_float(self) -> np.ndarray:
@@ -384,14 +367,14 @@ def cayley(group: AbelianGroup, connection) -> WeightedGraph:
     for c in conn:
         targets = np.ravel_multi_index(((els + c) % group.moduli).T, group.moduli)
         mat[np.arange(n), targets] = 1
-    return WeightedGraph._from_matrix(mat)
+    return WeightedGraph(mat)
 
 
 def complement(g: WeightedGraph) -> WeightedGraph:
     """Edge-set complement; defined for unweighted graphs only."""
     if not g.is_unweighted():
         raise ChdError("complement is only defined for unweighted graphs")
-    return WeightedGraph._from_matrix(1 - np.eye(g.n, dtype=np.int64) - g.matrix)
+    return WeightedGraph(1 - np.eye(g.n, dtype=np.int64) - g.matrix)
 
 
 def graph_union(g1: WeightedGraph, g2: WeightedGraph) -> WeightedGraph:
@@ -404,7 +387,7 @@ def graph_union(g1: WeightedGraph, g2: WeightedGraph) -> WeightedGraph:
     mat = np.zeros((g1.n + g2.n,) * 2, dtype=dtype)
     mat[: g1.n, : g1.n] = g1.matrix.astype(dtype) * k1
     mat[g1.n :, g1.n :] = g2.matrix.astype(dtype) * k2
-    return WeightedGraph._from_matrix(mat, scale)
+    return WeightedGraph(mat, scale)
 
 
 def graph_join(g1: WeightedGraph, g2: WeightedGraph) -> WeightedGraph:
@@ -412,9 +395,7 @@ def graph_join(g1: WeightedGraph, g2: WeightedGraph) -> WeightedGraph:
     if not (g1.is_unweighted() and g2.is_unweighted()):
         raise ChdError("join is only defined for unweighted graphs")
     check_count(g1.n + g2.n)
-    cross = np.ones((g1.n, g2.n), dtype=np.int64)
-    mat = np.block([[g1.matrix, cross], [cross.T, g2.matrix]])
-    return WeightedGraph._from_matrix(mat)
+    return complement(graph_union(complement(g1), complement(g2)))
 
 
 def merge(g1: WeightedGraph, g2: WeightedGraph, w1, w2) -> WeightedGraph:
@@ -447,7 +428,7 @@ def product(g1: WeightedGraph, g2: WeightedGraph, kind: str) -> WeightedGraph:
 
 def neps(graphs, basis) -> WeightedGraph:
     """Sum of Kronecker products A(G_1)^b1 (x) ... (x) A(G_d)^bd over a basis
-    of 0/1 tuples (the all-zero tuple is excluded; exponent 0 means identity).
+    of 0/1 tuples (exponent 0 means identity; an all-zero tuple is a loop).
     """
     graphs = list(graphs)
     basis = [tuple(beta) for beta in basis]
@@ -459,13 +440,8 @@ def neps(graphs, basis) -> WeightedGraph:
             raise ChdError(f"basis tuple {beta} has wrong arity {len(beta)} != {d}")
         if not all_integers(beta) or any(b not in (0, 1) for b in beta):
             raise ChdError(f"basis tuple {beta} is not 0/1")
-        if not any(beta):
-            raise SimplicityError("the all-zero basis tuple would add a diagonal term")
-    terms = []
-    for beta in basis:
-        factors = [g if b else g.n for g, b in zip(graphs, beta)]
-        terms.append((Fraction(1), factors))
-    return weighted_tensor_sum(terms)
+    factors = ([g if b else g.n for g, b in zip(graphs, beta)] for beta in basis)
+    return weighted_tensor_sum((1, f) for f in factors)
 
 
 def weighted_tensor_sum(terms) -> WeightedGraph:
@@ -513,11 +489,7 @@ def weighted_tensor_sum(terms) -> WeightedGraph:
         for m in mats:
             term = np.kron(term, m.astype(dtype))
         total = total + term
-    if np.diagonal(total).any():
-        raise SimplicityError("summed matrix has a nonzero diagonal entry")
-    if (total < 0).any():
-        raise SimplicityError("summed matrix has a negative weight")
-    return WeightedGraph._from_matrix(total, scale)
+    return WeightedGraph(total, scale)
 
 
 # -- named families -----------------------------------------------------
@@ -531,8 +503,7 @@ def complete(n: int) -> WeightedGraph:
 
 def empty_graph(n: int) -> WeightedGraph:
     _check_size(n)
-    check_count(n)
-    return WeightedGraph._from_matrix(np.zeros((n, n), dtype=np.int64))
+    return complete_multipartite((n,))
 
 
 def cycle(r: int) -> WeightedGraph:
@@ -570,7 +541,7 @@ def complete_multipartite(parts) -> WeightedGraph:
     check_count(sum(parts))
     block = np.repeat(np.arange(len(parts)), parts)
     mat = (block[:, None] != block[None, :]).astype(np.int64)
-    return WeightedGraph._from_matrix(mat)
+    return WeightedGraph(mat)
 
 
 def _check_size(n: int) -> None:

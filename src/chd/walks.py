@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -164,6 +165,8 @@ def _unitary(hc: np.ndarray, lam: np.ndarray, t: float) -> np.ndarray:
     association, which differ by about 1e-16 and need no n x n
     H diag(phases).
     """
+    if isinstance(t, bool) or not isinstance(t, numbers.Real):
+        raise ChdError(f"walk time must be a real number, got {t!r}")
     if not math.isfinite(t):
         raise ChdError(f"walk time must be finite, got {t}")
     phases = np.exp(-1j * t * lam)
@@ -227,6 +230,12 @@ def _revival_phase(plus, minus, s: int, q: int) -> RationalAngle | None:
     return RationalAngle(phases.pop(), q)
 
 
+def _require_angles(**angles) -> None:
+    for name, angle in angles.items():
+        if not isinstance(angle, RationalAngle):
+            raise ChdError(f"{name} must be a RationalAngle, got {angle!r}")
+
+
 def check_fr(
     g: WeightedGraph,
     h: ButsonMatrix,
@@ -239,6 +248,7 @@ def check_fr(
     """Exact test of fractional revival from a to b at time tau with phase
     gamma (mod pi); sigma is read off rows a and b of H, lambda off the
     certified spectrum, which must be integral."""
+    _require_angles(tau=tau, gamma=gamma)
     _require_orders(g, h, spectrum)
     lam = spectrum.integers()
     two = _revival_phase(*_split(strongly_cospectral(h, a, b), lam), tau.num, tau.den)
@@ -434,6 +444,7 @@ def cayley_fr_conditions(
     data: lambda_j is the character sum over the connection set (an
     irrational one rules revival out) and sigma is read off the character
     rows of a and b."""
+    _require_angles(tau=tau)
     conn = list(connection_set(group, connection))
     rows, r = character_rows(group, [group.identity, *conn, *group.normalise_all([a, b]).tolist()])
     # lambda_j = |C| chi_j(0) - sum_{c in C} chi_j(c)
@@ -459,6 +470,7 @@ def double_cover_fr(
     [H, H; H, -H], sigma is +1 on the columns [H; H] with eigenvalues
     lambda_j + mu_j and -1 on [H; -H] with lambda_j + 2 d2 - mu_j.  A found
     phase is re-checked through ``check_fr`` on the built cover."""
+    _require_angles(tau=tau)
     spec1, spec2 = spectra
     _require_orders(g1, h, spec1)
     _require_orders(g2, h, spec2)

@@ -6,8 +6,9 @@ characteristic polynomial, rational root extraction and revival search
 that the table-driven kernels in ``chd`` replaced, and the
 labelled regular-graph enumeration that the small-graph catalogue
 replaced.  They share no code with those kernels: the graph loader checks
-and stores one edge at a time and builds the graph from its dense
-Fraction matrix (only the vertex-count check is shared), the exponent
+and stores one edge at a time and builds the graph from a dense integer
+matrix and the lcm of its weight denominators (only the vertex-count check
+and the graph constructor are shared), the exponent
 table goes through a numpy object array, Phi_r comes from recursive long
 division, reduction is long division by Phi_r, the integer matrix is
 rebuilt from the graph's Fraction edges, the cut tables are one pass per
@@ -86,7 +87,11 @@ def graph_from_edges(n, edges) -> WeightedGraph:
         if (u, v) in weights:
             raise SimplicityError(f"duplicate edge ({u}, {v})")
         weights[u, v] = weights[v, u] = weight
-    return WeightedGraph([[weights.get((u, v), 0) for v in range(n)] for u in range(n)])
+    scale = math.lcm(1, *(w.denominator for w in weights.values()))
+    mat = np.zeros((n, n), dtype=object)
+    for (u, v), w in weights.items():
+        mat[u, v] = w.numerator * (scale // w.denominator)
+    return WeightedGraph(mat, scale)
 
 
 def exponent_table(exps, r: int) -> np.ndarray:

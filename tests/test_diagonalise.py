@@ -684,7 +684,7 @@ class TestLaplaciansOf:
                         expected.add(g.matrix.astype(np.int64).tobytes())
                 assert found == expected, f"{name} column {j}"
                 for values, a in zip(lam, adj):
-                    g = WeightedGraph._from_matrix(a)
+                    g = WeightedGraph(a)
                     assert certify(g, hj).integers() == values.tolist()
 
     def test_library_matrices_need_one_column(self):
@@ -721,7 +721,7 @@ class TestLaplaciansOf:
             lam, adj = _laplacians_of(hj)
             assert len(adj) == 24
             for values, a in zip(lam, adj):
-                assert certify(WeightedGraph._from_matrix(a), hj).integers() == values.tolist()
+                assert certify(WeightedGraph(a), hj).integers() == values.tolist()
             assert {tuple(sorted(v)) for v in lam.tolist()} == {
                 (0,) * 12,
                 (0, 0) + (6,) * 10,

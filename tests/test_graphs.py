@@ -63,6 +63,61 @@ class TestWeightedGraphInvariants:
         assert scale == 6
         assert mat[0][1] == 4 and mat[1][2] == 1
 
+    def test_unknown_target_refused(self):
+        with pytest.raises(ChdError, match="^unknown target 'lapalcian'"):
+            complete(2).integer_matrix("lapalcian")
+
+    def test_first_fault_in_list_order(self):
+        # the loop comes before the malformed item, so it is the one named
+        with pytest.raises(SimplicityError, match=r"^loop at vertex 1$"):
+            WeightedGraph.from_edges(3, [[0, 1], [1, 1], [5]])
+
+
+class TestConstructor:
+    """WeightedGraph(matrix, scale) takes a square integer array and a
+    positive integer scale, and keeps a copy of the array."""
+
+    @pytest.mark.parametrize(
+        "matrix",
+        [
+            np.zeros((2, 2)),
+            np.zeros((2, 2), dtype=bool),
+            np.array([[0, Fraction(1)], [Fraction(1), 0]]),
+            np.array([[0, True], [True, 0]], dtype=object),
+            np.zeros((2, 3), dtype=np.int64),
+            np.zeros(3, dtype=np.int64),
+            [[0, 1], [1]],
+        ],
+        ids=["float", "bool", "fraction", "object-bool", "not-square", "one-axis", "ragged"],
+    )
+    def test_refuses_a_matrix_that_is_not_square_and_integer(self, matrix):
+        with pytest.raises(ChdError):
+            WeightedGraph(matrix)
+
+    @pytest.mark.parametrize("scale", [0, -1, True, 1.5])
+    def test_refuses_a_scale_that_is_not_a_positive_integer(self, scale):
+        with pytest.raises(ChdError, match="^scale must be a positive integer"):
+            WeightedGraph(np.zeros((2, 2), dtype=np.int64), scale)
+
+    @pytest.mark.parametrize(
+        "g",
+        [
+            complete(4),
+            cycle(5),
+            WeightedGraph.from_edges(0, []),
+            WeightedGraph.from_edges(3, [(0, 1, "2/3"), (1, 2, "1/6")]),
+            WeightedGraph.from_edges(3, [(0, 1, "2/3"), (1, 2, 2**70)]),  # object
+        ],
+    )
+    def test_rebuilds_a_graph_from_its_matrix_and_scale(self, g):
+        assert WeightedGraph(g.matrix, g.scale) == g
+
+    def test_a_later_write_to_the_callers_array_does_not_reach_the_graph(self):
+        a = np.array([[0, 2], [2, 0]])
+        g = WeightedGraph(a, 3)
+        a[0, 1] = a[1, 0] = 5
+        assert g.matrix.tolist() == [[0, 2], [2, 0]] and g.scale == 3
+
 
 class TestCayley:
     def test_hypercube_is_cubelike(self, q3):

@@ -101,13 +101,13 @@ class TestCheeger:
         rng = random.Random(9)
         for _ in range(12):
             n = rng.randint(3, 7)
-            rows = [[Fraction(0)] * n for _ in range(n)]
+            edges = []
             for u in range(n):
                 for v in range(u + 1, n):
                     if rng.random() < 0.6:
                         w = Fraction(rng.randint(1, 4), rng.randint(1, 3))
-                        rows[u][v] = rows[v][u] = w
-            g = WeightedGraph(rows)
+                        edges.append((u, v, w))
+            g = WeightedGraph.from_edges(n, edges)
             if not g.is_connected():
                 continue
             h, report = cheeger(g)
@@ -124,7 +124,7 @@ class TestCheeger:
         assert cheeger_value_of(g, [2]) == 0
 
     def test_scale_guard(self):
-        g = WeightedGraph([[Fraction(0)] * 25 for _ in range(25)])
+        g = WeightedGraph.from_edges(25, [])
         with pytest.raises(ScaleError):
             cheeger(g)
 

@@ -186,6 +186,39 @@ class TestArgumentChecks:
         with pytest.raises(ChdError):
             call(q3, f8, q3_spectrum)
 
+    @pytest.mark.parametrize("t", [True, "1", 1j, None, math.inf, math.nan])
+    @pytest.mark.parametrize("walk", [evolve, adjacency_walk_relation])
+    def test_walk_time_must_be_a_finite_real(self, k4, f4, k4_spectrum, walk, t):
+        # True was taken as 1, and a string or complex ended in a TypeError
+        with pytest.raises(ChdError, match="^walk time must be"):
+            walk(k4, f4, k4_spectrum, t)
+
+    def test_walk_time_may_be_any_real(self, k4, f4, k4_spectrum):
+        u = evolve(k4, f4, k4_spectrum, 0.5)
+        for t in (Fraction(1, 2), np.float32(0.5)):
+            assert np.allclose(evolve(k4, f4, k4_spectrum, t), u)
+        assert np.allclose(evolve(k4, f4, k4_spectrum, 1), evolve(k4, f4, k4_spectrum, 1.0))
+
+    @pytest.mark.parametrize(
+        "name, call",
+        [
+            ("tau", lambda q3, f8, s: check_pst(q3, f8, s, 0, 7, Fraction(1, 4))),
+            ("tau", lambda q3, f8, s: check_fr(q3, f8, s, 0, 7, (1, 4), pi_over(2))),
+            ("gamma", lambda q3, f8, s: check_fr(q3, f8, s, 0, 7, pi_over(2), 0.25)),
+            ("tau", lambda q3, f8, s: cayley_fr_conditions(
+                AbelianGroup((2, 2, 2)), [(1, 0, 0), (0, 1, 0), (0, 0, 1)], (0, 0, 0), (1, 1, 1), 0.25
+            )),
+            ("tau", lambda q3, f8, s: double_cover_fr(
+                complement(q3), q3, f8, (certify(complement(q3), f8), s), Fraction(1, 4)
+            )),
+        ],
+        ids=["check-pst", "check-fr-tau", "check-fr-gamma", "cayley", "double-cover"],
+    )
+    def test_revival_angle_must_be_a_rational_angle(self, q3, f8, q3_spectrum, name, call):
+        # each read .num or .times off the argument and ended in an AttributeError
+        with pytest.raises(ChdError, match=f"^{name} must be a RationalAngle, got "):
+            call(q3, f8, q3_spectrum)
+
     @pytest.mark.parametrize("caller", ["certify", "strongly_cospectral", "find_fr"])
     def test_one_wording_for_the_matrix_precondition(self, q3, f8, q3_spectrum, caller):
         call = {
