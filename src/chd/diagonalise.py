@@ -163,12 +163,10 @@ def certify(
     Columns of one coefficient row of lambda share one entry, reduced and
     built once (Q8: 9 entries for 256 columns).
     """
-    if target not in ("laplacian", "adjacency"):
-        raise ChdError(f"unknown target {target!r}")
+    mat, scale = g.integer_matrix(target)
     if g.n != h.n:
         raise ChdError(f"order mismatch: graph has {g.n} vertices, matrix {h.n}")
     _require_dephased(h, "certify")
-    mat, scale = g.integer_matrix(target)
     n, r = g.n, h.r
     w = int(np.abs(mat).sum(axis=1).max(initial=0))
     if not vanishes(lambda p, powers: _residuals(mat, w, h, p, powers), h.exps.T, r, 2 * w):

@@ -5,19 +5,22 @@ the weight of edge (u, v) is ``matrix[u, v] / scale``, where ``scale`` is
 the lcm of the weight denominators, so the stored form is canonical.  The
 matrix is int64 when n times its largest entry stays below 2**62, which
 keeps every row sum and Laplacian entry exact, and an array of Python
-integers otherwise.  Fractions appear only at the boundary: ``from_edges``,
-JSON, ``edges()`` and ``degrees()``.  An edge list is validated in one bulk
-pass, by column and by distinct weight, not edge by edge; a pair given
-twice is refused.  When the list fails, a binary search finds its shortest
-failing prefix, whose last edge is the first offender, and reports that
-edge.  Vertices of product-style constructions are numbered in row-major
-mixed-radix order, matching the rows of tensor-product Hadamard matrices.
+integers otherwise.  ``integer_table`` is the one reader of square integer
+tables: weight, exponent and conference matrices.  Fractions appear only at
+the boundary: ``from_edges``, JSON, ``edges()`` and ``degrees()``.  An edge
+list is validated in one bulk pass, by column and by distinct weight, not
+edge by edge; a pair given twice is refused.  When the list fails, a binary
+search finds its shortest failing prefix, whose last edge is the first
+offender, and reports that edge.  Vertices of product-style constructions
+are numbered in row-major mixed-radix order, matching the rows of
+tensor-product Hadamard matrices.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_left
+from collections.abc import Iterable
 from fractions import Fraction
 from itertools import chain, product as iter_product, repeat
 
@@ -139,6 +142,38 @@ def check_count(n, noun: str = "vertices") -> None:
         raise ScaleError(f"{noun} are capped at {MAX_VERTICES}, got {n}")
 
 
+def integer_table(rows, name: str = "exponent table", entries: str = "exponents") -> np.ndarray:
+    """The table numpy reads ``rows`` as in an object array, if it is n x n,
+    n within the cap, with integer entries by ``all_integers`` (no float, no
+    bool); else a ``ChdError`` naming the shape or the ``entries``.  An int
+    or uint array is returned as it is; n rows of n (lists, tuples or 1-D
+    arrays) are scanned once by type and read in one pass.  The table is
+    int64, or Python integers past int64."""
+    n = len(rows) if isinstance(rows, (list, tuple)) else 0
+    if n:
+        check_count(n, "matrix rows")  # before numpy reads a long list
+    if n and all(
+        isinstance(row, (list, tuple)) and len(row) == n
+        or isinstance(row, np.ndarray) and row.shape == (n,)
+        for row in rows
+    ) and all_integers(chain.from_iterable(rows)):
+        items, shape = lambda: chain.from_iterable(rows), (n, n)
+    else:
+        table = rows if isinstance(rows, np.ndarray) else np.array(rows, dtype=object)
+        if table.ndim != 2 or table.shape[0] != table.shape[1]:
+            raise ChdError(f"{name} must be square, got shape {table.shape}")
+        check_count(table.shape[0], "matrix rows")
+        if table.dtype.kind in "iu":
+            return table
+        if not all_integers(table.flat):
+            raise ChdError(f"{entries} must be integers")
+        items, shape = lambda: table.flat, table.shape
+    try:
+        return np.fromiter(items(), np.int64, math.prod(shape)).reshape(shape)
+    except OverflowError:
+        return np.fromiter(map(int, items()), object, math.prod(shape)).reshape(shape)
+
+
 def check_group_order(moduli) -> None:
     """Refuse a product of cyclic groups with more than MAX_VERTICES
     elements, multiplying the moduli one at a time so that a long iterable
@@ -156,18 +191,9 @@ class WeightedGraph:
     __slots__ = ("n", "matrix", "scale")
 
     def __init__(self, matrix, scale: int = 1) -> None:
-        """Weights matrix / scale, from a copy of a square integer array."""
-        try:
-            mat = np.asarray(matrix)
-        except ValueError:  # rows of unequal lengths
-            raise ChdError("weight matrix must be square") from None
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-            raise ChdError("weight matrix must be square")
+        """Weights matrix / scale, from a copy of a square integer table."""
+        mat = integer_table(matrix, "weight matrix", "weights")
         n = mat.shape[0]
-        check_count(n)
-        python_ints = mat.dtype == object and set(map(type, mat.flat)) <= {int}
-        if not (mat.dtype.kind in "iu" or python_ints):
-            raise ChdError(f"weight matrix entries must be integers, got dtype {mat.dtype}")
         if not all_integers((scale,)) or scale < 1:
             raise ChdError(f"scale must be a positive integer, got {scale!r}")
         loops = np.flatnonzero(np.diagonal(mat))
@@ -325,6 +351,9 @@ class AbelianGroup:
     def normalise_all(self, els) -> np.ndarray:
         """The elements as rows of an int64 array, each entry reduced mod
         its modulus; a float or bool entry is refused, not truncated."""
+        els = list(els)
+        for wrong in (el for el in els if not isinstance(el, Iterable)):
+            raise ChdError(f"element {wrong!r} is not a sequence of exponents")
         els = [tuple(el) for el in els]
         wrong = next((el for el in els if len(el) != len(self.moduli)), None)
         if wrong is not None:

@@ -5,8 +5,9 @@ n x n integer table ``exps`` with entry ``H[j, k] = z**exps[j, k]``,
 ``z = exp(2*pi*i/r)``.  All structural checks (orthogonality, dephasing,
 products) run on the exponents, so they are exact; complex views are derived
 on demand.  Orthogonality is decided by evaluating H at a split prime
-(``cyclotomic.vanishes``).  Orders are capped by ``graphs.check_count``, as graphs
-are, and ``tensor`` checks the order of its product before building it.
+(``cyclotomic.vanishes``).  A table is read by ``graphs.integer_table``, as
+weight and conference matrices are; ``tensor`` and ``character_rows`` check
+its order and root order before building it.
 """
 
 from __future__ import annotations
@@ -15,14 +16,13 @@ import math
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain
 from types import MappingProxyType
 
 import numpy as np
 
 from .cyclotomic import all_integers, check_order, prime_factors, vanishes
 from .errors import ChdError, PreconditionError
-from .graphs import AbelianGroup, blocks, check_count
+from .graphs import AbelianGroup, blocks, check_count, integer_table
 
 __all__ = [
     "ButsonMatrix",
@@ -41,27 +41,6 @@ __all__ = [
     "instance_library",
 ]
 
-def _exponent_table(rows) -> np.ndarray:
-    """An exponent table given as n rows of n integers, the rows lists or
-    tuples (an array is read through ``tolist``): checked once per distinct
-    entry type and read in one pass into int64, or kept as Python integers
-    past int64.  Anything else is refused with the shape numpy gives it, or
-    as not integers."""
-    if isinstance(rows, np.ndarray):
-        rows = rows.tolist()
-    n = len(rows) if isinstance(rows, (list, tuple)) else 0
-    check_count(n, "matrix rows")
-    square = n and all(isinstance(row, (list, tuple)) and len(row) == n for row in rows)
-    if square and all_integers(chain.from_iterable(rows)):
-        try:
-            return np.fromiter(chain.from_iterable(rows), np.int64, n * n).reshape(n, n)
-        except OverflowError:
-            return np.array(rows, dtype=object)
-    shape = np.array(rows, dtype=object).shape
-    if len(shape) == 2 and shape[0] == shape[1]:
-        raise ChdError("exponents must be integers")
-    raise ChdError(f"exponent table must be square, got shape {shape}")
-
 
 class ButsonMatrix:
     """Square matrix of r-th roots of unity, stored as exponents mod r."""
@@ -70,16 +49,12 @@ class ButsonMatrix:
 
     def __init__(self, exps, r: int, _fresh: bool = False) -> None:
         r = check_order(r)
-        if not (isinstance(exps, np.ndarray) and exps.dtype.kind in "iu"):
-            exps, _fresh = _exponent_table(exps), True
-        if exps.ndim != 2 or exps.shape[0] != exps.shape[1]:
-            raise ChdError(f"exponent table must be square, got shape {exps.shape}")
-        check_count(exps.shape[0], "matrix rows")
-        if not exps.size:
+        table = integer_table(exps)
+        if not table.size:
             raise ChdError("a Hadamard matrix needs at least one row")
-        if exps.dtype == object or not 0 <= exps.min() <= exps.max() < r:
-            exps, _fresh = exps % r, True
-        arr = exps.astype(np.int64, copy=not _fresh)  # never alias a caller's array
+        if table.dtype == object or not 0 <= table.min() <= table.max() < r:
+            table = table % r
+        arr = table.astype(np.int64, copy=table is exps and not _fresh)  # copies a caller's array
         arr.setflags(write=False)
         self.exps = arr
         self.r = r
@@ -193,7 +168,7 @@ def character_rows(group: AbelianGroup, elements) -> tuple[np.ndarray, int]:
     the root order r = lcm(moduli): entry [i, j] of the rows is the
     exponent of chi_j(elements[i]) mod r, the characters in the group's
     row-major order."""
-    r = math.lcm(*group.moduli)
+    r = check_order(math.lcm(*group.moduli))  # before the table is built
     weights = np.array([r // m for m in group.moduli], dtype=np.int64)
     rows = np.array(elements, dtype=np.int64) * weights
     table = rows @ np.array(group.elements(), dtype=np.int64).T
@@ -219,9 +194,9 @@ def tensor(h1: ButsonMatrix, h2: ButsonMatrix) -> ButsonMatrix:
     """
     n = h1.n * h2.n
     check_count(n, "matrix rows")
+    r = check_order(math.lcm(h1.r, h2.r))
     _require_verified(h1, "tensor")
     _require_verified(h2, "tensor")
-    r = math.lcm(h1.r, h2.r)
     a = h1.exps * (r // h1.r)
     b = h2.exps * (r // h2.r)
     exps = (a[:, None, :, None] + b[None, :, None, :]).reshape(n, n) % r
@@ -266,11 +241,7 @@ def conference_lift(c) -> ButsonMatrix:
     C^T C = (n-1) I; the lift encodes I + iC over the fourth roots of unity
     and dephases it.
     """
-    c = np.array(c, dtype=object)
-    if c.ndim != 2 or c.shape[0] != c.shape[1]:
-        raise PreconditionError("conference matrix must be square")
-    if not all_integers(c.flat):
-        raise PreconditionError("conference matrix entries must be integers")
+    c = integer_table(c, "conference matrix", "conference matrix entries")
     n = c.shape[0]
     if np.diag(c).any():
         raise PreconditionError("conference matrix must have zero diagonal")

@@ -419,6 +419,8 @@ class TestMalformedInput:
              "--from", "0"),
             ("walk", "--graph", "{k2}", "--hadamard", "{f2}", "--t", "nan",
              "--from", "0"),
+            ("walk", "--graph", "{k2}", "--hadamard", "{f2}", "--t", "1e308",
+             "--from", "0"),
             ("pst-check", "--graph", "{k2}", "--hadamard", "{f2}",
              "--from", "0", "--to", "7", "--tau", "1/4"),
             ("pst-check", "--graph", "{k2}", "--hadamard", "{f2}",
@@ -466,6 +468,7 @@ class TestMalformedInput:
             "walk-from-out-of-range",
             "walk-infinite-time",
             "walk-nan-time",
+            "walk-overflowing-time",
             "pst-to-out-of-range",
             "pst-from-negative",
             "float-vertex",

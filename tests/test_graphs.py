@@ -10,10 +10,12 @@ import pytest
 from chd import (
     AbelianGroup,
     ChdError,
+    RationalAngle,
     ScaleError,
     SimplicityError,
     WeightedGraph,
     cayley,
+    cayley_fr_conditions,
     character_table,
     cocktail_party,
     complement,
@@ -153,6 +155,14 @@ class TestCayley:
             connection_set(group, conn)
         with pytest.raises(ChdError, match="not an integer"):
             cayley(group, conn)
+
+    def test_an_element_that_is_not_a_sequence_is_named(self):
+        # tuple(el) on an int ended in a bare TypeError
+        group = AbelianGroup((4,))
+        with pytest.raises(ChdError, match="^element 1 is not a sequence of exponents$"):
+            cayley(group, [1, 3])
+        with pytest.raises(ChdError, match="^element 0 is not a sequence of exponents$"):
+            cayley_fr_conditions(group, [(1,), (3,)], 0, 2, RationalAngle(1, 4))
 
     def test_connection_set_messages(self):
         group = AbelianGroup((4, 2))

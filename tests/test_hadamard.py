@@ -151,6 +151,27 @@ class TestTableStorage:
         assert h.exps.nbytes == 8 << 20
         assert peak <= 1.25 * h.exps.nbytes
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda tables: character_table((64, 63)),
+            lambda tables: tensor(*tables),
+        ],
+        ids=["character-table", "tensor"],
+    )
+    def test_root_order_cap_checked_before_the_table_is_built(self, build):
+        # the 4032 x 4032 table of Z_64 x Z_63 took 124 MB before its refusal
+        tables = character_table((64,)), character_table((63,))
+        assert all(map(verify, tables))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ScaleError, match=r"^root order 4032 exceeds the cap of 1024$"):
+                build(tables)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
     @pytest.mark.parametrize("exps", [np.array([[0, 0], [0, 1]]), np.array([[0, 0], [0, 3]])])
     def test_a_callers_array_is_never_aliased(self, exps):
         # in range and kept as given, or reduced mod r
@@ -272,6 +293,19 @@ class TestConferenceLift:
         assert verify(h6)
         assert classify(h6).kind == "turyn"
         assert h6.n == 6
+
+    @pytest.mark.parametrize(
+        "c, message",
+        [
+            ([[0, 1], [1]], r"^conference matrix must be square, got shape \(2,\)$"),
+            ([[0, 1.0], [1.0, 0]], "^conference matrix entries must be integers$"),
+        ],
+        ids=["ragged", "float"],
+    )
+    def test_malformed_table_refused_as_any_table(self, c, message):
+        with pytest.raises(ChdError, match=message) as err:
+            conference_lift(c)
+        assert type(err.value) is ChdError
 
     def test_non_conference_rejected(self):
         bad = [[0, 1, 1, 1], [1, 0, 1, 1], [1, 1, 0, 1], [1, 1, 1, 0]]

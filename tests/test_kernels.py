@@ -746,6 +746,7 @@ class TestLoadersAgainstLoop:
             [[0, True], [0, 0]],
             [[0, 1.0], [0, 0]],
             [[0, 0], [0]],
+            [np.array([0, 0]), np.array([0, 1])],
             [[[0], [1]], [[0], [1]]],
             [],
             [[]],
@@ -757,6 +758,40 @@ class TestLoadersAgainstLoop:
         assert _outcome(lambda: ButsonMatrix(exps, 4).exps) == _outcome(
             oracles.exponent_table, exps, 4
         )
+
+
+@pytest.mark.parametrize(
+    "table, accepted",
+    [
+        ([[0, 1], [1, 0]], True),
+        ([[0, True], [1, 0]], False),
+        (
+            np.array([[np.int64(0), np.int64(1)], [np.int64(1), np.int64(0)]], dtype=object),
+            True,
+        ),
+        ([np.array([0, 1]), np.array([1, 0])], True),
+    ],
+    ids=["lists", "mixed-bool-row", "object-array-of-int64", "int64-rows"],
+)
+def test_one_verdict_per_table_from_every_reader(table, accepted):
+    """Exponent tables, weight matrices and conference matrices are read
+    by one rule: each spelling of [[0, 1], [1, 0]] is accepted by all three
+    constructors, or refused by all three as not integers."""
+    outcomes = [
+        _outcome(lambda: ButsonMatrix(table, 2).exps),
+        _outcome(lambda: WeightedGraph(table).matrix),
+        _outcome(lambda: hadamard.conference_lift(table).exps),
+    ]
+    if accepted:
+        assert outcomes == [
+            (np.int64, [[0, 1], [1, 0]]), (np.int64, [[0, 1], [1, 0]]), (np.int64, [[0, 0], [0, 2]])
+        ]
+    else:
+        assert outcomes == [
+            (ChdError, "exponents must be integers"),
+            (ChdError, "weights must be integers"),
+            (ChdError, "conference matrix entries must be integers"),
+        ]
 
 
 class TestRepeatedPair:
