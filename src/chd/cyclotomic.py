@@ -55,10 +55,10 @@ def check_order(r) -> int:
 def all_integers(items) -> bool:
     """Whether every item is an integer, checked once per distinct type: a
     float or bool is refused, not truncated."""
-    return _integer_types(set(map(type, items)))
+    return integer_types(set(map(type, items)))
 
 
-def _integer_types(types) -> bool:
+def integer_types(types) -> bool:
     """Whether every type in ``types`` is an integer type other than bool."""
     return all(issubclass(t, (int, np.integer)) and t is not bool for t in types)
 
@@ -343,7 +343,7 @@ class CyclotomicInt:
                 f"coefficient vector has length {len(coeffs)}, expected {order}"
             )
         types = set(map(type, coeffs))
-        if not _integer_types(types):
+        if not integer_types(types):
             raise ChdError("coefficients must be integers")
         self.order = order
         self.coeffs = coeffs if types == {int} else tuple(map(int, coeffs))

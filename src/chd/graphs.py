@@ -26,7 +26,7 @@ from itertools import chain, product as iter_product, repeat
 
 import numpy as np
 
-from .cyclotomic import all_integers, exact_dtype
+from .cyclotomic import all_integers, exact_dtype, integer_types
 from .errors import ChdError, ScaleError, SimplicityError
 
 __all__ = [
@@ -143,35 +143,37 @@ def check_count(n, noun: str = "vertices") -> None:
 
 
 def integer_table(rows, name: str = "exponent table", entries: str = "exponents") -> np.ndarray:
-    """The table numpy reads ``rows`` as in an object array, if it is n x n,
-    n within the cap, with integer entries by ``all_integers`` (no float, no
-    bool); else a ``ChdError`` naming the shape or the ``entries``.  An int
-    or uint array is returned as it is; n rows of n (lists, tuples or 1-D
-    arrays) are scanned once by type and read in one pass.  The table is
-    int64, or Python integers past int64."""
+    """The table numpy reads ``rows`` as in an object array, if it is n x n
+    within the cap with entries of ``integer_types`` (no float, no bool);
+    else a ``ChdError``.  An int or uint array is returned as it is; n lists
+    or tuples of n are scanned once by type and read in one pass.  The
+    table is int64, or Python integers past int64."""
     n = len(rows) if isinstance(rows, (list, tuple)) else 0
-    if n:
-        check_count(n, "matrix rows")  # before numpy reads a long list
-    if n and all(
-        isinstance(row, (list, tuple)) and len(row) == n
-        or isinstance(row, np.ndarray) and row.shape == (n,)
-        for row in rows
-    ) and all_integers(chain.from_iterable(rows)):
+    check_count(n, "matrix rows")  # before numpy reads a long list
+    square = n and all(isinstance(row, (list, tuple)) and len(row) == n for row in rows)
+    types = square and set(map(type, chain.from_iterable(rows)))
+    if types and integer_types(types):
         items, shape = lambda: chain.from_iterable(rows), (n, n)
     else:
-        table = rows if isinstance(rows, np.ndarray) else np.array(rows, dtype=object)
+        try:
+            table = rows if isinstance(rows, np.ndarray) else np.array(rows, dtype=object)
+        except ValueError:  # rows that numpy cannot stack
+            raise ChdError(f"{name} must be square, got rows of unequal shapes") from None
         if table.ndim != 2 or table.shape[0] != table.shape[1]:
             raise ChdError(f"{name} must be square, got shape {table.shape}")
         check_count(table.shape[0], "matrix rows")
         if table.dtype.kind in "iu":
             return table
-        if not all_integers(table.flat):
+        types = set(map(type, table.flat))
+        if not integer_types(types):
             raise ChdError(f"{entries} must be integers")
         items, shape = lambda: table.flat, table.shape
+    # fromiter may cast a numpy integer unsafely, so one past int64 could wrap
+    ints = items if types == {int} else lambda: map(int, items())
     try:
-        return np.fromiter(items(), np.int64, math.prod(shape)).reshape(shape)
+        return np.fromiter(ints(), np.int64, math.prod(shape)).reshape(shape)
     except OverflowError:
-        return np.fromiter(map(int, items()), object, math.prod(shape)).reshape(shape)
+        return np.fromiter(ints(), object, math.prod(shape)).reshape(shape)
 
 
 def check_group_order(moduli) -> None:

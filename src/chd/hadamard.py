@@ -245,8 +245,7 @@ def conference_lift(c) -> ButsonMatrix:
     n = c.shape[0]
     if np.diag(c).any():
         raise PreconditionError("conference matrix must have zero diagonal")
-    off = c[~np.eye(n, dtype=bool)]
-    if not np.all(np.abs(off) == 1):
+    if not np.all(np.abs(c[~np.eye(n, dtype=bool)]) == 1):
         raise PreconditionError("conference matrix entries must be +-1 off the diagonal")
     c = c.astype(np.int64)
     if not np.array_equal(c, c.T):

@@ -167,7 +167,7 @@ def _unitary(hc: np.ndarray, lam: np.ndarray, t: float) -> np.ndarray:
     """
     if isinstance(t, bool) or not isinstance(t, numbers.Real):
         raise ChdError(f"walk time must be a real number, got {t!r}")
-    if not math.isfinite(float(t) * max(1.0, float(np.abs(lam).max(initial=0)))):
+    if not math.isfinite(float(t) * float(np.abs(lam).max(initial=0))):
         raise ChdError(f"walk time must be finite, as must t * lambda, got {t}")
     phases = np.exp(-1j * t * lam)
     return (hc * phases[None, :]) @ hc.conj().T / len(hc)

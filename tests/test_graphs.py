@@ -89,8 +89,12 @@ class TestConstructor:
             np.zeros((2, 3), dtype=np.int64),
             np.zeros(3, dtype=np.int64),
             [[0, 1], [1]],
+            [np.zeros((2, 2), dtype=np.int64), np.zeros((2, 3), dtype=np.int64)],
         ],
-        ids=["float", "bool", "fraction", "object-bool", "not-square", "one-axis", "ragged"],
+        ids=[
+            "float", "bool", "fraction", "object-bool", "not-square", "one-axis", "ragged",
+            "ragged-blocks",
+        ],
     )
     def test_refuses_a_matrix_that_is_not_square_and_integer(self, matrix):
         with pytest.raises(ChdError):

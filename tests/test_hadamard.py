@@ -307,6 +307,12 @@ class TestConferenceLift:
             conference_lift(c)
         assert type(err.value) is ChdError
 
+    def test_a_uint64_entry_past_int64_is_not_read_as_minus_one(self):
+        # as int64, 2**64 - 1 would be -1 and [[0, -1], [-1, 0]] a conference matrix
+        big = np.uint64(2**64 - 1)
+        with pytest.raises(PreconditionError, match="must be \\+-1 off the diagonal"):
+            conference_lift([np.array([0, big], np.uint64), np.array([big, 0], np.uint64)])
+
     def test_non_conference_rejected(self):
         bad = [[0, 1, 1, 1], [1, 0, 1, 1], [1, 1, 0, 1], [1, 1, 1, 0]]
         with pytest.raises(PreconditionError):

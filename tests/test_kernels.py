@@ -759,6 +759,21 @@ class TestLoadersAgainstLoop:
             oracles.exponent_table, exps, 4
         )
 
+    @pytest.mark.parametrize(
+        "exps",
+        [
+            [np.array([0, 2**64 - 1], np.uint64), np.array([0, 1], np.uint64)],
+            np.array([[0, np.uint64(2**64 - 1)], [0, np.uint64(1)]], dtype=object),
+            [[0, np.uint64(2**64 - 1)], [0, 1]],
+        ],
+        ids=["uint64-rows", "uint64-objects", "uint64-in-a-list"],
+    )
+    def test_a_uint64_exponent_past_int64_is_read_exactly(self, exps):
+        # 2**64 - 1 is 0 mod 3; the same bits read as int64 are -1, or 2 mod 3
+        assert _outcome(lambda: ButsonMatrix(exps, 3).exps) == _outcome(
+            oracles.exponent_table, exps, 3
+        )
+
 
 @pytest.mark.parametrize(
     "table, accepted",
