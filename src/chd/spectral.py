@@ -1,21 +1,21 @@
 """Exact cut searches, for the Cheeger constant and the edge density, and
 the tightness check, which by Fiedler's bound needs no search.
 
-Weights are scaled to integers, and the cut weight of every subset of up
-to 24 vertices comes from one split product over a low and a high block of
-vertices (see ``_cut_tables``).  The low subsets are sorted by the key that
-fixes the ratio's denominator, volume for the Cheeger ratio and size for
-the density, so within one high subset a run of equal keys shares its
-denominator and only its least cut can be minimal.  The products come in
-``graphs.blocks``, each shrunk to its run minima by one grouped minimum,
-and only those are divided, so a search holds a few blocks, under 5 MiB at
-24 vertices, never the 2**(n-1)-entry tables.  The product runs on float64
-BLAS while n * sum(deg) < 2**53 and in int64 above.  Keys and ratios are
-int64, used only while n * sum(deg) and n**2 * scale stay below 2**62,
-which bounds every cut, numerator and denominator; beyond that a
-ScaleError is raised.  The minimum and its smallest subset are selected by
-exact comparison (floats only keep a running shortlist, with an exact pass
-over it).
+Weights are scaled to integers.  S ranges over the subsets of the vertices
+but the last, at most 24, split into a high block, a breadth-first ball
+about the last vertex, and a low block (see ``_cut_tables``).  Only high
+vertices with a low neighbour couple the blocks, so every cut comes from
+one product over their patterns, four on any cycle.  Subsets sharing the
+key that fixes the ratio's denominator (volume for the Cheeger ratio, size
+for the density) form runs in the low block and groups in the high block,
+and only the least cut of a group and a run is divided.  A search holds a
+few blocks of ``graphs.BLOCK // 2`` entries, under 5 MiB.  Products run on
+float64 BLAS while n * sum(deg) < 2**53 and in int64 above; keys and ratios
+are int64 while n * sum(deg) and n**2 * scale stay below 2**62, past which
+a ScaleError is raised.  Floats only shortlist: the minimum is taken
+exactly, and its smallest subset by recomputing the shortlisted groups in
+ascending order of their high bits, until those pass the least minimising
+subset found.
 """
 
 from __future__ import annotations
@@ -72,51 +72,79 @@ def _require_cap(g: WeightedGraph) -> None:
 
 def _bits(k: int) -> np.ndarray:
     """The 2**k x k table whose row x holds the bits of x, low bit first."""
-    return (np.arange(1 << k)[:, None] >> np.arange(k)) & 1
+    x = np.arange(1 << k, dtype="<u4").view(np.uint8).reshape(-1, 4)
+    return np.unpackbits(x, axis=1, count=k, bitorder="little")
+
+
+def _begins(a: np.ndarray) -> np.ndarray:
+    """Whether each entry of the sorted array a begins a run of equal ones."""
+    return np.concatenate(([True], a[1:] != a[:-1]))
 
 
 class _CutTables(NamedTuple):
     """The cut weight and key of every subset S of the first n - 1 vertices
-    (so each {S, V - S} pair appears once).  S's bit mask splits at bit k
-    into a high mask h and a low mask order[j], and then
-    cut(S) = left[h] @ right[:, j] and key(S) = key_hi[h] + key_lo[j].  The
-    low masks are sorted by key, ascending within a key, so equal keys form
-    runs, which begin at ``starts``."""
+    (so each {S, V - S} pair appears once), S the union of a high subset h,
+    a row, and a low subset j, a column: its mask is hi_masks[h] |
+    lo_masks[j], its cut q_hi[h] + left[h >> shift] @ right[:, j] and its
+    key key_hi[h] + key_lo[j], h >> shift being h's boundary pattern.  The
+    columns are sorted by key, then mask, in runs of one key from ``starts``."""
 
     total: int  # the sum of the degrees
+    shift: int  # the number of high vertices without a low neighbour
     left: np.ndarray
     right: np.ndarray
-    order: np.ndarray
     starts: np.ndarray
-    key_hi: np.ndarray
     key_lo: np.ndarray
+    lo_masks: np.ndarray
+    q_hi: np.ndarray
+    key_hi: np.ndarray
+    hi_masks: np.ndarray
 
-    def run_minima(self):
-        """(first high mask, the least cut of each run in each of the next
-        high masks), from products over ``graphs.blocks`` of high masks,
-        gathered while the next product's run minima fit in BLOCK entries."""
+    def groups(self):
+        """(q, key, mask), patterns x groups: a group is the rows of one
+        pattern and one key, in order of key, and q its least q_hi, at which
+        its rows hold its least cut in every column, and mask their least."""
+        if not self.shift:
+            return self.q_hi[:, None], self.key_hi[:, None], self.hi_masks[:, None]
+        # the rows of pattern 0 are the interior parts, with their keys
+        inner = np.argsort(self.key_hi[: 1 << self.shift], kind="stable")
+        starts = np.flatnonzero(_begins(self.key_hi[inner]))
+        q, key, masks = (x.reshape(len(self.left), -1)[:, inner] for x in self[-3:])
+        least = np.minimum.reduceat(q, starts, axis=1)
+        at = q == np.repeat(least, np.diff(starts, append=len(inner)), axis=1)
+        masks = np.minimum.reduceat(np.where(at, masks, np.iinfo(np.int64).max), starts, axis=1)
+        return least, key[:, starts], masks
+
+    def run_minima(self, q: np.ndarray):
+        """(patterns, groups, the least cut of each run in each group), q the
+        groups' least q_hi, from products over ``graphs.blocks`` of the
+        patterns, each shrunk to its run minima by one grouped minimum unless
+        the runs are single columns, gathered while the next one fits.  Half
+        blocks: 2**15-entry float64 temporaries were paged in afresh."""
+        width, runs, groups = len(self.lo_masks), len(self.starts), q.shape[1]
         parts, first = [], 0
-        for rows in graphs.blocks(len(self.left), len(self.order)):
-            cut = self.left[rows] @ self.right
-            if len(self.starts) < len(self.order):
-                cut = np.minimum.reduceat(cut, self.starts, axis=1)
-            parts.append(cut)
-            end = rows.stop  # the next block is as long as this one, or there is none
-            if (end - first + len(cut)) * len(self.starts) > graphs.BLOCK or end == len(self.left):
-                yield first, np.concatenate(parts) if len(parts) > 1 else parts[0]
+        for pats in graphs.blocks(len(q), 2 * max(width, groups * runs)):
+            cut = self.left[pats] @ self.right
+            parts.append(np.minimum.reduceat(cut, self.starts, axis=1) if runs < width else cut)
+            end = pats.stop  # the next product is as long as this one, or there is none
+            if 2 * (end - first + len(cut)) * groups * runs > graphs.BLOCK or end == len(q):
+                cut = np.concatenate(parts) if len(parts) > 1 else parts[0]
+                for cs in graphs.blocks(groups, 2 * runs * len(cut)):
+                    yield slice(first, end), cs, q[first:end, cs, None] + cut[:, None, :]
                 parts, first = [], end
 
 
 def _cut_tables(g: WeightedGraph, key: str) -> _CutTables:
     """The cut tables of g, keyed by "volume" (the sum of the degrees in S)
-    or by "size".
-
-    The n - 1 vertices split into a low block of k bits and a high block.
-    With x the indicator of S, cut(S) = vol(S) - x^T A x, and x^T A x is a
-    term of each block plus 2 x_hi^T A_hl x_lo, so the cut is one product
-    [x_hi, q_hi, 1] @ [-2 A_hl x_lo^T; 1; q_lo], q the cut within a block.
-    Its partial sums are integers in [-sum(deg), sum(deg)], so it runs on
-    float64 BLAS while n * sum(deg) < 2**53 and in int64 above.
+    or by "size".  The high block is the first n - 1 - k vertices that a
+    breadth-first search from vertex n - 1 reaches, then the unreached,
+    neighbours and the unreached in descending order so that the block the
+    witness is sought by leans to the larger vertices; the low block is the
+    other k = (n - 1) // 2.  As cut(S) = x^T (D - A) x, x the indicator of
+    S, and only the boundary B of the high block meets the low block, the
+    cut is q_hi plus [x_B, 1] @ [-2 A_Bl x_lo^T; q_lo] over the 2**|B|
+    patterns x_B, q the cut within a block.  The partial sums are integers
+    of size at most sum(deg), so exact in float64 while that is below 2**53.
     """
     n = g.n
     _require_cap(g)
@@ -128,35 +156,52 @@ def _cut_tables(g: WeightedGraph, key: str) -> _CutTables:
     if n * total >= INT64_BOUND or n * n * g.scale >= INT64_BOUND:
         raise ScaleError("weights this large overflow the int64 cut tables")
     k = (n - 1) // 2
-    hi, lo = slice(k, n - 1), slice(0, k)
+    nbrs, (us, vs) = [[] for _ in range(n)], np.nonzero(mat[:, ::-1])
+    for u, v in zip(us.tolist(), (n - 1 - vs).tolist()):
+        nbrs[u].append(v)  # in descending order
+    order, seen = [n - 1], {n - 1}
+    for u in order:  # breadth first: the loop goes on over what it appends
+        order += [v for v in nbrs[u] if v not in seen and not seen.add(v)]
+    order += [v for v in range(n - 2, -1, -1) if v not in seen]
+    high, low = sorted(order[1 : n - k]), set(order[n - k :])
+    inner = [u for u in high if low.isdisjoint(nbrs[u])]  # the boundary takes the top bits
+    hi = np.array(inner + [u for u in high if u not in inner], dtype=np.int64)
+    lo, shift = np.array(sorted(low), dtype=np.int64), len(inner)
     weight = deg if key == "volume" else np.ones_like(deg)
-    x_hi, x_lo = _bits(n - 1 - k), _bits(k)
-    key_lo = x_lo @ weight[lo]
-    order = np.argsort(key_lo, kind="stable")
-    x_lo, key_lo = x_lo[order], key_lo[order]
-    q_hi = x_hi @ deg[hi] - ((x_hi @ mat[hi, hi]) * x_hi).sum(axis=1)
-    q_lo = x_lo @ deg[lo] - ((x_lo @ mat[lo, lo]) * x_lo).sum(axis=1)
     dtype = np.float64 if n * total < FLOAT64_BOUND else np.int64
-    left = np.column_stack((x_hi, q_hi, np.ones_like(q_hi))).astype(dtype)
-    right = np.vstack((-2 * mat[hi, lo] @ x_lo.T, np.ones_like(q_lo), q_lo)).astype(dtype)
-    starts = np.flatnonzero(np.diff(key_lo, prepend=-1))
-    return _CutTables(total, left, right, order, starts, x_hi @ weight[hi], key_lo)
+    table = np.hstack((mat, np.array((deg, weight, 1 << np.arange(n))).T)).astype(dtype)
+    x_hi = _bits(len(hi)).astype(dtype)  # its first 2**k rows and k columns are _bits(k)
+
+    sides = []  # per block: each subset's q, key, mask and row of A[vs, others]
+    for vs, others in ((hi, []), (lo, hi[shift:])):
+        m, x = len(vs), x_hi[: 1 << len(vs), : len(vs)]
+        p = x @ table[np.ix_(vs, [*vs, n, n + 1, n + 2, *others])]
+        q = p[:, m] - np.einsum("ij,ij->i", p[:, :m], x)
+        sides.append((q, *p[:, m + 1 : m + 3].T.astype(np.int64), p[:, m + 3 :]))
+    (q_hi, key_hi, hi_masks, _), (q_lo, key_lo, lo_masks, cross) = sides
+    perm = np.argsort(key_lo, kind="stable")
+    key_lo, lo_masks = key_lo[perm], lo_masks[perm]
+    starts = np.flatnonzero(_begins(key_lo))
+    if 2 * len(starts) > len(key_lo):  # grouping so many runs costs more than it saves
+        starts = np.arange(len(key_lo))
+    left = np.ones((len(q_hi) >> shift, len(hi) - shift + 1), dtype=dtype)
+    left[:, :-1] = x_hi[:: 1 << shift, shift:]  # row p << shift has pattern p alone
+    right = np.concatenate((-2 * cross[perm].T, q_lo[None, perm]))
+    return _CutTables(total, shift, left, right, starts, key_lo, lo_masks, q_hi, key_hi, hi_masks)
 
 
 def _report(g: WeightedGraph, mask: int, cut_scaled: int) -> CutReport:
     n = g.n
     subset = tuple(u for u in range(n) if mask >> u & 1)
-    cut = Fraction(cut_scaled, g.scale)
-    degs = g.degrees()
-    vol_s = sum((degs[u] for u in subset), Fraction(0))
-    vol_rest = sum(degs, Fraction(0)) - vol_s
+    deg = g.matrix.sum(axis=1).tolist()  # the degrees times g.scale, exact
+    vol_s = sum(deg[u] for u in subset)
+    smaller = min(vol_s, sum(deg) - vol_s)
     k = len(subset)
-    smaller = min(vol_s, vol_rest)
     # a zero-volume side only happens with isolated vertices, where the cut
     # is empty as well; the ratio is 0 by convention
-    cheeger_value = cut / smaller if smaller else Fraction(0)
-    density = Fraction(n) * cut / (k * (n - k))
-    return CutReport(subset, cut, cheeger_value, density)
+    cheeger_value = Fraction(cut_scaled, smaller) if smaller else Fraction(0)
+    density = Fraction(n * cut_scaled, k * (n - k) * g.scale)
+    return CutReport(subset, Fraction(cut_scaled, g.scale), cheeger_value, density)
 
 
 def _scan_minimum(g: WeightedGraph, t: _CutTables, ratio) -> tuple[Fraction, CutReport]:
@@ -164,44 +209,48 @@ def _scan_minimum(g: WeightedGraph, t: _CutTables, ratio) -> tuple[Fraction, Cut
     (num, den) = ratio(cut, key) with num increasing in the cut, and its
     report; ties break to the smallest mask.
 
-    Within one high row a run of equal keys shares its denominator, so its
-    least ratio is that of its least cut: only the run minima are divided.
-    Of those, the first entry of each distinct (num, den) pair is kept while
-    its float ratio is within 1e-9 max(1, fmin) of the smallest so far.  The
-    ratios are nonnegative, so that threshold only tightens, and the kept
-    entries hold every pair within it of the final minimum; those are
-    compared exactly, one Fraction per pair.  The first row at the minimum
-    holds the smallest minimising mask; that row is recomputed whole and
-    its masks are compared with the minimum in Python integers.
+    A group is kept, with the (num, den) pairs of its run minima, while its
+    least float ratio is within 1e-9 max(1, fmin) of the least so far, fmin.
+    That threshold only tightens, so the kept pairs, all true ratios, hold
+    the minimum's, and the least of them is the exact minimum.  The groups
+    kept to the end are recomputed whole in ascending order of their high
+    masks, the first alone, until that mask passes the least mask found at
+    the minimum, which is where a mask's pair is a minimum's.
     """
-    fmin, kept = np.inf, []
-    run_keys, width = t.key_lo[t.starts], len(t.starts)
-    for a, cut in t.run_minima():
-        num, den = ratio(cut, t.key_hi[a : a + len(cut), None] + run_keys)
-        # den is 0 only at mask 0, the empty set, in the first block
-        f = num / den if a else np.divide(num, den, out=np.full(num.shape, np.inf), where=den > 0)
-        fmin = min(fmin, float(f.min()))
-        idx = np.flatnonzero(f <= fmin + 1e-9 * max(1.0, fmin))
-        if len(idx):
-            f, num, den = (x.ravel()[idx] for x in (f, num, den))
-            pos = np.lexsort((den, num))  # stable: the first of a pair leads
-            pos = pos[(np.diff(num[pos], prepend=-1) != 0) | (np.diff(den[pos], prepend=-1) != 0)]
-            kept.append((f[pos], num[pos].astype(np.int64), den[pos], a + idx[pos] // width))
-    fs, nums, dens, rows = (np.concatenate(c) for c in zip(*kept))
-    sel = fs <= fmin + 1e-9 * max(1.0, fmin)
-    first = {}  # the first row of each pair; rows ascend over blocks
-    for pair, row in zip(zip(nums[sel].tolist(), dens[sel].tolist()), rows[sel].tolist()):
-        first.setdefault(pair, row)
-    best, row = min((Fraction(*pair), row) for pair, row in first.items())
-    cut = (t.left[row] @ t.right).astype(np.int64, copy=False)
-    num, den = ratio(cut, t.key_hi[row] + t.key_lo)
-    p, q = best.numerator, best.denominator
-    j = min(
-        (j for j, (x, y) in enumerate(zip(num.tolist(), den.tolist())) if y and x * q == y * p),
-        key=t.order.__getitem__,
-    )
-    k = len(t.order).bit_length() - 1
-    return best, _report(g, row << k | int(t.order[j]), int(cut[j]))
+    q, key, hmask = t.groups()
+    run_keys = t.key_lo[t.starts]
+    fmin, kept, least, pairs = np.inf, [], [], set()
+    for pats, cs, cut in t.run_minima(q):
+        num, den = ratio(cut, key[pats, cs, None] + run_keys)
+        if pats.start or cs.start:
+            f = num / den
+        else:  # den is 0 only at mask 0, the empty set, in group 0
+            f = np.divide(num, den, out=np.full(num.shape, np.inf), where=den > 0)
+        low = f.min(axis=2).ravel()
+        fmin = min(fmin, float(low.min()))
+        i = np.flatnonzero(low <= fmin + 1e-9 * max(1.0, fmin))
+        if len(i) and fmin < np.inf:  # not the empty set alone
+            num, den, f = (x.reshape(len(low), -1)[i] for x in (num, den, f))
+            near = f <= fmin + 1e-9 * max(1.0, fmin)
+            kept.append(pats.start * q.shape[1] + cs.start + i)  # one pattern, or all its groups
+            least.append(low[i])
+            pairs.update(zip(num[near].astype(np.int64).tolist(), den[near].tolist()))
+    best = min(Fraction(*pair) for pair in pairs)
+    pairs = [pair for pair in pairs if Fraction(*pair) == best]
+    kept = np.concatenate(kept)[np.concatenate(least) <= fmin + 1e-9 * max(1.0, fmin)]
+    kept = kept[np.argsort(hmask.flat[kept], kind="stable")]
+    mask, step = None, 1
+    while len(kept):
+        gs, kept, step = kept[:step], kept[step:], max(1, graphs.BLOCK // (2 * len(t.lo_masks)))
+        cut = q.flat[gs][:, None] + t.left[gs // q.shape[1]] @ t.right
+        num, den = ratio(cut, key.flat[gs][:, None] + t.key_lo)
+        i, j = np.nonzero(np.logical_or.reduce([(num == x) & (den == y) for x, y in pairs]))
+        masks = hmask.flat[gs[i]] | t.lo_masks[j]
+        if len(masks) and (mask is None or masks.min() < mask):
+            m = int(masks.argmin())
+            mask, cut_weight = int(masks[m]), int(cut[i[m], j[m]])
+            kept = kept[hmask.flat[kept] < mask]
+    return best, _report(g, mask, cut_weight)
 
 
 def cheeger(g: WeightedGraph) -> tuple[Fraction, CutReport]:
@@ -214,6 +263,10 @@ def cheeger(g: WeightedGraph) -> tuple[Fraction, CutReport]:
     if len(comps) > 1:
         mask = sum(1 << u for u in comps[0])
         return Fraction(0), _report(g, mask, 0)
+    return _connected_cheeger(g)
+
+
+def _connected_cheeger(g: WeightedGraph) -> tuple[Fraction, CutReport]:
     # the last vertex is never in S, so every nonempty mask is a proper subset
     t = _cut_tables(g, "volume")
     return _scan_minimum(g, t, lambda cut, vol: (cut, np.minimum(vol, t.total - vol, out=vol)))
@@ -306,7 +359,7 @@ def cheeger_inequality_audit(
             raise PreconditionError("the spectrum is not the Laplacian spectrum of the graph")
         lam2 = spectrum.second_smallest()
     gamma2 = lam2 / d
-    h_val, witness = cheeger(g)
+    h_val, witness = _connected_cheeger(g)  # connected, as checked above
     lower_ok = gamma2 / 2 <= h_val
     upper_ok = h_val * h_val <= 2 * gamma2
     return {

@@ -847,6 +847,26 @@ def cut_graphs(draw):
     return WeightedGraph.from_edges(n, edges)
 
 
+@st.composite
+def sparse_graphs(draw):
+    """Randomly relabelled cycles, paths, trees and disjoint unions of them
+    on at most 14 vertices, the sparse graphs whose boundary patterns the
+    cut tables multiply; weights 1 or drawn from 1-9."""
+    pieces, n, edges = draw(st.integers(1, 3)), 0, []
+    for _ in range(pieces):
+        kind, size = draw(st.sampled_from(["cycle", "path", "tree"])), draw(st.integers(2, 6))
+        if kind == "tree":
+            edges += [(n + v, n + draw(st.integers(0, v - 1))) for v in range(1, size)]
+        else:
+            edges += [(n + v, n + v + 1) for v in range(size - 1)]
+            if kind == "cycle" and size > 2:
+                edges.append((n, n + size - 1))
+        n += size
+    perm = draw(st.permutations(range(n)))
+    weight = st.integers(1, 9) if draw(st.booleans()) else st.just(1)
+    return WeightedGraph.from_edges(n, [(perm[u], perm[v], draw(weight)) for u, v in edges])
+
+
 def _mask(subset) -> int:
     return sum(1 << u for u in subset)
 
@@ -859,39 +879,55 @@ def _same_minimum(g, kind):
 def _tables(g):
     """The cut, volume and size tables rebuilt from ``_cut_tables``, keyed
     by volume and by size, which must give the same cuts.  Along the way
-    each table's low masks are checked to be sorted by key, ascending within
-    a key, with a run starting wherever the key changes; and its run minima
-    to be the least cut of each run, in chunks that each start at the high
-    mask after the last and hold at most ``graphs.BLOCK`` entries, or one
-    product's, but not so few that the next product's would have fit."""
+    each table's columns are checked to be sorted by key, ascending in mask
+    within a key, with a run starting wherever the key changes; its
+    ``groups`` to be the least q_hi, the key and the least high mask at that
+    q_hi of the rows of one pattern and one key, in order of key; and its
+    run minima to be the least cut of each run over the rows of each group,
+    in chunks that cover the groups in order, each of at most half of
+    ``graphs.BLOCK`` entries or of one run per group."""
     cut, keys = [], {}
     for key in ("volume", "size"):
         t = _cut_tables(g, key)
-        width, k = len(t.order), len(t.order).bit_length() - 1
-        assert width == 1 << k
-        by_mask = dict(zip(t.order.tolist(), t.key_lo.tolist()))
-        assert t.order.tolist() == sorted(range(width), key=by_mask.__getitem__)
+        rows, width = len(t.q_hi), len(t.lo_masks)
         lo = t.key_lo.tolist()
-        runs = [j for j in range(width) if j == 0 or lo[j] != lo[j - 1]]
-        assert t.starts.tolist() == runs
-        masks = np.arange(len(t.left))[:, None] << k | t.order
-        sorted_cuts = (t.left @ t.right).astype(np.int64)
-        table = np.zeros(len(t.left) << k, dtype=np.int64)
+        assert sorted(zip(lo, t.lo_masks.tolist())) == list(zip(lo, t.lo_masks.tolist()))
+        ends = [*t.starts[1:].tolist(), width]
+        assert t.starts[0] == 0 and all(lo[a] == lo[b - 1] for a, b in zip(t.starts, ends))
+        assert {j for j in range(1, width) if lo[j] != lo[j - 1]} <= set(t.starts.tolist())
+        masks = t.hi_masks[:, None] | t.lo_masks
+        assert sorted(masks.ravel().tolist()) == list(range(rows * width))
+        pats = np.arange(rows) >> t.shift
+        sorted_cuts = (t.q_hi[:, None] + t.left[pats] @ t.right).astype(np.int64)
+        key_table = t.key_hi[:, None] + t.key_lo
+        q, group_keys, group_masks = t.groups()
+        members = []  # the rows of each group, pattern by pattern
+        for p in range(len(t.left)):
+            own = np.flatnonzero(pats == p)
+            values = sorted(set(t.key_hi[own].tolist()))
+            assert group_keys[p].tolist() == values
+            for c, v in enumerate(values):
+                hs = own[t.key_hi[own] == v]
+                members.append(hs)
+                assert q[p, c] == t.q_hi[hs].min()
+                assert group_masks[p, c] == t.hi_masks[hs[t.q_hi[hs] == q[p, c]]].min()
+        end = 0
+        for pats_, cs, minima in t.run_minima(q):
+            assert minima.dtype == t.left.dtype
+            assert minima.size <= max(graphs.BLOCK // 2, len(t.starts))
+            flat = (np.arange(pats_.start, pats_.stop)[:, None] * q.shape[1] + np.arange(cs.start, cs.stop)).ravel()
+            assert flat[0] == end and np.array_equal(flat, np.arange(end, end + len(flat)))
+            end += len(flat)
+            for row, i in zip(minima.reshape(len(flat), -1), flat):
+                want = [sorted_cuts[members[i], a:b].min() for a, b in zip(t.starts, ends)]
+                assert row.tolist() == want
+        assert end == q.size == len(members)
+        table = np.zeros(rows * width, dtype=np.int64)
         table[masks] = sorted_cuts
-        end, rows = 0, max(1, graphs.BLOCK // width)
-        for first, minima in t.run_minima():
-            assert first == end and minima.dtype == t.left.dtype
-            end += len(minima)
-            # products of `rows` rows, gathered while the next one fits
-            step = rows * len(t.starts)
-            assert minima.size <= max(graphs.BLOCK, step)
-            assert end == len(t.left) or minima.size + step > graphs.BLOCK
-            runs = zip(t.starts, [*t.starts[1:], width])
-            want = [sorted_cuts[first:end, a:b].min(axis=1) for a, b in runs]
-            assert np.array_equal(minima, np.stack(want, axis=1))
-        assert end == len(t.left)
         cut.append(table.tolist())
-        keys[key] = (t.key_hi[:, None] + t.key_lo).ravel()[np.argsort(masks, axis=None)].tolist()
+        by_mask = np.zeros(rows * width, dtype=np.int64)
+        by_mask[masks] = key_table
+        keys[key] = by_mask.tolist()
     assert cut[0] == cut[1]
     return cut[0], keys["volume"], keys["size"], t.total, g.scale
 
@@ -924,6 +960,28 @@ class TestCutTablesAgainstLoop:
                 assert value == 0 and report.cut_weight == 0
                 assert list(report.subset) == g.components()[0]
 
+    @settings(max_examples=60, deadline=None)
+    @given(sparse_graphs(), st.sampled_from([2, 64, 1 << 15]))
+    def test_relabelled_sparse_graphs(self, g, block):
+        # the high block is a breadth-first ball, whatever the labels
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(graphs, "BLOCK", block)
+            _same_minimum(g, "density")
+            if g.is_connected():
+                _same_minimum(g, "cheeger")
+
+    def test_a_relabelled_cycle_has_two_boundary_vertices(self):
+        perm = random.Random(24).sample(range(24), 24)
+        g = WeightedGraph.from_edges(24, [(perm[u], perm[(u + 1) % 24]) for u in range(24)])
+        for key in ("volume", "size"):
+            t = _cut_tables(g, key)
+            assert t.left.shape == (4, 3) and t.shift == 10
+
+    def test_every_subset_of_the_empty_24_vertex_graph_ties(self):
+        # 2**23 subsets at density 0; the witness pass stops after one group
+        value, report = min_edge_density(WeightedGraph.from_edges(24, []))
+        assert value == 0 and report.subset == (0,)
+
     @pytest.mark.parametrize("block", [1, 16, 1 << 15])
     @pytest.mark.parametrize(
         "g",
@@ -939,13 +997,14 @@ class TestCutTablesAgainstLoop:
 
     @pytest.mark.parametrize("block", [1, 8, 1 << 15])
     def test_distinct_low_volumes_make_one_mask_runs(self, monkeypatch, block):
-        # the low vertices 0-3 have degrees 1, 2, 4 and 8, so each low
-        # subset has a volume of its own
+        # the search from vertex 8 meets the path 7-6-5-4 first, so the low
+        # vertices are 0-3, of degrees 1, 2, 4 and 8, and each low subset
+        # has a volume of its own
         monkeypatch.setattr(graphs, "BLOCK", block)
-        edges = [(u, 8, 1 << u) for u in range(4)] + [(u, u + 1, 16) for u in range(4, 8)]
+        edges = [(u, 4, 1 << u) for u in range(4)] + [(u, u + 1, 16) for u in range(4, 8)]
         g = WeightedGraph.from_edges(9, edges)
         t = _cut_tables(g, "volume")
-        assert len(t.starts) == len(t.order) == 16
+        assert t.lo_masks.max() < 16 and len(t.starts) == len(t.lo_masks) == 16
         assert _tables(g) == oracles.subset_tables(g)
         _same_minimum(g, "cheeger")
         _same_minimum(g, "density")

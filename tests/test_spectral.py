@@ -391,3 +391,13 @@ class TestCutSearchMemory:
     def test_traced_peak_on_c24(self, search):
         # the 24-vertex cap, where README promises under 5 MiB traced
         assert _traced_peak(search, cycle(24)) < 5 * 2**20
+
+    @pytest.mark.parametrize("search", [cheeger, min_edge_density])
+    def test_traced_peak_on_a_relabelled_c24(self, search):
+        perm = random.Random(5).sample(range(24), 24)
+        g = WeightedGraph.from_edges(24, [(perm[u], perm[(u + 1) % 24]) for u in range(24)])
+        assert _traced_peak(search, g) < 5 * 2**20
+
+    def test_traced_peak_on_the_empty_24_vertex_graph(self):
+        # every subset ties at density 0
+        assert _traced_peak(min_edge_density, WeightedGraph.from_edges(24, [])) < 5 * 2**20

@@ -186,11 +186,14 @@ class TestArgumentChecks:
         with pytest.raises(ChdError):
             call(q3, f8, q3_spectrum)
 
-    @pytest.mark.parametrize("t", [True, "1", 1j, None, math.inf, math.nan, 1e308])
+    @pytest.mark.parametrize(
+        "t", [True, "1", 1j, None, math.inf, math.nan, 1e308, 10**400, Fraction(10**400, 3)]
+    )
     @pytest.mark.parametrize("walk", [evolve, adjacency_walk_relation])
     def test_walk_time_must_be_a_finite_real(self, k4, f4, k4_spectrum, walk, t):
-        # True was taken as 1, a string or complex ended in a TypeError, and
-        # 1e308 times the eigenvalue 4 overflowed every phase into NaN
+        # True was taken as 1, a string or complex ended in a TypeError,
+        # 1e308 times the eigenvalue 4 overflowed every phase into NaN, and
+        # an integer or Fraction past the float range ended in OverflowError
         with pytest.raises(ChdError, match="^walk time must be"):
             walk(k4, f4, k4_spectrum, t)
 
