@@ -5,14 +5,14 @@ Weights are scaled to integers.  S ranges over the subsets of the vertices
 but the last, at most 24, split into a high block, a breadth-first ball
 about the last vertex, and a low block (see ``_cut_tables``).  Only high
 vertices with a low neighbour couple the blocks, so every cut comes from
-one product over their patterns, four on any cycle.  Subsets sharing the
-key that fixes the ratio's denominator (volume for the Cheeger ratio, size
-for the density) form runs in the low block and groups in the high block,
-and only the least cut of a group and a run is divided.  A search holds a
-few blocks of ``graphs.BLOCK // 2`` entries, under 5 MiB.  Products run on
-float64 BLAS while n * sum(deg) < 2**53 and in int64 above; keys and ratios
-are int64 while n * sum(deg) and n**2 * scale stay below 2**62, past which
-a ScaleError is raised.  Floats only shortlist: the minimum is taken
+one product over their patterns, at most four on a cycle.  Subsets that
+share the key fixing the ratio's denominator (volume for the Cheeger ratio,
+size for the density) form runs in the low block and groups in the high
+block, and only the least cut of a group and a run is divided.  A search
+holds a few blocks of ``graphs.BLOCK // 2`` entries, under 5 MiB.  Products
+run on float64 BLAS while n * sum(deg) < 2**53 and in int64 above; keys and
+ratios are int64 while n * sum(deg) and n**2 * scale stay below 2**62, past
+which a ScaleError is raised.  Floats only shortlist: the minimum is taken
 exactly, and its smallest subset by recomputing the shortlisted groups in
 ascending order of their high bits, until those pass the least minimising
 subset found.
@@ -169,15 +169,19 @@ def _cut_tables(g: WeightedGraph, key: str) -> _CutTables:
     lo, shift = np.array(sorted(low), dtype=np.int64), len(inner)
     weight = deg if key == "volume" else np.ones_like(deg)
     dtype = np.float64 if n * total < FLOAT64_BOUND else np.int64
+    # each vertex's row of A, its degree, key weight and mask bit
     table = np.hstack((mat, np.array((deg, weight, 1 << np.arange(n))).T)).astype(dtype)
-    x_hi = _bits(len(hi)).astype(dtype)  # its first 2**k rows and k columns are _bits(k)
-
+    x_hi = _bits(len(hi))  # its first 2**k rows and k columns are _bits(k)
     sides = []  # per block: each subset's q, key, mask and row of A[vs, others]
     for vs, others in ((hi, []), (lo, hi[shift:])):
-        m, x = len(vs), x_hi[: 1 << len(vs), : len(vs)]
-        p = x @ table[np.ix_(vs, [*vs, n, n + 1, n + 2, *others])]
-        q = p[:, m] - np.einsum("ij,ij->i", p[:, :m], x)
-        sides.append((q, *p[:, m + 1 : m + 3].T.astype(np.int64), p[:, m + 3 :]))
+        m, cols = len(vs), table[np.ix_(vs, [*vs, n, n + 1, n + 2, *others])]
+        out = np.empty((cols.shape[1] - m, 1 << m), dtype=dtype)
+        for rows in graphs.blocks(1 << m, 2 * cols.shape[1]):  # half blocks, as in run_minima
+            x = x_hi[rows, :m].astype(dtype)
+            p = x @ cols
+            p[:, m] -= np.einsum("ij,ij->i", p[:, :m], x)
+            out[:, rows] = p[:, m:].T
+        sides.append((out[0], *out[1:3].astype(np.int64), out[3:]))
     (q_hi, key_hi, hi_masks, _), (q_lo, key_lo, lo_masks, cross) = sides
     perm = np.argsort(key_lo, kind="stable")
     key_lo, lo_masks = key_lo[perm], lo_masks[perm]
@@ -186,7 +190,7 @@ def _cut_tables(g: WeightedGraph, key: str) -> _CutTables:
         starts = np.arange(len(key_lo))
     left = np.ones((len(q_hi) >> shift, len(hi) - shift + 1), dtype=dtype)
     left[:, :-1] = x_hi[:: 1 << shift, shift:]  # row p << shift has pattern p alone
-    right = np.concatenate((-2 * cross[perm].T, q_lo[None, perm]))
+    right = np.concatenate((-2 * cross[:, perm], q_lo[None, perm]))
     return _CutTables(total, shift, left, right, starts, key_lo, lo_masks, q_hi, key_hi, hi_masks)
 
 
@@ -213,9 +217,10 @@ def _scan_minimum(g: WeightedGraph, t: _CutTables, ratio) -> tuple[Fraction, Cut
     least float ratio is within 1e-9 max(1, fmin) of the least so far, fmin.
     That threshold only tightens, so the kept pairs, all true ratios, hold
     the minimum's, and the least of them is the exact minimum.  The groups
-    kept to the end are recomputed whole in ascending order of their high
-    masks, the first alone, until that mask passes the least mask found at
-    the minimum, which is where a mask's pair is a minimum's.
+    kept to the end are recomputed whole, in ascending order of their high
+    masks and the first alone; a mask is at the minimum iff its pair is a
+    minimum's, and groups whose high mask passes the least such mask found
+    are dropped.
     """
     q, key, hmask = t.groups()
     run_keys = t.key_lo[t.starts]
@@ -386,7 +391,7 @@ def exact_rational_spectrum(g: WeightedGraph) -> list[Fraction]:
     Beyond that bound a ScaleError is raised.
     """
     ints, scale = g.integer_matrix("laplacian")
-    row_sum = max((sum(abs(x) for x in row) for row in ints.tolist()), default=0)
+    row_sum = int(np.abs(ints).sum(axis=1).max(initial=0))  # 2 deg: n * max weight < 2**62
     if g.n * row_sum >= _EIGVALSH_BOUND:
         raise ScaleError("weights this large exceed the rounding bound of the spectrum")
     roots = sorted(int(x) for x in np.rint(np.linalg.eigvalsh(ints.astype(float))))
