@@ -130,9 +130,9 @@ class SpectrumAssignment:
 
 def regularity_check(g: WeightedGraph) -> Fraction | None:
     """The common weighted degree if the graph is weighted-regular, else None."""
-    degs = g.degrees()
-    if all(d == degs[0] for d in degs):
-        return degs[0]
+    degs = g.matrix.sum(axis=1).tolist()  # the degrees times g.scale, exact
+    if degs.count(degs[0]) == len(degs):
+        return Fraction(degs[0], g.scale)
     return None
 
 

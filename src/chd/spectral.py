@@ -109,7 +109,7 @@ class _CutTables(NamedTuple):
         # the rows of pattern 0 are the interior parts, with their keys
         inner = np.argsort(self.key_hi[: 1 << self.shift], kind="stable")
         starts = np.flatnonzero(_begins(self.key_hi[inner]))
-        q, key, masks = (x.reshape(len(self.left), -1)[:, inner] for x in self[-3:])
+        q, key, masks = (x.reshape(len(self.left), -1)[:, inner] for x in self[-3:])  # per row
         least = np.minimum.reduceat(q, starts, axis=1)
         at = q == np.repeat(least, np.diff(starts, append=len(inner)), axis=1)
         masks = np.minimum.reduceat(np.where(at, masks, np.iinfo(np.int64).max), starts, axis=1)
@@ -237,7 +237,7 @@ def _scan_minimum(g: WeightedGraph, t: _CutTables, ratio) -> tuple[Fraction, Cut
         if len(i) and fmin < np.inf:  # not the empty set alone
             num, den, f = (x.reshape(len(low), -1)[i] for x in (num, den, f))
             near = f <= fmin + 1e-9 * max(1.0, fmin)
-            kept.append(pats.start * q.shape[1] + cs.start + i)  # one pattern, or all its groups
+            kept.append(pats.start * q.shape[1] + cs.start + i)  # groups of one pattern, or all
             least.append(low[i])
             pairs.update(zip(num[near].astype(np.int64).tolist(), den[near].tolist()))
     best = min(Fraction(*pair) for pair in pairs)

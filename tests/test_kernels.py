@@ -915,7 +915,8 @@ def _tables(g):
         for pats_, cs, minima in t.run_minima(q):
             assert minima.dtype == t.left.dtype
             assert minima.size <= max(graphs.BLOCK // 2, len(t.starts))
-            flat = (np.arange(pats_.start, pats_.stop)[:, None] * q.shape[1] + np.arange(cs.start, cs.stop)).ravel()
+            flat = np.arange(pats_.start, pats_.stop)[:, None] * q.shape[1] + np.arange(cs.start, cs.stop)
+            flat = flat.ravel()
             assert flat[0] == end and np.array_equal(flat, np.arange(end, end + len(flat)))
             end += len(flat)
             for row, i in zip(minima.reshape(len(flat), -1), flat):
