@@ -1,21 +1,16 @@
 """Exact cut searches, for the Cheeger constant and the edge density, and
 the tightness check, which by Fiedler's bound needs no search.
 
-Weights are scaled to integers.  S ranges over the subsets of the vertices
-but the last, at most 24, split into a high block, a breadth-first ball
-about the last vertex, and a low block (see ``_cut_tables``).  Only high
-vertices with a low neighbour couple the blocks, so every cut comes from
-one product over their patterns, at most four on a cycle.  Subsets that
-share the key fixing the ratio's denominator (volume for the Cheeger ratio,
-size for the density) form runs in the low block and groups in the high
-block, and only the least cut of a group and a run is divided.  A search
-holds a few blocks of ``graphs.BLOCK // 2`` entries, under 5 MiB.  Products
-run on float64 BLAS while n * sum(deg) < 2**53 and in int64 above; keys and
-ratios are int64 while n * sum(deg) and n**2 * scale stay below 2**62, past
-which a ScaleError is raised.  Floats only shortlist: the minimum is taken
-exactly, and its smallest subset by recomputing the shortlisted groups in
-ascending order of their high bits, until those pass the least minimising
-subset found.
+Weights are scaled to integers, and the cut of every subset of up to 24
+vertices comes from one product over the boundary patterns of a
+breadth-first high block (see ``_cut_tables``).  Subsets that share the key
+fixing the ratio's denominator (volume for the Cheeger ratio, size for the
+density) form runs and groups, and only the least cut of each is divided,
+in blocks of ``graphs.BLOCK // 2`` entries, under 5 MiB.  Products run on
+float64 BLAS while n * sum(deg) < 2**53 and in int64 above; keys and ratios
+are int64 while n * sum(deg) and n**2 * scale stay below 2**62, past which
+a ScaleError is raised.  Floats only shortlist: the minimum and its
+smallest subset are decided exactly (see ``_scan_minimum``).
 """
 
 from __future__ import annotations
@@ -76,6 +71,12 @@ def _bits(k: int) -> np.ndarray:
     return np.unpackbits(x, axis=1, count=k, bitorder="little")
 
 
+def _blocks(count: int, width: int):
+    """``graphs.blocks`` of half size, the cut search's one block size: float64
+    temporaries of 2**15 entries pass glibc's mmap threshold, paged in afresh."""
+    return graphs.blocks(count, 2 * width)
+
+
 def _begins(a: np.ndarray) -> np.ndarray:
     """Whether each entry of the sorted array a begins a run of equal ones."""
     return np.concatenate(([True], a[1:] != a[:-1]))
@@ -102,14 +103,17 @@ class _CutTables(NamedTuple):
 
     def groups(self):
         """(q, key, mask), patterns x groups: a group is the rows of one
-        pattern and one key, in order of key, and q its least q_hi, at which
-        its rows hold its least cut in every column, and mask their least."""
+        pattern and one key, q its least q_hi, at which its rows hold its
+        least cut in every column, and mask their least.  When every key is
+        distinct, each row is a group, as each column is a run."""
+        rows = [x.reshape(len(self.left), -1) for x in self[-3:]]  # pattern x interior part
         if not self.shift:
-            return self.q_hi[:, None], self.key_hi[:, None], self.hi_masks[:, None]
-        # the rows of pattern 0 are the interior parts, with their keys
+            return rows
         inner = np.argsort(self.key_hi[: 1 << self.shift], kind="stable")
         starts = np.flatnonzero(_begins(self.key_hi[inner]))
-        q, key, masks = (x.reshape(len(self.left), -1)[:, inner] for x in self[-3:])  # per row
+        if len(starts) == len(inner):
+            return rows
+        q, key, masks = (x[:, inner] for x in rows)
         least = np.minimum.reduceat(q, starts, axis=1)
         at = q == np.repeat(least, np.diff(starts, append=len(inner)), axis=1)
         masks = np.minimum.reduceat(np.where(at, masks, np.iinfo(np.int64).max), starts, axis=1)
@@ -117,34 +121,32 @@ class _CutTables(NamedTuple):
 
     def run_minima(self, q: np.ndarray):
         """(patterns, groups, the least cut of each run in each group), q the
-        groups' least q_hi, from products over ``graphs.blocks`` of the
-        patterns, each shrunk to its run minima by one grouped minimum unless
-        the runs are single columns, gathered while the next one fits.  Half
-        blocks: 2**15-entry float64 temporaries were paged in afresh."""
+        groups' least q_hi, for ``_blocks`` of patterns whose run minima fill
+        one block, from products of one block each, each shrunk to its run
+        minima by one grouped minimum unless every key is distinct."""
         width, runs, groups = len(self.lo_masks), len(self.starts), q.shape[1]
-        parts, first = [], 0
-        for pats in graphs.blocks(len(q), 2 * max(width, groups * runs)):
-            cut = self.left[pats] @ self.right
-            parts.append(np.minimum.reduceat(cut, self.starts, axis=1) if runs < width else cut)
-            end = pats.stop  # the next product is as long as this one, or there is none
-            if 2 * (end - first + len(cut)) * groups * runs > graphs.BLOCK or end == len(q):
-                cut = np.concatenate(parts) if len(parts) > 1 else parts[0]
-                for cs in graphs.blocks(groups, 2 * runs * len(cut)):
-                    yield slice(first, end), cs, q[first:end, cs, None] + cut[:, None, :]
-                parts, first = [], end
+        for pats in _blocks(len(q), groups * runs):
+            left, cut = self.left[pats], []
+            for rows in _blocks(len(left), width):
+                part = left[rows] @ self.right
+                cut.append(np.minimum.reduceat(part, self.starts, axis=1) if runs < width else part)
+            cut = np.concatenate(cut) if len(cut) > 1 else cut[0]
+            for cs in _blocks(groups, runs * len(cut)):
+                yield pats, cs, q[pats, cs, None] + cut[:, None, :]
 
 
 def _cut_tables(g: WeightedGraph, key: str) -> _CutTables:
     """The cut tables of g, keyed by "volume" (the sum of the degrees in S)
     or by "size".  The high block is the first n - 1 - k vertices that a
-    breadth-first search from vertex n - 1 reaches, then the unreached,
-    neighbours and the unreached in descending order so that the block the
-    witness is sought by leans to the larger vertices; the low block is the
-    other k = (n - 1) // 2.  As cut(S) = x^T (D - A) x, x the indicator of
-    S, and only the boundary B of the high block meets the low block, the
-    cut is q_hi plus [x_B, 1] @ [-2 A_Bl x_lo^T; q_lo] over the 2**|B|
-    patterns x_B, q the cut within a block.  The partial sums are integers
-    of size at most sum(deg), so exact in float64 while that is below 2**53.
+    breadth-first search from vertex n - 1 reaches, taking each vertex's
+    neighbours and then the unreached in descending order, so that the block
+    leans to the larger vertices, whose bits order the witnesses; the low
+    block is the other k = (n - 1) // 2.  As cut(S) = x^T (D - A) x, x the
+    indicator of S, and only the boundary B of the high block meets the low
+    block, the cut is q_hi plus [x_B, 1] @ [-2 A_Bl x_lo^T; q_lo] over the
+    2**|B| patterns x_B, q the cut within a block.  The partial sums are
+    integers of size at most sum(deg), so exact in float64 while that is
+    below 2**53.
     """
     n = g.n
     _require_cap(g)
@@ -156,41 +158,40 @@ def _cut_tables(g: WeightedGraph, key: str) -> _CutTables:
     if n * total >= INT64_BOUND or n * n * g.scale >= INT64_BOUND:
         raise ScaleError("weights this large overflow the int64 cut tables")
     k = (n - 1) // 2
-    nbrs, (us, vs) = [[] for _ in range(n)], np.nonzero(mat[:, ::-1])
-    for u, v in zip(us.tolist(), (n - 1 - vs).tolist()):
-        nbrs[u].append(v)  # in descending order
-    order, seen = [n - 1], {n - 1}
-    for u in order:  # breadth first: the loop goes on over what it appends
-        order += [v for v in nbrs[u] if v not in seen and not seen.add(v)]
+    adj, order, seen = mat.tolist(), [n - 1], {n - 1}
+    for u in order:  # the loop goes on over what it appends
+        if len(order) >= n - k:
+            break
+        order += [v for v in range(n - 2, -1, -1) if adj[u][v] and not (v in seen or seen.add(v))]
     order += [v for v in range(n - 2, -1, -1) if v not in seen]
-    high, low = sorted(order[1 : n - k]), set(order[n - k :])
-    inner = [u for u in high if low.isdisjoint(nbrs[u])]  # the boundary takes the top bits
+    high, low = sorted(order[1 : n - k]), sorted(order[n - k :])
+    inner = [u for u in high if not any(adj[u][v] for v in low)]  # the boundary takes the top bits
     hi = np.array(inner + [u for u in high if u not in inner], dtype=np.int64)
-    lo, shift = np.array(sorted(low), dtype=np.int64), len(inner)
+    lo, shift = np.array(low, dtype=np.int64), len(inner)
     weight = deg if key == "volume" else np.ones_like(deg)
     dtype = np.float64 if n * total < FLOAT64_BOUND else np.int64
-    # each vertex's row of A, its degree, key weight and mask bit
-    table = np.hstack((mat, np.array((deg, weight, 1 << np.arange(n))).T)).astype(dtype)
+    # per vertex: its row of A, key weight, mask bit, row of -2 A into B, degree
+    into_b = -2 * mat[:, hi[shift:]]
+    table = np.hstack((mat, np.array((weight, 1 << np.arange(n))).T, into_b, deg[:, None]))
+    extra = np.arange(n, table.shape[1])
     x_hi = _bits(len(hi))  # its first 2**k rows and k columns are _bits(k)
-    sides = []  # per block: each subset's q, key, mask and row of A[vs, others]
-    for vs, others in ((hi, []), (lo, hi[shift:])):
-        m, cols = len(vs), table[np.ix_(vs, [*vs, n, n + 1, n + 2, *others])]
-        out = np.empty((cols.shape[1] - m, 1 << m), dtype=dtype)
-        for rows in graphs.blocks(1 << m, 2 * cols.shape[1]):  # half blocks, as in run_minima
+    sides = []  # per block and subset: key, mask, for the low block x @ -2 A_lB, and q
+    for vs, cols in ((hi, extra[[0, 1, -1]]), (lo, extra)):
+        m, cols = len(vs), table[vs][:, np.concatenate((vs, cols))].astype(dtype)
+        out = np.empty((len(cols.T) - m, 1 << m), dtype=dtype)
+        for rows in _blocks(1 << m, len(cols.T)):
             x = x_hi[rows, :m].astype(dtype)
             p = x @ cols
-            p[:, m] -= np.einsum("ij,ij->i", p[:, :m], x)
+            p[:, -1] -= np.einsum("ij,ij->i", p[:, :m], x)
             out[:, rows] = p[:, m:].T
-        sides.append((out[0], *out[1:3].astype(np.int64), out[3:]))
-    (q_hi, key_hi, hi_masks, _), (q_lo, key_lo, lo_masks, cross) = sides
+        sides.append(out)
+    (key_hi, hi_masks), (key_lo, lo_masks) = (out[:2].astype(np.int64) for out in sides)
     perm = np.argsort(key_lo, kind="stable")
     key_lo, lo_masks = key_lo[perm], lo_masks[perm]
     starts = np.flatnonzero(_begins(key_lo))
-    if 2 * len(starts) > len(key_lo):  # grouping so many runs costs more than it saves
-        starts = np.arange(len(key_lo))
-    left = np.ones((len(q_hi) >> shift, len(hi) - shift + 1), dtype=dtype)
+    left = np.ones((1 << len(hi) - shift, len(hi) - shift + 1), dtype=dtype)
     left[:, :-1] = x_hi[:: 1 << shift, shift:]  # row p << shift has pattern p alone
-    right = np.concatenate((-2 * cross[:, perm], q_lo[None, perm]))
+    q_hi, right = sides[0][-1], sides[1][2:, perm]
     return _CutTables(total, shift, left, right, starts, key_lo, lo_masks, q_hi, key_hi, hi_masks)
 
 
@@ -216,11 +217,12 @@ def _scan_minimum(g: WeightedGraph, t: _CutTables, ratio) -> tuple[Fraction, Cut
     A group is kept, with the (num, den) pairs of its run minima, while its
     least float ratio is within 1e-9 max(1, fmin) of the least so far, fmin.
     That threshold only tightens, so the kept pairs, all true ratios, hold
-    the minimum's, and the least of them is the exact minimum.  The groups
-    kept to the end are recomputed whole, in ascending order of their high
-    masks and the first alone; a mask is at the minimum iff its pair is a
-    minimum's, and groups whose high mask passes the least such mask found
-    are dropped.
+    the minimum's; of one den only the least num can be the minimum, and
+    the least of those, compared exactly, is.  The groups kept to the end
+    are recomputed whole, in ascending order of their high masks and the
+    first alone: a mask is at the minimum iff its pair is a minimum's, and
+    once the least such mask found is below a group's high mask, no later
+    group holds a smaller one.
     """
     q, key, hmask = t.groups()
     run_keys = t.key_lo[t.starts]
@@ -239,14 +241,22 @@ def _scan_minimum(g: WeightedGraph, t: _CutTables, ratio) -> tuple[Fraction, Cut
             near = f <= fmin + 1e-9 * max(1.0, fmin)
             kept.append(pats.start * q.shape[1] + cs.start + i)  # groups of one pattern, or all
             least.append(low[i])
-            pairs.update(zip(num[near].astype(np.int64).tolist(), den[near].tolist()))
-    best = min(Fraction(*pair) for pair in pairs)
-    pairs = [pair for pair in pairs if Fraction(*pair) == best]
+            pos = np.argsort(den[near], kind="stable")
+            num, den = num[near][pos], den[near][pos]
+            first = np.flatnonzero(_begins(den))  # the least num of each den
+            num = np.minimum.reduceat(num, first).astype(np.int64)
+            pairs.update(zip(num.tolist(), den[first].tolist()))
+    pairs = {pair: Fraction(*pair) for pair in pairs}
+    best = min(pairs.values())
+    pairs = [pair for pair, value in pairs.items() if value == best]
     kept = np.concatenate(kept)[np.concatenate(least) <= fmin + 1e-9 * max(1.0, fmin)]
     kept = kept[np.argsort(hmask.flat[kept], kind="stable")]
-    mask, step = None, 1
-    while len(kept):
-        gs, kept, step = kept[:step], kept[step:], max(1, graphs.BLOCK // (2 * len(t.lo_masks)))
+    mask = None
+    for gs in [kept[:1], *(kept[1:][b] for b in _blocks(len(kept) - 1, len(t.lo_masks)))]:
+        if mask is not None:
+            gs = gs[hmask.flat[gs] < mask]
+            if not len(gs):
+                break
         cut = q.flat[gs][:, None] + t.left[gs // q.shape[1]] @ t.right
         num, den = ratio(cut, key.flat[gs][:, None] + t.key_lo)
         i, j = np.nonzero(np.logical_or.reduce([(num == x) & (den == y) for x, y in pairs]))
@@ -254,7 +264,6 @@ def _scan_minimum(g: WeightedGraph, t: _CutTables, ratio) -> tuple[Fraction, Cut
         if len(masks) and (mask is None or masks.min() < mask):
             m = int(masks.argmin())
             mask, cut_weight = int(masks[m]), int(cut[i[m], j[m]])
-            kept = kept[hmask.flat[kept] < mask]
     return best, _report(g, mask, cut_weight)
 
 

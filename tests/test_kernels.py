@@ -880,21 +880,21 @@ def _tables(g):
     """The cut, volume and size tables rebuilt from ``_cut_tables``, keyed
     by volume and by size, which must give the same cuts.  Along the way
     each table's columns are checked to be sorted by key, ascending in mask
-    within a key, with a run starting wherever the key changes; its
+    within a key, with a run starting exactly where the key changes; its
     ``groups`` to be the least q_hi, the key and the least high mask at that
-    q_hi of the rows of one pattern and one key, in order of key; and its
-    run minima to be the least cut of each run over the rows of each group,
-    in chunks that cover the groups in order, each of at most half of
-    ``graphs.BLOCK`` entries or of one run per group."""
+    q_hi of the rows of one pattern and one key; and its run minima to be
+    the least cut of each run over the rows of each group, in chunks that
+    cover the groups in order, each of at most half of ``graphs.BLOCK``
+    entries or of one run per group, over patterns that fill half a block:
+    one pattern more would pass it, unless the chunk is the last."""
     cut, keys = [], {}
     for key in ("volume", "size"):
         t = _cut_tables(g, key)
         rows, width = len(t.q_hi), len(t.lo_masks)
         lo = t.key_lo.tolist()
         assert sorted(zip(lo, t.lo_masks.tolist())) == list(zip(lo, t.lo_masks.tolist()))
+        assert t.starts.tolist() == [j for j in range(width) if j == 0 or lo[j] != lo[j - 1]]
         ends = [*t.starts[1:].tolist(), width]
-        assert t.starts[0] == 0 and all(lo[a] == lo[b - 1] for a, b in zip(t.starts, ends))
-        assert {j for j in range(1, width) if lo[j] != lo[j - 1]} <= set(t.starts.tolist())
         masks = t.hi_masks[:, None] | t.lo_masks
         assert sorted(masks.ravel().tolist()) == list(range(rows * width))
         pats = np.arange(rows) >> t.shift
@@ -904,25 +904,30 @@ def _tables(g):
         members = []  # the rows of each group, pattern by pattern
         for p in range(len(t.left)):
             own = np.flatnonzero(pats == p)
-            values = sorted(set(t.key_hi[own].tolist()))
-            assert group_keys[p].tolist() == values
-            for c, v in enumerate(values):
+            assert sorted(group_keys[p].tolist()) == sorted(set(t.key_hi[own].tolist()))
+            for c, v in enumerate(group_keys[p].tolist()):
                 hs = own[t.key_hi[own] == v]
                 members.append(hs)
                 assert q[p, c] == t.q_hi[hs].min()
                 assert group_masks[p, c] == t.hi_masks[hs[t.q_hi[hs] == q[p, c]]].min()
-        end = 0
+        groups, runs, half = q.shape[1], len(t.starts), graphs.BLOCK // 2
+        chunks = []  # each chunk's patterns and the group slices it was yielded in
         for pats_, cs, minima in t.run_minima(q):
             assert minima.dtype == t.left.dtype
-            assert minima.size <= max(graphs.BLOCK // 2, len(t.starts))
-            flat = np.arange(pats_.start, pats_.stop)[:, None] * q.shape[1] + np.arange(cs.start, cs.stop)
-            flat = flat.ravel()
-            assert flat[0] == end and np.array_equal(flat, np.arange(end, end + len(flat)))
-            end += len(flat)
-            for row, i in zip(minima.reshape(len(flat), -1), flat):
-                want = [sorted_cuts[members[i], a:b].min() for a, b in zip(t.starts, ends)]
-                assert row.tolist() == want
-        assert end == q.size == len(members)
+            assert minima.size <= max(half, runs)
+            if not chunks or chunks[-1][0] != pats_:
+                chunks.append((pats_, []))
+            chunks[-1][1].append(cs)
+            minima = minima.reshape(pats_.stop - pats_.start, cs.stop - cs.start, runs)
+            for p in range(pats_.start, pats_.stop):
+                for c in range(cs.start, cs.stop):
+                    want = [sorted_cuts[members[p * groups + c], a:b].min() for a, b in zip(t.starts, ends)]
+                    assert minima[p - pats_.start, c - cs.start].tolist() == want
+        assert [c.start for c, _ in chunks] == [0] + [c.stop for c, _ in chunks[:-1]]
+        assert chunks[-1][0].stop == len(q) and q.size == len(members)
+        for pats_, css in chunks:
+            assert [c.start for c in css] == [0] + [c.stop for c in css[:-1]] and css[-1].stop == groups
+            assert pats_.stop == len(q) or (pats_.stop - pats_.start + 1) * groups * runs > half
         table = np.zeros(rows * width, dtype=np.int64)
         table[masks] = sorted_cuts
         cut.append(table.tolist())
@@ -935,11 +940,24 @@ def _tables(g):
 
 class TestCutTablesAgainstLoop:
     @settings(max_examples=40, deadline=None)
-    @given(cut_graphs(), st.sampled_from([1, 8, 1 << 15]))
+    @given(cut_graphs(), st.sampled_from([1, 8, 128, 1 << 15]))
     def test_tables(self, g, block):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(graphs, "BLOCK", block)
             assert _tables(g) == oracles.subset_tables(g)
+
+    @pytest.mark.parametrize("block", [64, 128, 512])
+    @pytest.mark.parametrize(
+        "g",
+        [complete(12), cycle(12), WeightedGraph.from_edges(11, [(3, 7), (7, 0), (0, 9), (9, 4), (4, 10),
+                                                            (10, 1), (1, 6), (6, 2), (2, 8), (8, 5), (5, 3)])],
+        ids=["K12", "C12", "C11-relabelled"],
+    )
+    def test_chunks_fill_half_a_block(self, monkeypatch, g, block):
+        # blocks that hold several patterns' run minima but fewer products,
+        # so a chunk of one product, or one pattern short, is caught
+        monkeypatch.setattr(graphs, "BLOCK", block)
+        assert _tables(g) == oracles.subset_tables(g)
 
     @settings(max_examples=40, deadline=None)
     @given(cut_graphs(), st.sampled_from([1, 2, 8, 1 << 15]))
