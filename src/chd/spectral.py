@@ -237,12 +237,12 @@ def _scan_minimum(g: WeightedGraph, t: _CutTables, ratio) -> tuple[Fraction, Cut
         fmin = min(fmin, float(low.min()))
         i = np.flatnonzero(low <= fmin + 1e-9 * max(1.0, fmin))
         if len(i) and fmin < np.inf:  # not the empty set alone
-            num, den, f = (x.reshape(len(low), -1)[i] for x in (num, den, f))
             near = f <= fmin + 1e-9 * max(1.0, fmin)
             kept.append(pats.start * q.shape[1] + cs.start + i)  # groups of one pattern, or all
             least.append(low[i])
-            pos = np.argsort(den[near], kind="stable")
-            num, den = num[near][pos], den[near][pos]
+            den = den[near]
+            pos = np.argsort(den, kind="stable")
+            num, den = num[near][pos], den[pos]
             first = np.flatnonzero(_begins(den))  # the least num of each den
             num = np.minimum.reduceat(num, first).astype(np.int64)
             pairs.update(zip(num.tolist(), den[first].tolist()))
