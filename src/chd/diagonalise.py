@@ -297,11 +297,12 @@ def p_partition_from_column(
     unity (p prime) with a nonzero integer eigenvalue.
 
     Cell j collects the vertices where the column equals z**j; the quotient
-    has off-diagonal entries l/p and diagonal d - (p-1) l/p.
+    has off-diagonal entries l/p and diagonal d - (p-1) l/p.  Only a p that
+    divides r gives such a column, so that is checked before primality.
     """
     _require_orders(g, h, spectrum)
-    if not all_integers((p,)) or prime_factors(p) != [p]:
-        raise PreconditionError(f"{p!r} is not prime")
+    if not all_integers((p,)) or p < 2 or h.r % p or prime_factors(p) != [p]:
+        raise PreconditionError(f"{p!r} is not a prime dividing the root order {h.r}")
     index = _column_cells(h, k, p)
     entry = spectrum.entries[k]
     if not entry.is_integer or entry.rational == 0:

@@ -22,7 +22,7 @@ import math
 from bisect import bisect_left
 from collections.abc import Iterable
 from fractions import Fraction
-from itertools import chain, product as iter_product, repeat
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -325,11 +325,12 @@ class WeightedGraph:
 class AbelianGroup:
     """Direct product of cyclic groups Z_m1 x ... x Z_mk.
 
-    Elements are exponent tuples in row-major order, matching the row order
-    of ``character_table`` with the same moduli.
+    Its elements are kept only as ``digits``, a read-only n x k int64 view
+    (its transpose is C-contiguous) of mixed-radix digits in the row order
+    of ``character_table``; ``elements()`` and ``neg()`` build tuples.
     """
 
-    __slots__ = ("moduli", "_elements")
+    __slots__ = ("moduli", "digits")
 
     def __init__(self, moduli) -> None:
         moduli = tuple(moduli)
@@ -337,18 +338,15 @@ class AbelianGroup:
             raise ChdError(f"moduli must be positive integers, got {moduli}")
         check_group_order(moduli)
         self.moduli = tuple(map(int, moduli))
-        self._elements = tuple(iter_product(*map(range, self.moduli)))
+        self.digits = np.indices(self.moduli, dtype=np.int64).reshape(len(moduli), -1).T
+        self.digits.setflags(write=False)
 
     @property
     def order(self) -> int:
-        return len(self._elements)
-
-    @property
-    def identity(self) -> tuple[int, ...]:
-        return (0,) * len(self.moduli)
+        return len(self.digits)
 
     def elements(self) -> tuple[tuple[int, ...], ...]:
-        return self._elements
+        return tuple(map(tuple, self.digits.tolist()))
 
     def normalise_all(self, els) -> np.ndarray:
         """The elements as rows of an int64 array, each entry reduced mod
@@ -374,9 +372,9 @@ class AbelianGroup:
         return tuple((-self.normalise_all([el])[0] % self.moduli).tolist())
 
 
-def connection_set(group: AbelianGroup, connection) -> set[tuple[int, ...]]:
-    """The normalised connection set, checked to avoid the identity (no
-    loops) and to be closed under negation (undirected edges)."""
+def connection_set(group: AbelianGroup, connection) -> np.ndarray:
+    """The reduced connection set as sorted rows of ``group.digits``, checked
+    to avoid the identity (no loops) and to be closed under negation."""
     conn = group.normalise_all(connection)
     present = np.zeros(group.order, dtype=bool)
     present[np.ravel_multi_index(conn.T, group.moduli)] = True
@@ -386,18 +384,18 @@ def connection_set(group: AbelianGroup, connection) -> set[tuple[int, ...]]:
     if not closed.all():
         first = conn[np.argmin(closed)]
         raise SimplicityError(f"connection set is not closed under negation at {tuple(first.tolist())}")
-    return set(map(tuple, conn.tolist()))
+    return group.digits[present]
 
 
 def cayley(group: AbelianGroup, connection) -> WeightedGraph:
-    """Unit-weight Cayley graph: u ~ v iff u - v lies in the connection set."""
+    """Unit-weight Cayley graph: u ~ v iff v - u lies in the connection set,
+    added to ``group.digits`` a block of ``blocks`` at a time."""
     conn = connection_set(group, connection)
     n = group.order
-    els = np.array(group.elements(), dtype=np.int64).reshape(n, -1)
-    mat = np.zeros((n, n), dtype=np.int64)
-    for c in conn:
-        targets = np.ravel_multi_index(((els + c) % group.moduli).T, group.moduli)
-        mat[np.arange(n), targets] = 1
+    mat = np.zeros((n, n), dtype=np.int8)  # WeightedGraph copies it to int64
+    for block in blocks(len(conn), n):
+        sums = group.digits.T[:, :, None] + conn[block].T[:, None, :]
+        mat[np.arange(n)[:, None], np.ravel_multi_index(sums, group.moduli, mode="wrap")] = 1
     return WeightedGraph(mat)
 
 
@@ -541,24 +539,19 @@ def cycle(r: int) -> WeightedGraph:
     _check_size(r)
     if r < 3:
         raise ChdError(f"cycle needs at least 3 vertices, got {r}")
-    group = AbelianGroup((r,))
-    return cayley(group, [(1,), (r - 1,)])
+    return cayley(AbelianGroup((r,)), [(1,), (r - 1,)])
 
 
 def hypercube(d: int) -> WeightedGraph:
     _check_size(d)
     check_group_order(repeat(2, d))
-    group = AbelianGroup((2,) * d)
-    units = [tuple(1 if i == j else 0 for j in range(d)) for i in range(d)]
-    return cayley(group, units)
+    return cayley(AbelianGroup((2,) * d), np.eye(d, dtype=np.int64))
 
 
 def cocktail_party(n: int) -> WeightedGraph:
     """Complement of n disjoint edges, as a Cayley graph on Z_{2n}."""
     _check_size(n)
-    group = AbelianGroup((2 * n,))
-    conn = [(c,) for c in range(1, 2 * n) if c != n]
-    return cayley(group, conn)
+    return cayley(AbelianGroup((2 * n,)), [(c,) for c in range(1, 2 * n) if c != n])
 
 
 def complete_bipartite(a: int, b: int) -> WeightedGraph:

@@ -7,7 +7,8 @@ products) run on the exponents, so they are exact; complex views are derived
 on demand.  Orthogonality is decided by evaluating H at a split prime
 (``cyclotomic.vanishes``).  A table is read by ``graphs.integer_table``, as
 weight and conference matrices are; ``tensor`` and ``character_rows`` check
-its order and root order before building it.
+its order and root order before building it.  ``character_rows``
+multiplies by a group's digit array, ``AbelianGroup.digits``.
 """
 
 from __future__ import annotations
@@ -170,8 +171,7 @@ def character_rows(group: AbelianGroup, elements) -> tuple[np.ndarray, int]:
     row-major order."""
     r = check_order(math.lcm(*group.moduli))  # before the table is built
     weights = np.array([r // m for m in group.moduli], dtype=np.int64)
-    rows = np.array(elements, dtype=np.int64) * weights
-    table = rows @ np.array(group.elements(), dtype=np.int64).T
+    table = (np.asarray(elements, dtype=np.int64) * weights) @ group.digits.T
     return np.remainder(table, r, out=table), r
 
 
@@ -184,7 +184,7 @@ def character_table(moduli) -> ButsonMatrix:
     and verified.
     """
     group = AbelianGroup(moduli)
-    return ButsonMatrix(*character_rows(group, group.elements()), _fresh=True)
+    return ButsonMatrix(*character_rows(group, group.digits), _fresh=True)
 
 
 def tensor(h1: ButsonMatrix, h2: ButsonMatrix) -> ButsonMatrix:

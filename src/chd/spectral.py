@@ -62,7 +62,7 @@ class CutReport:
 
 def _require_cap(g: WeightedGraph) -> None:
     if g.n > _MAX_VERTICES:
-        raise ScaleError(f"subset enumeration is capped at {_MAX_VERTICES} vertices")
+        raise ScaleError(f"cut searches and exact spectra are capped at {_MAX_VERTICES} vertices")
 
 
 def _bits(k: int) -> np.ndarray:
@@ -397,8 +397,9 @@ def exact_rational_spectrum(g: WeightedGraph) -> list[Fraction]:
     while n * R < 2**40, R the largest absolute row sum of M: R bounds
     ||M||_2, the integer entries convert exactly, and a backward error of
     up to 2**11 * n * 2**-53 * ||M||_2 moves no eigenvalue by 1/4 (Weyl).
-    Beyond that bound a ScaleError is raised.
+    Beyond that bound, or past 24 vertices, a ScaleError is raised.
     """
+    _require_cap(g)
     ints, scale = g.integer_matrix("laplacian")
     row_sum = int(np.abs(ints).sum(axis=1).max(initial=0))  # 2 deg: n * max weight < 2**62
     if g.n * row_sum >= _EIGVALSH_BOUND:

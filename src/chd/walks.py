@@ -89,9 +89,6 @@ class RationalAngle:
             f -= Fraction(1, 2)
         return f
 
-    def to_float(self) -> float:
-        return 2.0 * math.pi * self.num / self.den
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, RationalAngle):
             return NotImplemented
@@ -295,8 +292,9 @@ def find_fr(
     _require_dephased(h, "find_fr")
     classes: dict[int, int] = {}  # one per distinct integer eigenvalue
     cls = [classes.setdefault(int(e.rational), len(classes)) for e in spectrum.values]
-    out, times, rows = _revivals(h.exps, h.r, lam, np.take(cls, spectrum.index))
-    _cross_validate(h.to_complex(), np.array(lam, dtype=float), out, times, rows)
+    cls = np.take(cls, spectrum.index)
+    out, times, rows = _revivals(h.exps, h.r, lam, cls)
+    _cross_validate(h.to_complex(), list(classes), cls, out, times, rows)
     return out
 
 
@@ -409,18 +407,23 @@ def _half_of(angle: RationalAngle) -> RationalAngle:
     return RationalAngle(angle.num, 2 * angle.den)
 
 
-def _cross_validate(hc: np.ndarray, lam: np.ndarray, certs: list, times: list, rows: list) -> None:
+def _cross_validate(
+    hc: np.ndarray, values: list[int], cls: np.ndarray, certs: list, times: list, rows: list
+) -> None:
     """Check each certificate's column U(tau) e_a of ``_unitary`` against
     alpha e_a + beta e_b to 1e-9, raising on the first that fails: one
     product per ``graphs.blocks`` block of certificates, whatever their
     taus.  Certificate i carries entry rows[i] of ``times``, whose phase
-    row and (alpha, beta) are formed once; one that does not fails first."""
+    row and (alpha, beta) are formed once; one that does not fails first.
+    Column j has eigenvalue values[cls[j]], and at tau = 2pi s/q its phase
+    is the turn (s lambda mod q)/q, taken in integers to keep accuracy."""
     n = len(hc)
     for stray in (c for c, t in zip(certs, rows) if (c.tau, c.gamma) != times[t]):
         raise InternalCheckError(f"certificate {stray} is not the (tau, gamma) of its pair key")
     # rows exp(+i tau Lambda): each vector exp(-i tau Lambda) * conj(H[a]) is
     # formed in place as the conjugate of its row times H[a]
-    conj_phases = np.exp(1j * np.array([tau.to_float() for tau, _ in times])[:, None] * lam)
+    turns = [[tau.num * value % tau.den / tau.den for value in values] for tau, _ in times]
+    conj_phases = np.exp(2j * math.pi * np.array(turns).reshape(len(times), len(values)))[:, cls]
     some = dict(zip(rows, certs))  # a certificate of each entry, as all carry it
     weights = np.array([(some[t].alpha, some[t].beta) for t in range(len(times))])
     rows = np.array(rows, dtype=np.intp)
@@ -449,8 +452,8 @@ def cayley_fr_conditions(
     irrational one rules revival out) and sigma is read off the character
     rows of a and b."""
     _require_angles(tau=tau)
-    conn = list(connection_set(group, connection))
-    rows, r = character_rows(group, [group.identity, *conn, *group.normalise_all([a, b]).tolist()])
+    conn = connection_set(group, connection)
+    rows, r = character_rows(group, np.vstack((group.digits[:1], conn, group.normalise_all([a, b]))))
     # lambda_j = |C| chi_j(0) - sum_{c in C} chi_j(c)
     weights = np.array([len(conn)] + [-1] * len(conn), dtype=np.int64)
     rem = reduce(weights, r, rows[: len(conn) + 1])

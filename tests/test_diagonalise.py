@@ -193,7 +193,7 @@ class TestRegularity:
     def test_certified_implies_regular(self):
         rng = random.Random(2)
         group = AbelianGroup((2, 2, 2))
-        elements = [e for e in group.elements() if e != group.identity]
+        elements = group.elements()[1:]
         h = sylvester_hadamard(8)
         for _ in range(20):
             conn = [e for e in elements if rng.random() < 0.5]
@@ -323,11 +323,25 @@ class TestPPartition:
         with pytest.raises(PreconditionError):
             p_partition_from_column(g, h, spec, 1, 4)
 
+    @pytest.mark.parametrize("p", [2**61 - 1, 3, 1, 0, -2])
+    def test_p_not_dividing_the_root_order_refused_before_primality(self, p, monkeypatch):
+        # trial division of 2**61 - 1 would take minutes
+        g = complete(4)
+        h = character_table((4,))
+        spec = certify(g, h)
+
+        def refuse(q):
+            raise AssertionError(f"primality of {q} tested")
+
+        monkeypatch.setattr(diagonalise, "prime_factors", refuse)
+        with pytest.raises(PreconditionError, match="is not a prime dividing the root order 4"):
+            p_partition_from_column(g, h, spec, 1, p)
+
 
 class TestTheoremChecks:
     def test_cubelike_sweep_all_even(self, f8):
         group = AbelianGroup((2, 2, 2))
-        elements = [e for e in group.elements() if e != group.identity]
+        elements = group.elements()[1:]
         for bits in range(1 << 7):
             conn = [e for i, e in enumerate(elements) if bits >> i & 1]
             g = cayley(group, conn)

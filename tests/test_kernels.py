@@ -6,6 +6,7 @@ kept in ``oracles``, and the four revival entry points against each
 other."""
 
 import itertools
+import json
 import math
 import random
 from collections import Counter
@@ -161,6 +162,51 @@ def cayley_pairs(draw):
     moduli = (r,) * d
     group = AbelianGroup(moduli)
     return cayley(group, _connection(draw, group)), character_table(moduli), group
+
+
+@st.composite
+def connection_lists(draw):
+    """Moduli of a group of order at most 256 and a connection list that is
+    closed under negation once reduced, given with repeats and with entries
+    off by multiples of their moduli, negative ones too."""
+    moduli = tuple(draw(st.lists(st.integers(1, 12), min_size=1, max_size=4)))
+    while math.prod(moduli) > 256:
+        moduli = moduli[:-1]
+    els = list(itertools.product(*map(range, moduli)))[1:]
+    chosen = draw(st.lists(st.sampled_from(els), max_size=8)) if els else []
+    closed = sorted({x for el in chosen for x in (el, tuple(-e % m for e, m in zip(el, moduli)))})
+    listed = closed + (draw(st.lists(st.sampled_from(closed), max_size=4)) if closed else [])
+    shifts = st.lists(st.integers(-3, 3), min_size=len(moduli), max_size=len(moduli))
+    conn = [tuple(e + k * m for e, k, m in zip(el, draw(shifts), moduli)) for el in listed]
+    return moduli, draw(st.permutations(conn)), closed
+
+
+class TestGroupDigitsAgainstTuples:
+    """The group's digit array against the tuples of itertools.product."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(connection_lists())
+    def test_one_format(self, data):
+        moduli, conn, reduced = data
+        group = AbelianGroup(moduli)
+        els = tuple(itertools.product(*map(range, moduli)))
+        assert group.elements() == els
+        assert graphs.connection_set(group, conn).tolist() == [list(el) for el in reduced]
+        members = set(reduced)  # u ~ v iff v - u is in the set
+        want = [
+            [int(tuple((y - x) % m for x, y, m in zip(u, v, moduli)) in members) for v in els]
+            for u in els
+        ]
+        assert cayley(group, conn).matrix.tolist() == want
+        rows, r = hadamard.character_rows(group, group.digits)
+        table = character_table(moduli)
+        assert r == table.r and np.array_equal(rows, table.exps)
+
+    def test_digits_are_read_only(self):
+        group = AbelianGroup((4, 2))
+        assert group.digits.dtype == np.int64 and group.digits.shape == (8, 2)
+        with pytest.raises(ValueError, match="read-only"):
+            group.digits[0, 0] = 1
 
 
 def _same_certificate(g, h, target="laplacian"):
@@ -1292,9 +1338,40 @@ def _wrong_phase_is_named(args, certs, target, monkeypatch):
     assert repr(_shifted(bad.gamma)) in str(err.value)
 
 
+def _weighted_cube(m):
+    """K2 x K2 x K2 with weights (2m + 1)/2, m + 2 and m + 1: its eigenvalues
+    reach 6m + 7, so tau * lambda is large for every tau of its 12
+    certificates."""
+    g = None
+    for w in (Fraction(2 * m + 1, 2), m + 2, m + 1):
+        k2 = WeightedGraph.from_edges(2, [[0, 1, str(w)]])
+        g = k2 if g is None else product(g, k2, "cartesian")
+    return g
+
+
 class TestRevivalCrossValidation:
     """The float check covers every certificate, not only the first of each
     tau block."""
+
+    def test_large_tau_lambda_keeps_its_certificates(self):
+        # tau * lambda formed in float64 would lose about 1e-9 at m = 10**6
+        h = character_table((2, 2, 2))
+        found = []
+        for m in (10**3, 10**6, 10**7):
+            g = _weighted_cube(m)
+            certs = find_fr(g, h, certify(g, h))
+            found.append([(c.a, c.b, c.tau, c.gamma) for c in certs])
+        assert len(found[0]) == 12
+        assert found[1] == found[0] and found[2] == found[0]
+
+    def test_large_tau_lambda_from_the_command_line(self, tmp_path, capsys):
+        from chd.cli import main
+
+        g, h = tmp_path / "g.json", tmp_path / "h.json"
+        g.write_text(json.dumps(_weighted_cube(10**6).to_json()))
+        h.write_text(json.dumps(character_table((2, 2, 2)).to_json()))
+        assert main(["fr-search", "--graph", str(g), "--hadamard", str(h)]) == 0
+        assert len(json.loads(capsys.readouterr().out)["certificates"]) == 12
 
     @pytest.fixture
     def q5(self):

@@ -331,6 +331,15 @@ class TestExactSpectrum:
         with pytest.raises(ChdError):
             exact_rational_spectrum(cycle(5))
 
+    def test_capped_before_the_eigensolver(self, monkeypatch):
+        # the power sums would take 12 s on Q7: past 24 vertices none is formed
+        def refuse(m):
+            raise AssertionError(f"eigvalsh ran on n={len(m)}")
+
+        monkeypatch.setattr(spectral.np.linalg, "eigvalsh", refuse)
+        with pytest.raises(ScaleError, match="capped at 24 vertices"):
+            exact_rational_spectrum(hypercube(5))
+
     def test_rational_weights(self):
         g = WeightedGraph.from_edges(2, [(0, 1, "1/3")])
         assert exact_rational_spectrum(g) == [0, Fraction(2, 3)]
