@@ -319,7 +319,7 @@ class WeightedGraph:
         return hash((self.n, self.scale, key))
 
     def __repr__(self) -> str:
-        return f"WeightedGraph(n={self.n}, edges={sum(1 for _ in self.edges())})"
+        return f"WeightedGraph(n={self.n}, edges={int(np.count_nonzero(np.triu(self.matrix)))})"
 
 
 class AbelianGroup:

@@ -239,7 +239,8 @@ def conference_lift(c) -> ButsonMatrix:
 
     C must be symmetric with zero diagonal, +-1 off the diagonal and
     C^T C = (n-1) I; the lift encodes I + iC over the fourth roots of unity
-    and dephases it.
+    and dephases it.  For such a C, (I + iC)(I + iC)* = I + C^T C, so
+    ``verify`` of the lift decides C^T C = (n-1) I exactly.
     """
     c = integer_table(c, "conference matrix", "conference matrix entries")
     n = c.shape[0]
@@ -247,15 +248,11 @@ def conference_lift(c) -> ButsonMatrix:
         raise PreconditionError("conference matrix must have zero diagonal")
     if not np.all(np.abs(c[~np.eye(n, dtype=bool)]) == 1):
         raise PreconditionError("conference matrix entries must be +-1 off the diagonal")
-    c = c.astype(np.int64)
     if not np.array_equal(c, c.T):
         raise PreconditionError("only symmetric conference matrices are supported")
-    if not np.array_equal(c.T @ c, (n - 1) * np.eye(n, dtype=np.int64)):
-        raise PreconditionError("matrix does not satisfy C^T C = (n-1) I")
-    exps = np.where(c == 1, 1, np.where(c == -1, 3, 0))
-    lifted = ButsonMatrix(exps, 4, _fresh=True)
+    lifted = ButsonMatrix(np.where(c == 1, 1, np.where(c == -1, 3, 0)), 4, _fresh=True)
     if not verify(lifted):
-        raise PreconditionError("lifted matrix failed the Hadamard check")
+        raise PreconditionError("matrix does not satisfy C^T C = (n-1) I")
     return dephase(lifted)
 
 

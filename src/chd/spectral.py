@@ -107,7 +107,7 @@ class _CutTables(NamedTuple):
         least cut in every column, and mask their least.  When every key is
         distinct, each row is a group, as each column is a run."""
         rows = [x.reshape(len(self.left), -1) for x in self[-3:]]  # pattern x interior part
-        if not self.shift:
+        if not self.shift:  # covered below; skips a sort when no vertex is interior, as in K12
             return rows
         inner = np.argsort(self.key_hi[: 1 << self.shift], kind="stable")
         starts = np.flatnonzero(_begins(self.key_hi[inner]))
@@ -130,6 +130,7 @@ class _CutTables(NamedTuple):
             for rows in _blocks(len(left), width):
                 part = left[rows] @ self.right
                 cut.append(np.minimum.reduceat(part, self.starts, axis=1) if runs < width else part)
+            # one product is taken as it is, not copied: the fast path for graphs with many chunks
             cut = np.concatenate(cut) if len(cut) > 1 else cut[0]
             for cs in _blocks(groups, runs * len(cut)):
                 yield pats, cs, q[pats, cs, None] + cut[:, None, :]
@@ -229,7 +230,7 @@ def _scan_minimum(g: WeightedGraph, t: _CutTables, ratio) -> tuple[Fraction, Cut
     fmin, kept, least, pairs = np.inf, [], [], set()
     for pats, cs, cut in t.run_minima(q):
         num, den = ratio(cut, key[pats, cs, None] + run_keys)
-        if pats.start or cs.start:
+        if pats.start or cs.start:  # an unguarded divide: the fast path for graphs with many chunks
             f = num / den
         else:  # den is 0 only at mask 0, the empty set, in group 0
             f = np.divide(num, den, out=np.full(num.shape, np.inf), where=den > 0)

@@ -75,6 +75,25 @@ class TestWeightedGraphInvariants:
         with pytest.raises(SimplicityError, match=r"^loop at vertex 1$"):
             WeightedGraph.from_edges(3, [[0, 1], [1, 1], [5]])
 
+    @pytest.mark.parametrize(
+        "build, text",
+        [
+            (lambda: complete(4), "WeightedGraph(n=4, edges=6)"),
+            (lambda: WeightedGraph.from_edges(3, [(0, 1, "2/3"), (1, 2, "5")]), "WeightedGraph(n=3, edges=2)"),
+            (lambda: empty_graph(3), "WeightedGraph(n=3, edges=0)"),
+        ],
+        ids=["complete-4", "weighted", "empty-3"],
+    )
+    def test_repr_counts_edges_without_listing_them(self, build, text, monkeypatch):
+        g = build()
+        assert repr(g) == text
+
+        def refuse(self):  # edges() makes a Fraction per edge
+            raise AssertionError("repr listed the edges")
+
+        monkeypatch.setattr(WeightedGraph, "edges", refuse)
+        assert repr(g) == text
+
 
 class TestConstructor:
     """WeightedGraph(matrix, scale) takes a square integer array and a

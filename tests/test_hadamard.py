@@ -315,8 +315,19 @@ class TestConferenceLift:
 
     def test_non_conference_rejected(self):
         bad = [[0, 1, 1, 1], [1, 0, 1, 1], [1, 1, 0, 1], [1, 1, 1, 0]]
-        with pytest.raises(PreconditionError):
+        with pytest.raises(PreconditionError, match=r"C\^T C"):
             conference_lift(bad)
+
+    def test_lift_forms_no_matrix_product(self):
+        # verify of the lift decides C^T C = (n-1) I, so C itself is never multiplied
+        class NoProduct(np.ndarray):
+            def __matmul__(self, other):
+                raise AssertionError("conference_lift multiplied C")
+
+            __rmatmul__ = __matmul__
+
+        c = paley_conference(13)
+        assert conference_lift(c.view(NoProduct)) == conference_lift(c)
 
     def test_paley_matrix_is_symmetric_conference(self):
         for q in (5, 13, 17, 29, 37, 41, 53, 61, 73, 89, 97, 101, 109, 113):
