@@ -112,7 +112,11 @@ class SpectrumAssignment:
         return self.expand([e.rational for e in self.values])
 
     def integers(self) -> list[int]:
-        """All eigenvalues as exact integers; raises if any is not."""
+        """All eigenvalues as exact integers, decided once; raises if any is not."""
+        return list(self._integers)
+
+    @cached_property
+    def _integers(self) -> tuple[int, ...]:
         self.rationals()  # raises on an irrational entry
         for e in self.values:
             if e.rational.denominator != 1:
@@ -120,7 +124,7 @@ class SpectrumAssignment:
                     f"eigenvalue {e.rational} is not an integer; exact congruence "
                     "arithmetic is unsupported here"
                 )
-        return self.expand([int(e.rational) for e in self.values])
+        return tuple(self.expand([int(e.rational) for e in self.values]))
 
     def second_smallest(self) -> Fraction:
         if self.n < 2:

@@ -20,8 +20,8 @@ from __future__ import annotations
 import cmath
 import math
 import numbers
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -54,7 +54,8 @@ class RationalAngle:
     __slots__ = ("num", "den")
 
     def __init__(self, num: int, den: int) -> None:
-        if not all_integers((num, den)):
+        # two exact ints need no type scan; bools, floats and numpy take it
+        if not (type(num) is type(den) is int or all_integers((num, den))):
             raise ChdError(f"angle parts must be integers, got {num!r}/{den!r}")
         if den == 0:
             raise ChdError("angle denominator must be nonzero")
@@ -104,15 +105,15 @@ class RationalAngle:
         return f"{self.num}/{self.den} of 2pi"
 
 
-@dataclass(frozen=True)
-class FRCertificate:
+class FRCertificate(NamedTuple):
     """Witness that the walk sends e_a to alpha e_a + beta e_b at time tau.
 
     gamma parametrises the pair as alpha = cos(g) e^{ig},
     beta = -i sin(g) e^{ig} with g the representative of gamma in
     (-pi/2, pi/2]; consequently alpha + beta = 1 and
     alpha - beta = e^{2ig} identically, and beta != 0 iff gamma is not a
-    multiple of pi.
+    multiple of pi.  A certificate is a tuple: it equals, and unpacks as,
+    the plain tuple (a, b, tau, gamma, sign_pattern).
     """
 
     a: int
@@ -126,19 +127,18 @@ class FRCertificate:
 
     @property
     def alpha(self) -> complex:
-        g = 2.0 * math.pi * float(self.gamma_signed())
-        return math.cos(g) * cmath.exp(1j * g)
+        return _weights(self.gamma)[0]
 
     @property
     def beta(self) -> complex:
-        g = 2.0 * math.pi * float(self.gamma_signed())
-        return -1j * math.sin(g) * cmath.exp(1j * g)
+        return _weights(self.gamma)[1]
 
     @property
     def is_pst(self) -> bool:
         return self.gamma_signed() == Fraction(1, 4)
 
     def to_json(self) -> dict:
+        alpha, beta = _weights(self.gamma)
         return {
             "a": self.a,
             "b": self.b,
@@ -146,11 +146,23 @@ class FRCertificate:
             "tau_str": self.tau.display(),
             "gamma": {"num": self.gamma.num, "den": self.gamma.den, "unit": "2pi"},
             "gamma_str": self.gamma.display(),
-            "alpha": [self.alpha.real, self.alpha.imag],
-            "beta": [self.beta.real, self.beta.imag],
+            "alpha": [alpha.real, alpha.imag],
+            "beta": [beta.real, beta.imag],
             "pst": self.is_pst,
             "sign_pattern": list(self.sign_pattern),
         }
+
+
+def _weights(gamma: RationalAngle) -> tuple[complex, complex]:
+    """(alpha, beta) of a certificate with phase gamma: its gamma_signed() is
+    f / (2 den) with f = 2 num mod den, less den if 2f > den, and one true
+    division of those ints is the float that float(gamma_signed()) gives."""
+    f = 2 * gamma.num % gamma.den
+    if 2 * f > gamma.den:
+        f -= gamma.den
+    g = 2.0 * math.pi * (f / (2 * gamma.den))
+    turn = cmath.exp(1j * g)
+    return math.cos(g) * turn, -1j * math.sin(g) * turn
 
 
 def _unitary(hc: np.ndarray, lam: np.ndarray, t: float) -> np.ndarray:
@@ -424,8 +436,7 @@ def _cross_validate(
     # formed in place as the conjugate of its row times H[a]
     turns = [[tau.num * value % tau.den / tau.den for value in values] for tau, _ in times]
     conj_phases = np.exp(2j * math.pi * np.array(turns).reshape(len(times), len(values)))[:, cls]
-    some = dict(zip(rows, certs))  # a certificate of each entry, as all carry it
-    weights = np.array([(some[t].alpha, some[t].beta) for t in range(len(times))])
+    weights = np.array([_weights(gamma) for _, gamma in times])
     rows = np.array(rows, dtype=np.intp)
     for block in blocks(len(certs), n):
         part = certs[block]

@@ -203,6 +203,40 @@ class TestPinnedOutputs:
         out = run(command, "--graph", str(g), "--hadamard", str(h))
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
+    @pytest.mark.parametrize(
+        "command, graph, moduli, extra, digest",
+        [
+            (  # r = 6: gamma has odd denominators
+                "fr-search",
+                ["cocktail", "3"],
+                "2,3",
+                [],
+                "3e38c1de099a44eff53afdf49b98e21699be8ed05cf768c76f9948df559d287c",
+            ),
+            (
+                "fr-search",
+                ["cocktail", "8"],
+                "2,8",
+                [],
+                "f6d0fb4feb5daa08d79a180987d5bc4f17d1831c92adb5987572862a66ef4736",
+            ),
+            (
+                "pst-check",
+                ["hypercube", "6"],
+                "2,2,2,2,2,2",
+                ["--from", "0", "--to", "63", "--tau", "1/4"],
+                "bb34ebb6970848683d8dea397d22997f2d4cb7bf5f1c0f73445126998975bf3f",
+            ),
+        ],
+    )
+    def test_revival_digest(self, run, tmp_path, command, graph, moduli, extra, digest):
+        """Digests taken while alpha and beta still came from Fractions."""
+        g, h = tmp_path / "g.json", tmp_path / "h.json"
+        g.write_text(run("graph", "make", *graph))
+        h.write_text(run("hadamard", "character-table", "--moduli", moduli))
+        out = run(command, "--graph", str(g), "--hadamard", str(h), *extra)
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
 
 class TestAnalysisCommands:
     def test_catalogue(self, run):

@@ -12,6 +12,7 @@ from chd import (
     ButsonMatrix,
     ChdError,
     CyclotomicInt,
+    ExactnessError,
     InternalCheckError,
     PreconditionError,
     ScaleError,
@@ -175,6 +176,27 @@ class TestSpectrumAssignment:
         values = self._hand_built([0, 2], [0, 1]).values
         with pytest.raises(ChdError, match=message):
             SpectrumAssignment(values, index, target)
+
+    def test_integers_are_decided_once_and_copied_per_call(self):
+        spec = self._hand_built([0, 4, 2], [0, 1, 2, 1])
+        first, second = spec.integers(), spec.integers()
+        assert first == second == [0, 4, 2, 4]
+        first.append(7)  # a caller's list is its own
+        assert spec.integers() == second == [0, 4, 2, 4] and first is not second
+
+    @pytest.mark.parametrize(
+        "make, moduli, message",
+        [
+            (lambda: WeightedGraph.from_edges(2, [[0, 1, "1/4"]]), (2,), "eigenvalue 1/2 is not an integer"),
+            (lambda: cycle(5), (5,), "spectrum contains an irrational eigenvalue"),
+        ],
+        ids=["half", "irrational"],
+    )
+    def test_a_spectrum_that_is_not_integral_raises_on_every_call(self, make, moduli, message):
+        spec = certify(make(), character_table(moduli))
+        for _ in range(2):
+            with pytest.raises(ExactnessError, match=f"^{message}"):
+                spec.integers()
 
     def test_one_vertex_has_no_second_eigenvalue(self):
         spec = certify(complete(1), character_table((1,)))

@@ -1,16 +1,20 @@
 import cmath
 import math
 import random
+import re
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from chd import (
     AbelianGroup,
     ButsonMatrix,
     ChdError,
     ExactnessError,
+    FRCertificate,
     PreconditionError,
     RationalAngle,
     adjacency_walk_relation,
@@ -37,11 +41,16 @@ from chd import (
     p_partition_from_column,
     strongly_cospectral,
     sylvester_hadamard,
+    walks,
 )
 
 
 def pi_over(n):
     return RationalAngle.of_pi(1, n)
+
+
+class _Int(int):
+    """An integer whose type is not exactly int."""
 
 
 class TestRationalAngle:
@@ -59,6 +68,35 @@ class TestRationalAngle:
                 for a in (RationalAngle(num, den), RationalAngle(np.int64(num), np.int32(den))):
                     assert (a.num, a.den) == (f.numerator, f.denominator)
                     assert type(a.num) is int and type(a.den) is int
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(-(2**70), 2**70), st.integers(-(2**70), 2**70).filter(bool))
+    @example(3, -8)
+    @example(-(2**63), -1)
+    @example(2**64 + 3, -(2**63 + 5))
+    def test_exact_ints_and_the_general_path_agree(self, num, den):
+        # exact ints skip the type scan; an int subclass and numpy integers
+        # take it, and every path gives the canonical Fraction form
+        f = Fraction(num, den) % 1
+        for a in (RationalAngle(num, den), RationalAngle(_Int(num), _Int(den))):
+            assert (a.num, a.den) == (f.numerator, f.denominator)
+            assert type(a.num) is int and type(a.den) is int
+        if max(abs(num), abs(den)) < 2**63:
+            assert RationalAngle(np.int64(num), np.int64(den)) == RationalAngle(num, den)
+
+    @pytest.mark.parametrize(
+        "num, den, message",
+        [
+            (True, 4, "angle parts must be integers, got True/4"),
+            (3, True, "angle parts must be integers, got 3/True"),
+            (1.0, 4, "angle parts must be integers, got 1.0/4"),
+            (1, 0, "angle denominator must be nonzero"),
+            (np.int64(1), np.int64(0), "angle denominator must be nonzero"),
+        ],
+    )
+    def test_refusals_keep_their_messages(self, num, den, message):
+        with pytest.raises(ChdError, match=f"^{re.escape(message)}$"):
+            RationalAngle(num, den)
 
     def test_pi_constructor(self):
         assert RationalAngle.of_pi(1, 2) == RationalAngle.of_turn(1, 4)
@@ -367,6 +405,35 @@ class TestFindFr:
         again = [(c.a, c.b, c.tau.den, c.tau.num) for c in find_fr(g, h, spec)]
         assert once == again
         assert once == sorted(once)
+
+
+class TestCertificateWeights:
+    @staticmethod
+    def _from_fraction(gamma):
+        """alpha and beta through the Fraction gamma_signed(), as they were."""
+        g = 2.0 * math.pi * float(gamma.signed_turns_mod_half())
+        return math.cos(g) * cmath.exp(1j * g), -1j * math.sin(g) * cmath.exp(1j * g)
+
+    def test_integer_weights_equal_the_fraction_formula_bit_for_bit(self):
+        # every p/q with q <= 64, and five numerators at each of three large
+        # q, about the signed window's edges at 1/4 and 1/2 of a turn
+        gammas = [(p, q) for q in range(1, 65) for p in range(q)]
+        for q in (1000003, 2**61 - 1, 10**30 + 7):
+            gammas += [(p, q) for p in (1, q // 4, q // 4 + 1, q // 2, q - 1)]
+        assert len(gammas) == 2095
+        for p, q in gammas:
+            gamma = RationalAngle(p, q)
+            got, want = walks._weights(gamma), self._from_fraction(gamma)
+            assert [(z.real.hex(), z.imag.hex()) for z in got] == [
+                (z.real.hex(), z.imag.hex()) for z in want
+            ], gamma
+
+    def test_a_certificate_is_a_tuple(self):
+        tau, gamma = RationalAngle(1, 4), RationalAngle(1, 4)
+        cert = FRCertificate(0, 7, tau, gamma, (1, -1))
+        a, b, *rest = cert
+        assert cert == (0, 7, tau, gamma, (1, -1)) and (a, b, rest) == (0, 7, [tau, gamma, (1, -1)])
+        assert (cert.alpha, cert.beta) == walks._weights(gamma) and cert.is_pst
 
 
 class TestMismatchedOrders:
