@@ -181,7 +181,7 @@ def character_table(moduli) -> ButsonMatrix:
     Rows index group elements and columns index characters, both in the
     row-major (mixed-radix) order of ``AbelianGroup``, so the table lines
     up with the vertex numbering of Cayley graphs.  The result is dephased
-    and verified.
+    and Hadamard; ``verify`` decides and records that on its first call.
     """
     group = AbelianGroup(moduli)
     return ButsonMatrix(*character_rows(group, group.digits), _fresh=True)

@@ -138,7 +138,6 @@ class FRCertificate(NamedTuple):
         return self.gamma_signed() == Fraction(1, 4)
 
     def to_json(self) -> dict:
-        alpha, beta = _weights(self.gamma)
         return {
             "a": self.a,
             "b": self.b,
@@ -146,8 +145,8 @@ class FRCertificate(NamedTuple):
             "tau_str": self.tau.display(),
             "gamma": {"num": self.gamma.num, "den": self.gamma.den, "unit": "2pi"},
             "gamma_str": self.gamma.display(),
-            "alpha": [alpha.real, alpha.imag],
-            "beta": [beta.real, beta.imag],
+            "alpha": [self.alpha.real, self.alpha.imag],
+            "beta": [self.beta.real, self.beta.imag],
             "pst": self.is_pst,
             "sign_pattern": list(self.sign_pattern),
         }
